@@ -24,6 +24,7 @@ from .errors import ConfigError
 from .experiments import (
     DEFAULT_GRID,
     FULL_GRID,
+    SAMPLER_TABLE,
     ExperimentConfig,
     TruthSpec,
     load_experiment,
@@ -31,17 +32,13 @@ from .experiments import (
     rate_summary,
     run_convergence,
     sample_points,
+    sampler_name,
 )
 from .estimators import SampleBatch, quantile_estimate, shortfall_estimate
 from .lowdisc import NetParams, PointSet, is_net
 from .models import SanModel, load_model
 
-_CLI_SAMPLERS = {
-    "mc": "mc",
-    "sobol": "qmc-sobol",
-    "owen": "rqmc-owen",
-    "shift": "rqmc-shift",
-}
+_SAMPLER_CHOICES = sorted(short for short, _ in SAMPLER_TABLE.values())
 
 
 class _Parser(argparse.ArgumentParser):
@@ -63,7 +60,7 @@ def _parse_count(raw: str) -> int:
                 raise ValueError
             return int(value)
         return int(token)
-    except ValueError:
+    except (ValueError, OverflowError):
         raise ConfigError(f"--count: expected an integer, 2^k or 1e8-style literal, got {raw!r}") from None
 
 
@@ -96,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("points", help="generate a point batch as CSV", parents=[])
     pp.add_argument("-d", "--dim", type=int, required=True, help="dimension of the points")
     pp.add_argument("-n", "--count", type=_parse_count, required=True, help="number of points")
-    pp.add_argument("--sampler", choices=sorted(_CLI_SAMPLERS), default="owen")
+    pp.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen")
     pp.add_argument("--seed", type=int, default=0, help="seed for randomized samplers and mc")
     pp.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -111,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--config", default=None, help="model config file (default: built-in san-15)")
     ep.add_argument("-n", "--count", type=_parse_count, required=True, help="sample size")
     ep.add_argument("-p", "--level", type=float, default=0.1, help="risk level (default 0.1)")
-    ep.add_argument("--sampler", choices=sorted(_CLI_SAMPLERS), default="owen")
+    ep.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen")
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--out", default=None)
 
@@ -134,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_points(args: argparse.Namespace) -> int:
     if args.dim < 1:
         raise ConfigError(f"--dim: must be >= 1, got {args.dim}")
-    pts = sample_points(_CLI_SAMPLERS[args.sampler], args.count, args.dim, seed=args.seed)
+    pts = sample_points(sampler_name(args.sampler), args.count, args.dim, seed=args.seed)
     lines = [",".join("%.17g" % v for v in row) for row in pts]
     _emit("\n".join(lines) + "\n", args.out)
     return 0
@@ -163,7 +160,7 @@ def _cmd_verify_net(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _load_model_arg(args.config)
-    pts = sample_points(_CLI_SAMPLERS[args.sampler], args.count, model.dim, seed=args.seed)
+    pts = sample_points(sampler_name(args.sampler), args.count, model.dim, seed=args.seed)
     batch = SampleBatch(model.evaluate(pts), label=args.sampler)
     v = quantile_estimate(batch, args.level)
     c = shortfall_estimate(batch, args.level)

@@ -58,9 +58,10 @@ class SampleBatch:
         return self._sorted
 
 
-def _check_level(p: float) -> float:
-    if not 0.0 < p < 1.0:
-        raise ConfigError(f"risk level must lie in (0, 1), got {p}")
+def check_level(p: float) -> float:
+    """The risk level p as a float; ConfigError unless 0 < p < 1."""
+    if not 0.0 < float(p) < 1.0:
+        raise ConfigError(f"p: risk level must lie in (0, 1), got {p}")
     return float(p)
 
 
@@ -72,7 +73,7 @@ def order_index(p: float, n: int) -> int:
     whenever rounding pushes an exact product just above an integer
     (e.g. p = 0.1, N = 10^7).
     """
-    _check_level(p)
+    check_level(p)
     pn = p * n
     q = round(pn)
     if abs(pn - q) <= np.spacing(pn):
@@ -98,7 +99,7 @@ def quantile_estimate(batch: SampleBatch, p: float) -> float:
 
 def shortfall_estimate(batch: SampleBatch, p: float) -> float:
     """Expected-shortfall estimate v - (1/(pN)) * sum_i (v - X_i)^+."""
-    p = _check_level(p)
+    p = check_level(p)
     v = quantile_estimate(batch, p)
     s = float(np.sum(np.maximum(v - batch.values, 0.0)))
     return v - s / (p * batch.n)

@@ -24,12 +24,20 @@ import numpy as np
 
 from .bits import child_seed
 from .errors import ConfigError, WorkLimitError
-from .estimators import SampleBatch, order_index, quantile_estimate, shortfall_estimate
-from .lowdisc import sobol_points
+from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
+from .lowdisc import PointSet, sobol_points
 from .models import Model, model_from_section, parse_sections
-from .randomize import KIND_OWEN, KIND_SHIFT, ScrambleSpec, randomize
+from .randomize import KIND_NONE, KIND_OWEN, KIND_SHIFT, ScrambleSpec, randomize
 
-SAMPLERS = ("mc", "qmc-sobol", "rqmc-owen", "rqmc-shift")
+# sampler name -> (short name for the CLI and configs, randomization of the
+# Sobol' points); plain MC draws no Sobol' points
+SAMPLER_TABLE: Dict[str, Tuple[str, Optional[str]]] = {
+    "mc": ("mc", None),
+    "qmc-sobol": ("sobol", KIND_NONE),
+    "rqmc-owen": ("owen", KIND_OWEN),
+    "rqmc-shift": ("shift", KIND_SHIFT),
+}
+SAMPLERS = tuple(SAMPLER_TABLE)
 
 DEFAULT_GRID: Tuple[int, ...] = tuple(2 ** i for i in range(8, 17))
 FULL_GRID: Tuple[int, ...] = tuple(2 ** i for i in range(8, 21))
@@ -49,12 +57,6 @@ _HIST_BINS = 1 << 16
 RATE_FIT_MIN_DRAWS = 1 << 12
 
 ProgressFn = Optional[Callable[[str], None]]
-
-
-def _check_level(p: float) -> float:
-    if not 0.0 < float(p) < 1.0:
-        raise ConfigError(f"p: risk level must lie in (0, 1), got {p}")
-    return float(p)
 
 
 @dataclass(frozen=True)
@@ -99,7 +101,7 @@ class ExperimentConfig:
     truth: TruthSpec = TruthSpec()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", _check_level(self.p))
+        object.__setattr__(self, "p", check_level(self.p))
         samplers = tuple(self.samplers)
         if not samplers:
             raise ConfigError("samplers: need at least one sampler")
@@ -182,6 +184,21 @@ def mc_stream_seed(master_seed: int, n: int, replication: int) -> np.random.Seed
     return np.random.SeedSequence([master_seed, _MC_STREAM_TAG, n, replication])
 
 
+def sampler_name(token: str) -> str:
+    """The sampler a full or short name refers to, ignoring case."""
+    name = token.strip().lower()
+    for full, (short, _) in SAMPLER_TABLE.items():
+        if name in (full, short):
+            return full
+    raise ConfigError(f"samplers: unknown sampler {token!r}")
+
+
+def _randomized(sampler: str, base: PointSet, seed: int, replication: int) -> np.ndarray:
+    """The sampler's randomization of the Sobol' points ``base``."""
+    spec = ScrambleSpec(SAMPLER_TABLE[sampler][1], seed=child_seed(seed, replication))
+    return np.asarray(randomize(base, spec).points)
+
+
 def sample_points(
     sampler: str,
     n: int,
@@ -197,20 +214,16 @@ def sample_points(
     """
     if n < 1:
         raise ConfigError(f"count: must be >= 1, got {n}")
+    if sampler not in SAMPLER_TABLE:
+        raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
     if sampler == "mc":
         gen = np.random.Generator(np.random.Philox(mc_stream_seed(seed, n, replication)))
         return gen.random((n, dim))
-    if sampler == "qmc-sobol":
-        return np.asarray(sobol_points(n, dim).points)
-    if sampler in ("rqmc-owen", "rqmc-shift"):
-        kind = KIND_OWEN if sampler == "rqmc-owen" else KIND_SHIFT
-        spec = ScrambleSpec(kind, seed=child_seed(seed, replication))
-        return np.asarray(randomize(sobol_points(n, dim), spec).points)
-    raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
+    return _randomized(sampler, sobol_points(n, dim), seed, replication)
 
 
 def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn = None) -> TruthResult:
-    p = _check_level(p)
+    p = check_level(p)
     if spec.kind == "explicit":
         return TruthResult(float(spec.v), float(spec.c), 0.0, 0.0, "explicit", 0)
     if spec.kind == "mc":
@@ -254,7 +267,7 @@ def mc_truth(
     stream is identical for any blocking, so v is exactly reproducible and
     c varies only by summation roundoff.
     """
-    p = _check_level(p)
+    p = check_level(p)
     n_truth = int(n_truth)
     if n_truth < 10 ** 6:
         raise ConfigError(f"truth_n: need at least 1e6 samples for a stable bracket, got {n_truth}")
@@ -377,16 +390,9 @@ def run_convergence(
         base = None if sampler == "mc" else sobol_points(n_max, model.dim)
 
         def run_rep(r: int, sampler: str = sampler, base=base, est_q=est_q, est_c=est_c) -> None:
-            if sampler == "mc":
-                pts = None
-            elif sampler == "qmc-sobol":
-                pts = base.points
-            else:
-                kind = KIND_OWEN if sampler == "rqmc-owen" else KIND_SHIFT
-                spec = ScrambleSpec(kind, seed=child_seed(cfg.master_seed, r))
-                pts = randomize(base, spec).points
+            pts = None if base is None else _randomized(sampler, base, cfg.master_seed, r)
             for j, n in enumerate(grid):
-                if sampler == "mc":
+                if pts is None:
                     block = sample_points("mc", n, model.dim, seed=cfg.master_seed, replication=r)
                 else:
                     block = pts[:n]
@@ -497,16 +503,6 @@ _EXPERIMENT_KEYS = {
     "truth_c",
 }
 
-_SAMPLER_ALIASES = {
-    "mc": "mc",
-    "sobol": "qmc-sobol",
-    "qmc-sobol": "qmc-sobol",
-    "owen": "rqmc-owen",
-    "rqmc-owen": "rqmc-owen",
-    "shift": "rqmc-shift",
-    "rqmc-shift": "rqmc-shift",
-}
-
 
 def _parse_grid_tokens(raw: str) -> Tuple[int, ...]:
     def power(token: str) -> int:
@@ -564,16 +560,11 @@ def load_experiment(text: str) -> ExperimentConfig:
                 truth_kw["v"] = float(section["truth_v"])
             if "truth_c" in section:
                 truth_kw["c"] = float(section["truth_c"])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigError(f"[experiment]: {exc}") from None
         if "samplers" in section:
-            names = []
-            for token in section["samplers"].replace(",", " ").split():
-                alias = _SAMPLER_ALIASES.get(token.strip().lower())
-                if alias is None:
-                    raise ConfigError(f"samplers: unknown sampler {token!r}")
-                names.append(alias)
-            kwargs["samplers"] = tuple(names)
+            tokens = section["samplers"].replace(",", " ").split()
+            kwargs["samplers"] = tuple(sampler_name(token) for token in tokens)
         if "n_grid" in section:
             try:
                 kwargs["n_grid"] = _parse_grid_tokens(section["n_grid"])

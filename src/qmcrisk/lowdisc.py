@@ -4,18 +4,18 @@ Generates van der Corput and Sobol' points (Joe-Kuo direction numbers),
 verifies the digital-net property by exhaustive elementary-interval
 counting, and computes the exact one-dimensional star discrepancy.
 
-Coordinates are exact dyadic rationals with at most ``bit_depth`` binary
-digits (52 by default, so every value is an exact double).  Generation is
-deterministic and index-addressable: asking for indices ``i..i+n-1`` twice
-gives byte-identical output.
+Coordinates are exact dyadic rationals with at most 52 binary digits, so
+every value is an exact double.  Generation is deterministic and has the prefix property: the first n points of a longer
+run are byte-identical to a run of n points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from importlib import resources
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -29,125 +29,36 @@ WORK_LIMIT = 10**9
 _BUNDLED_TABLE = "joe-kuo-64.txt"
 
 
-@dataclass(frozen=True)
-class DimensionRecord:
-    """Generating data for one Sobol' dimension (Joe-Kuo convention).
+@lru_cache(maxsize=None)
+def _directions(dim: int) -> np.ndarray:
+    """Direction integers of Sobol' dimensions 1..dim as a (dim, 52) array.
 
-    ``s`` is the degree of the primitive polynomial, ``a`` encodes its inner
-    coefficients, and ``m`` holds the s initial values.
+    Row j-1 holds V_k = m_k * 2^(52 - k), k = 1..52, for dimension j.
+    Dimension 1 uses the identity generator matrix, which reproduces the
+    van der Corput sequence; dimension j >= 2 comes from line j of the
+    bundled Joe-Kuo table, ``d s a m_1 ... m_s`` (the first line is a
+    header).
     """
-
-    s: int
-    a: int
-    m: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.s < 1 or len(self.m) != self.s:
-            raise ConfigError(f"need exactly s={self.s} initial values, got {len(self.m)}")
-        if not 0 <= self.a < (1 << max(self.s - 1, 0)) + (self.s == 1):
-            raise ConfigError(f"coefficient a={self.a} out of range for degree {self.s}")
-        for k, mk in enumerate(self.m, start=1):
-            if mk % 2 == 0 or not 0 < mk < (1 << k):
-                raise ConfigError(f"initial value m_{k}={mk} must be odd and < 2^{k}")
-
-
-@dataclass(frozen=True)
-class DirectionNumbers:
-    """Per-dimension generating data for the base-2 digital sequence.
-
-    ``records[j]`` drives dimension j+2; dimension 1 is the reserved van der
-    Corput dimension and needs no record.
-    """
-
-    records: tuple[DimensionRecord, ...]
-    bit_depth: int = DEFAULT_BIT_DEPTH
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.bit_depth <= 52:
-            raise ConfigError(f"bit_depth must be in [1, 52], got {self.bit_depth}")
-
-    @property
-    def dimension_count(self) -> int:
-        return len(self.records) + 1
-
-    @classmethod
-    def from_text(cls, text: str, bit_depth: int = DEFAULT_BIT_DEPTH) -> "DirectionNumbers":
-        """Parse the Joe-Kuo text format: one line per dimension,
-        whitespace-separated integers ``d s a m_1 ... m_s``.  A header line
-        is tolerated and skipped."""
-        records = []
-        expected_dim = 2
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if not parts[0].isdigit():
-                if lineno == 1:
-                    continue  # header
-                raise ConfigError(f"line {lineno}: expected integers, got {line!r}")
-            vals = [int(p) for p in parts]
-            d, s, a = vals[0], vals[1], vals[2]
-            if d != expected_dim:
-                raise ConfigError(f"line {lineno}: expected dimension {expected_dim}, got {d}")
-            if len(vals) != 3 + s:
-                raise ConfigError(f"line {lineno}: dimension {d} needs {s} initial values")
-            records.append(DimensionRecord(s=s, a=a, m=tuple(vals[3:])))
-            expected_dim += 1
-        if not records:
-            raise ConfigError("no direction-number records found")
-        return cls(records=tuple(records), bit_depth=bit_depth)
-
-    @classmethod
-    def from_file(cls, path: str, bit_depth: int = DEFAULT_BIT_DEPTH) -> "DirectionNumbers":
-        with open(path, "r", encoding="utf-8") as f:
-            return cls.from_text(f.read(), bit_depth=bit_depth)
-
-    def integer_directions(self, dim: int) -> np.ndarray:
-        """Direction integers V_1..V_bit_depth for one dimension (1-based).
-
-        V_k = m_k * 2^(bit_depth - k); dimension 1 uses the identity
-        generator matrix, which reproduces the van der Corput sequence.
-        """
-        if not 1 <= dim <= self.dimension_count:
-            raise ConfigError(
-                f"dimension {dim} exceeds direction-number table ({self.dimension_count})"
-            )
-        nb = self.bit_depth
-        v = np.zeros(nb, dtype=np.uint64)
-        if dim == 1:
-            for k in range(nb):
-                v[k] = 1 << (nb - 1 - k)
-            return v
-        rec = self.records[dim - 2]
-        s, a = rec.s, rec.a
-        m = list(rec.m)
-        for k in range(1, nb + 1):
-            if k <= s:
-                mk = m[k - 1]
-            else:
-                # m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
-                #       ^ 2^s m_{k-s} ^ m_{k-s}
-                mk = m[k - s - 1] ^ (m[k - s - 1] << s)
-                for i in range(1, s):
-                    ai = (a >> (s - 1 - i)) & 1
-                    if ai:
-                        mk ^= m[k - i - 1] << i
-                m.append(mk)
-            v[k - 1] = mk << (nb - k)
-        return v
-
-
-_DEFAULT_DIRECTIONS: Optional[DirectionNumbers] = None
-
-
-def default_directions() -> DirectionNumbers:
-    """The bundled 64-dimension Joe-Kuo table (cached)."""
-    global _DEFAULT_DIRECTIONS
-    if _DEFAULT_DIRECTIONS is None:
-        text = resources.files("qmcrisk.data").joinpath(_BUNDLED_TABLE).read_text()
-        _DEFAULT_DIRECTIONS = DirectionNumbers.from_text(text)
-    return _DEFAULT_DIRECTIONS
+    nb = DEFAULT_BIT_DEPTH
+    text = resources.files("qmcrisk.data").joinpath(_BUNDLED_TABLE).read_text()
+    lines = text.splitlines()[1:]
+    if not 1 <= dim <= len(lines) + 1:
+        raise ConfigError(f"dimension {dim} exceeds direction-number table ({len(lines) + 1})")
+    v = np.empty((dim, nb), dtype=np.uint64)
+    v[0] = [1 << (nb - k) for k in range(1, nb + 1)]
+    for j, line in enumerate(lines[: dim - 1], start=1):
+        _, s, a, *m = (int(tok) for tok in line.split())
+        for k in range(s + 1, nb + 1):
+            # m_k = 2 a_1 m_{k-1} ^ ... ^ 2^{s-1} a_{s-1} m_{k-s+1}
+            #       ^ 2^s m_{k-s} ^ m_{k-s}
+            mk = m[k - s - 1] ^ (m[k - s - 1] << s)
+            for i in range(1, s):
+                if (a >> (s - 1 - i)) & 1:
+                    mk ^= m[k - i - 1] << i
+            m.append(mk)
+        v[j] = [mk << (nb - k) for k, mk in enumerate(m, start=1)]
+    v.setflags(write=False)
+    return v
 
 
 @dataclass(frozen=True)
@@ -162,14 +73,14 @@ class PointSet:
     """An ordered batch of N points in [0,1)^d with provenance metadata."""
 
     points: np.ndarray  # (N, d) float64
-    start_index: int = 0
     meta: PointSetMeta = field(default_factory=lambda: PointSetMeta("manual"))
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[0] < 1:
             raise ConfigError("points must be a nonempty (N, d) array")
-        if np.any(pts < 0.0) or np.any(pts >= 1.0):
+        # written so that NaN coordinates fail the check too
+        if np.any(pts < 0.0) or not np.all(pts < 1.0):
             raise ConfigError("all coordinates must lie in [0, 1)")
         pts = np.ascontiguousarray(pts)
         pts.setflags(write=False)
@@ -221,53 +132,35 @@ def radical_inverse(i: int, b: int = 2) -> float:
     return r
 
 
-def sobol_points(
-    n: int,
-    dim: int,
-    start_index: int = 0,
-    directions: Optional[DirectionNumbers] = None,
-) -> PointSet:
-    """Points start_index..start_index+n-1 of the base-2 Sobol' sequence.
+def sobol_points(n: int, dim: int) -> PointSet:
+    """The first n points of the base-2 Sobol' sequence in dim dimensions.
 
+    Point i is the XOR of the direction integers V_k over the set bits k of
+    i, so points 2^k..2^(k+1)-1 are the first 2^k points XORed with V_k.
     Dimension 1 is the van der Corput sequence (radical inverse base 2);
-    index 0 is the origin.  Coordinates are exact multiples of
-    2^-bit_depth.
+    point 0 is the origin.  Coordinates are exact multiples of 2^-52.
     """
-    dirs = directions if directions is not None else default_directions()
-    if dim < 1 or dim > dirs.dimension_count:
-        raise ConfigError(
-            f"dimension {dim} exceeds direction-number table ({dirs.dimension_count})"
-        )
+    v = _directions(dim)
     if n < 1:
         raise ConfigError("need at least one point")
-    if start_index < 0:
-        raise ConfigError("start_index must be nonnegative")
-    last = start_index + n - 1
-    if last >= (1 << dirs.bit_depth):
+    if n > 1 << DEFAULT_BIT_DEPTH:
         raise ConfigError("index range exceeds the generator's bit depth")
-
-    idx = np.arange(start_index, start_index + n, dtype=np.uint64)
-    nbits = max(last.bit_length(), 1)
     pts = np.empty((n, dim), dtype=np.float64)
-    scale = math.ldexp(1.0, -dirs.bit_depth)
-    for j in range(1, dim + 1):
-        v = dirs.integer_directions(j)
-        x = np.zeros(n, dtype=np.uint64)
-        for k in range(nbits):
-            bit = (idx >> np.uint64(k)) & np.uint64(1)
-            x ^= bit * v[k]
-        pts[:, j - 1] = x * scale
-    return PointSet(
-        points=pts, start_index=start_index, meta=PointSetMeta(generator="sobol")
-    )
+    x = np.zeros(n, dtype=np.uint64)  # x[0] = 0 for every dimension
+    scale = math.ldexp(1.0, -DEFAULT_BIT_DEPTH)
+    for j in range(dim):
+        for k in range((n - 1).bit_length()):
+            h = 1 << k
+            m = min(h, n - h)
+            np.bitwise_xor(x[:m], v[j, k], out=x[h : h + m])
+        np.multiply(x, scale, out=pts[:, j])
+    return PointSet(points=pts, meta=PointSetMeta(generator="sobol"))
 
 
-def van_der_corput_points(n: int, start_index: int = 0) -> PointSet:
+def van_der_corput_points(n: int) -> PointSet:
     """First dimension of the Sobol' sequence: the base-2 radical inverse."""
-    ps = sobol_points(n, dim=1, start_index=start_index)
-    return PointSet(
-        points=ps.points, start_index=start_index, meta=PointSetMeta("van-der-corput")
-    )
+    ps = sobol_points(n, dim=1)
+    return PointSet(points=ps.points, meta=PointSetMeta("van-der-corput"))
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,7 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .errors import ConfigError
+from .estimators import check_level
 
 # largest double below 1 is 1 - 2^-53, so the clamp window is as wide as
 # float64 permits
@@ -132,11 +133,11 @@ class SanModel:
 
     def true_quantile(self, p: float) -> Optional[float]:
         """No closed form for the completion-time distribution."""
-        _check_level(p)
+        check_level(p)
         return None
 
     def true_shortfall(self, p: float) -> Optional[float]:
-        _check_level(p)
+        check_level(p)
         return None
 
 
@@ -166,23 +167,17 @@ class ExpModel:
 
     def true_quantile(self, p: float) -> float:
         """v solving P(X <= v) = p; here X is Exp(rate) in distribution."""
-        p = _check_level(p)
+        p = check_level(p)
         return -math.log1p(-p) / self.rate
 
     def true_shortfall(self, p: float) -> float:
         """E[X | X <= v] = v - (1/p) * E[(v - X)^+] = v*(1 - 1/p) + 1/rate."""
-        p = _check_level(p)
+        p = check_level(p)
         v = self.true_quantile(p)
         return v * (1.0 - 1.0 / p) + 1.0 / self.rate
 
 
 Model = Union[SanModel, ExpModel]
-
-
-def _check_level(p: float) -> float:
-    if not 0.0 < float(p) < 1.0:
-        raise ConfigError(f"risk level must lie in (0, 1), got {p}")
-    return float(p)
 
 
 _MODEL_KEYS = {

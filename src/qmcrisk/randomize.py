@@ -21,11 +21,10 @@ byte-identical outputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 
-from .bits import GOLDEN64, MASK64, hash64, mix64_vec
+from .bits import hash64, mix64_vec
 from .errors import ConfigError
 from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, PointSetMeta
 
@@ -38,9 +37,6 @@ _KINDS = (KIND_NONE, KIND_OWEN, KIND_SHIFT)
 _OWEN_TAG = 0x6F77656E  # "owen"
 _SHIFT_TAG = 0x73666874  # "sfht"
 
-# flip_source(prefixes, dim, depth) -> uint64 array of 0/1 flip bits
-FlipSource = Callable[[np.ndarray, int, int], np.ndarray]
-
 
 @dataclass(frozen=True)
 class ScrambleSpec:
@@ -48,75 +44,59 @@ class ScrambleSpec:
 
     kind: str
     seed: int = 0
-    bit_depth: int = DEFAULT_BIT_DEPTH
 
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown randomization kind {self.kind!r}, expected one of {_KINDS}")
-        if not 1 <= self.bit_depth <= 52:
-            raise ConfigError(f"bit_depth must be in [1, 52], got {self.bit_depth}")
 
 
-def _keyed_flips(seed: int, dim: int, nb: int) -> FlipSource:
-    dim_key = hash64(seed, _OWEN_TAG, dim)
-
-    def flips(prefixes: np.ndarray, _dim: int, depth: int) -> np.ndarray:
-        salt = np.uint64(hash64(dim_key, depth) & MASK64)
-        h = mix64_vec(prefixes ^ salt)
-        return h >> np.uint64(63)
-
-    return flips
-
-
-def owen_scramble(
-    ps: PointSet, spec: ScrambleSpec, _flip_source: Optional[FlipSource] = None
-) -> PointSet:
+def owen_scramble(ps: PointSet, spec: ScrambleSpec) -> PointSet:
     """Nested uniform scramble of a base-2 point set.
 
     The flip applied to digit k of a coordinate is a pseudorandom bit keyed
     by (seed, dimension, k, digits 1..k-1 of that coordinate), so points
     sharing a digit prefix share its permutation, which is exactly the
-    nested structure that keeps net parameters intact.  All bit_depth
-    digits are scrambled.
+    nested structure that keeps net parameters intact.  All 52 digits are
+    scrambled.
     """
     if spec.kind != KIND_OWEN:
         raise ConfigError(f"spec.kind must be {KIND_OWEN!r}, got {spec.kind!r}")
-    nb = spec.bit_depth
-    ints = ps.as_integers(nb)
+    nb = DEFAULT_BIT_DEPTH
+    ints = ps.as_integers()
     out = np.empty_like(ints)
-    scale = 2.0 ** -nb
     for j in range(ps.dim):
         x = ints[:, j]
-        source = _flip_source or _keyed_flips(spec.seed, j + 1, nb)
+        dim_key = hash64(spec.seed, _OWEN_TAG, j + 1)
         flips = np.zeros_like(x)
         for k in range(1, nb + 1):
-            prefix = x >> np.uint64(nb - (k - 1)) if k > 1 else np.zeros_like(x)
-            bit = source(prefix, j + 1, k)
-            flips |= bit << np.uint64(nb - k)
+            # digits 1..k-1; empty (zero) for k = 1 since x < 2^nb
+            prefix = x >> np.uint64(nb - (k - 1))
+            prefix ^= np.uint64(hash64(dim_key, k))
+            bit = mix64_vec(prefix)
+            bit >>= np.uint64(63)
+            bit <<= np.uint64(nb - k)
+            flips |= bit
         out[:, j] = x ^ flips
     return PointSet(
-        points=out * scale,
-        start_index=ps.start_index,
+        points=out * 2.0 ** -nb,
         meta=PointSetMeta(ps.meta.generator, randomization="owen", seed=spec.seed),
     )
 
 
 def digital_shift(ps: PointSet, spec: ScrambleSpec) -> PointSet:
-    """XOR every coordinate's bit_depth-bit expansion with one random word
-    per dimension.  Applying the same spec twice restores the input."""
+    """XOR every coordinate's 52-bit expansion with one random word per
+    dimension.  Applying the same spec twice restores the input."""
     if spec.kind != KIND_SHIFT:
         raise ConfigError(f"spec.kind must be {KIND_SHIFT!r}, got {spec.kind!r}")
-    nb = spec.bit_depth
-    ints = ps.as_integers(nb)
-    mask = np.uint64((1 << nb) - 1)
+    nb = DEFAULT_BIT_DEPTH
+    ints = ps.as_integers()
     words = np.array(
         [hash64(spec.seed, _SHIFT_TAG, j + 1) for j in range(ps.dim)], dtype=np.uint64
     )
-    words &= mask
+    words &= np.uint64((1 << nb) - 1)
     out = ints ^ words[np.newaxis, :]
     return PointSet(
         points=out * 2.0 ** -nb,
-        start_index=ps.start_index,
         meta=PointSetMeta(ps.meta.generator, randomization="digital_shift", seed=spec.seed),
     )
 

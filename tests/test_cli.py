@@ -1,3 +1,4 @@
+import os
 import shutil
 import subprocess
 import sys
@@ -78,6 +79,8 @@ def test_points_rejects_bad_arguments(capsys):
     assert code == 1 and "--dim" in err
     code, _, err = _run(capsys, "points", "-d", "2", "-n", "x")
     assert code == 1 and "--count" in err
+    code, _, err = _run(capsys, "points", "-d", "2", "-n", "1e400")  # float overflows to inf
+    assert code == 1 and "--count" in err
     code, _, err = _run(capsys, "points", "-d", "2", "-n", "4", "--sampler", "halton")
     assert code == 1
 
@@ -108,6 +111,14 @@ def test_verify_net_rejects_wrong_count(capsys, tmp_path):
     code, _, err = _run(capsys, "verify-net", "--file", str(target), "-t", "0", "-m", "2", "-d", "1")
     assert code == 1
     assert "expected" in err
+
+
+def test_verify_net_rejects_nan_coordinate(capsys, tmp_path):
+    target = tmp_path / "nan.csv"
+    target.write_text("0\n0.25\nnan\n0.75\n")
+    code, _, err = _run(capsys, "verify-net", "--file", str(target), "-t", "0", "-m", "2", "-d", "1")
+    assert code == 1
+    assert "[0, 1)" in err
 
 
 def test_verify_net_missing_file(capsys, tmp_path):
@@ -214,6 +225,14 @@ def test_converge_rejects_unknown_config_keys(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_converge_rejects_overflowing_truth_n(capsys, tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("[experiment]\ntruth = mc\ntruth_n = 1e400\n[model]\nkind = exp\n")
+    code, _, err = _run(capsys, "converge", "--config", str(cfg))
+    assert code == 1
+    assert "[experiment]" in err
+
+
 # ---------------------------------------------------------------- dispatch
 
 
@@ -234,3 +253,21 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[0] == "0"
+
+
+def test_cold_start_does_not_import_scipy():
+    # a cold `from scipy.stats import qmc` measured 0.9-1.2 s, several times
+    # the whole package set-up, so the package must never pull scipy in
+    import qmcrisk
+
+    code = (
+        "import sys, qmcrisk\n"
+        "for name in ('mc', 'qmc-sobol', 'rqmc-owen', 'rqmc-shift'):\n"
+        "    qmcrisk.sample_points(name, 1, 15, seed=1)\n"
+        "print('scipy' in sys.modules)\n"
+    )
+    src = os.path.dirname(os.path.dirname(qmcrisk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

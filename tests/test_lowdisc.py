@@ -6,10 +6,8 @@ import pytest
 from qmcrisk.errors import ConfigError, PrecisionError, WorkLimitError
 from qmcrisk.lowdisc import (
     DEFAULT_BIT_DEPTH,
-    DirectionNumbers,
     NetParams,
     PointSet,
-    default_directions,
     find_t,
     is_net,
     radical_inverse,
@@ -57,6 +55,8 @@ def test_point_set_validates_range():
     with pytest.raises(ConfigError):
         PointSet.from_array([-0.25])
     with pytest.raises(ConfigError):
+        PointSet.from_array([0.0, float("nan")])
+    with pytest.raises(ConfigError):
         PointSet(points=np.empty((0, 2)))
 
 
@@ -89,7 +89,7 @@ def test_as_integers_rejects_non_dyadic():
 def test_as_integers_respects_requested_depth():
     ps = PointSet.from_array([0.0, 0.5, 0.25, 0.75])
     assert np.array_equal(ps.as_integers(2).ravel(), [0, 2, 1, 3])
-    fine = sobol_points(16, 1, start_index=8)  # includes odd multiples of 1/16
+    fine = sobol_points(16, 1)  # includes odd multiples of 1/16
     with pytest.raises(PrecisionError):
         fine.as_integers(3)
 
@@ -132,18 +132,21 @@ def test_sobol_first_points_d2():
 def test_sobol_matches_reference_generator():
     # independent generator emits the same 2^m blocks in Gray-code order:
     # its point i is the natural-order point i ^ (i >> 1)
+    # (d = 64 covers the whole bundled direction-number table)
     qmc = pytest.importorskip("scipy.stats.qmc")
-    n, d = 256, 8
-    ref = qmc.Sobol(d=d, scramble=False, bits=52).random(n)
-    mine = sobol_points(n, d).points
+    n = 256
     idx = np.arange(n)
-    assert np.array_equal(ref, mine[idx ^ (idx >> 1)])
+    for d in (8, 64):
+        ref = qmc.Sobol(d=d, scramble=False, bits=52).random(n)
+        mine = sobol_points(n, d).points
+        assert np.array_equal(ref, mine[idx ^ (idx >> 1)]), f"d={d}"
 
 
 def test_sobol_start_index_slices_the_sequence():
+    # the sequence always starts at index 0; a shorter run is a prefix
     full = sobol_points(80, 3).points
-    tail = sobol_points(64, 3, start_index=16).points
-    assert np.array_equal(tail, full[16:])
+    head = sobol_points(64, 3).points
+    assert np.array_equal(head, full[:64])
 
 
 def test_sobol_index_addressing_is_stable():
@@ -160,9 +163,7 @@ def test_sobol_validates_arguments():
     with pytest.raises(ConfigError):
         sobol_points(4, 65)  # bundled table covers 64 dimensions
     with pytest.raises(ConfigError):
-        sobol_points(4, 2, start_index=-1)
-    with pytest.raises(ConfigError):
-        sobol_points(2, 1, start_index=2**52 - 1)  # runs past the dyadic grid
+        sobol_points(2**52 + 1, 1)  # runs past the dyadic grid; rejected before allocating
 
 
 def test_sobol_coordinates_are_dyadic_and_in_range():
@@ -176,39 +177,9 @@ def test_sobol_coordinates_are_dyadic_and_in_range():
 
 
 def test_direction_table_covers_64_dimensions():
-    dirs = default_directions()
-    assert dirs.dimension_count == 64
-    assert dirs.bit_depth == DEFAULT_BIT_DEPTH
-
-
-def test_direction_numbers_from_text():
-    text = "d s a m_i\n2 1 0 1\n3 2 1 1 3\n"
-    dirs = DirectionNumbers.from_text(text)
-    assert dirs.dimension_count == 3
-    assert dirs.records[1].m == (1, 3)
-    v = dirs.integer_directions(1)
-    assert v[0] == 1 << 51  # identity matrix for the reserved first dimension
-
-
-def test_direction_numbers_reject_malformed_text():
-    with pytest.raises(ConfigError):
-        DirectionNumbers.from_text("")
-    with pytest.raises(ConfigError):
-        DirectionNumbers.from_text("2 1 0 1\n4 1 0 1\n")  # dimension gap
-    with pytest.raises(ConfigError):
-        DirectionNumbers.from_text("2 2 0 1\n")  # s=2 needs two initial values
-    with pytest.raises(ConfigError):
-        DirectionNumbers.from_text("2 1 0 2\n")  # initial values must be odd
-    with pytest.raises(ConfigError):
-        DirectionNumbers.from_text("header\nmore words\n")
-
-
-def test_integer_directions_validates_dimension():
-    dirs = default_directions()
-    with pytest.raises(ConfigError):
-        dirs.integer_directions(0)
-    with pytest.raises(ConfigError):
-        dirs.integer_directions(65)
+    assert sobol_points(2, 64).dim == 64
+    with pytest.raises(ConfigError, match="64"):
+        sobol_points(4, 65)
 
 
 # ---------------------------------------------------------------- net verification

@@ -20,15 +20,13 @@ from qmcrisk.randomize import (
     randomize,
 )
 
-_FULL = (1 << DEFAULT_BIT_DEPTH) - 1
+_NB = DEFAULT_BIT_DEPTH
 
 
-def _zero_flips(prefixes, dim, depth):
-    return np.zeros_like(prefixes)
-
-
-def _one_flips(prefixes, dim, depth):
-    return np.ones_like(prefixes)
+def _flips(ps, seed):
+    """Per-point, per-coordinate flip words of the keyed Owen scramble."""
+    out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=seed))
+    return out.as_integers() ^ ps.as_integers()
 
 
 # ---------------------------------------------------------------- spec validation
@@ -37,10 +35,9 @@ def _one_flips(prefixes, dim, depth):
 def test_scramble_spec_validates_kind_and_depth():
     with pytest.raises(ConfigError):
         ScrambleSpec("bogus")
-    with pytest.raises(ConfigError):
-        ScrambleSpec(KIND_OWEN, bit_depth=0)
-    with pytest.raises(ConfigError):
-        ScrambleSpec(KIND_OWEN, bit_depth=53)
+    # every scramble works on all 52 digits; the depth is not a setting
+    with pytest.raises(TypeError):
+        ScrambleSpec(KIND_OWEN, bit_depth=52)
 
 
 def test_kind_mismatch_is_rejected():
@@ -62,17 +59,33 @@ def test_non_dyadic_input_is_rejected():
 # ---------------------------------------------------------------- nested scrambling
 
 
-def test_stubbed_zero_flips_are_identity():
-    ps = sobol_points(32, 3)
-    out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=9), _flip_source=_zero_flips)
-    assert np.array_equal(out.points, ps.points)
+def test_scramble_digit_one_flip_is_shared_by_all_points():
+    flips = _flips(sobol_points(256, 3), seed=9)
+    top = flips >> np.uint64(_NB - 1)
+    assert np.all(top == top[0])
 
 
-def test_stubbed_one_flips_complement_every_digit():
-    ps = sobol_points(32, 2)
-    out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=9), _flip_source=_one_flips)
-    want = (ps.as_integers() ^ np.uint64(_FULL)) * 2.0 ** -DEFAULT_BIT_DEPTH
-    assert np.array_equal(out.points, want)
+def test_scramble_digit_k_flip_depends_only_on_the_prefix():
+    # random words plus, for each depth k, copies that differ from them
+    # first at digit k: every depth has pairs sharing exactly k-1 digits
+    rng = np.random.default_rng(4)
+    base = rng.integers(0, 1 << _NB, size=(64, 2), dtype=np.uint64)
+    words = np.concatenate([base] + [base ^ np.uint64(1 << (_NB - k)) for k in range(1, _NB + 1)])
+    ps = PointSet.from_array(words * 2.0**-_NB)
+    flips = _flips(ps, seed=9)
+    for j in range(2):
+        for k in range(1, _NB + 1):
+            prefix = words[:, j] >> np.uint64(_NB - k + 1)
+            flip = (flips[:, j] >> np.uint64(_NB - k)) & np.uint64(1)
+            _, first, group = np.unique(prefix, return_index=True, return_inverse=True)
+            assert np.array_equal(flip, flip[first][group.ravel()]), f"dim {j + 1} digit {k}"
+            if k > 1:  # nested, not a digital shift: the flip varies with the prefix
+                assert np.unique(flip).size == 2, f"dim {j + 1} digit {k}"
+
+
+def test_scramble_flips_every_digit_position():
+    flips = _flips(sobol_points(256, 16), seed=9)
+    assert np.bitwise_or.reduce(flips, axis=None) == (1 << _NB) - 1
 
 
 def test_scramble_is_reproducible_and_seed_sensitive():
