@@ -14,15 +14,15 @@ import numpy as np
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
+MIX1 = 0xBF58476D1CE4E5B9
+MIX2 = 0x94D049BB133111EB
 
 
 def mix64(z: int) -> int:
     """Finalizing 64-bit avalanche mix (splitmix64 finalizer)."""
     z &= MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    z = ((z ^ (z >> 30)) * MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * MIX2) & MASK64
     return z ^ (z >> 31)
 
 
@@ -40,9 +40,9 @@ def hash64(*words: int) -> int:
 def mix64_vec(z: np.ndarray) -> np.ndarray:
     """Vectorized mix64 over a uint64 array."""
     z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(_MIX1)
+    z = z * np.uint64(MIX1)
     z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(_MIX2)
+    z = z * np.uint64(MIX2)
     return z ^ (z >> np.uint64(31))
 
 

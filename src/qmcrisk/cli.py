@@ -213,8 +213,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
             for name, fit in rate_summary(table, metric).items():
                 note = f" (excluded N: {', '.join(map(str, fit.excluded))})" if fit.excluded else ""
                 print(f"{name} {metric} rate: N^{fit.slope:.3f}{note}", file=sys.stderr)
-        except ConfigError:
-            print(f"{metric}: rate fit skipped (nonpositive errors)", file=sys.stderr)
+        except ConfigError as exc:
+            print(f"{metric}: rate fit skipped ({exc})", file=sys.stderr)
     return 0
 
 

@@ -59,6 +59,18 @@ RATE_FIT_MIN_DRAWS = 1 << 12
 ProgressFn = Optional[Callable[[str], None]]
 
 
+def check_seed(seed: int, name: str = "seed") -> int:
+    """The seed as an int; ConfigError unless 0 <= seed < 2^64.
+
+    Owen and shift seeds enter a 64-bit hash and MC seeds a SeedSequence,
+    so a seed outside this range would alias another seed or fail late.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name}: must be an integer in [0, 2^64), got {seed}")
+    return seed
+
+
 @dataclass(frozen=True)
 class TruthSpec:
     """Where the reference (v, c) comes from.
@@ -125,10 +137,7 @@ class ExperimentConfig:
         if int(self.replications) < 1:
             raise ConfigError(f"replications: must be >= 1, got {self.replications}")
         object.__setattr__(self, "replications", int(self.replications))
-        seed = int(self.master_seed)
-        if not 0 <= seed < 2 ** 64:
-            raise ConfigError("master_seed: must fit in 64 bits")
-        object.__setattr__(self, "master_seed", seed)
+        object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master_seed"))
 
 
 @dataclass(frozen=True)
@@ -214,6 +223,7 @@ def sample_points(
     """
     if n < 1:
         raise ConfigError(f"count: must be >= 1, got {n}")
+    seed = check_seed(seed)
     if sampler not in SAMPLER_TABLE:
         raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
     if sampler == "mc":
@@ -268,6 +278,7 @@ def mc_truth(
     c varies only by summation roundoff.
     """
     p = check_level(p)
+    seed = check_seed(seed)
     n_truth = int(n_truth)
     if n_truth < 10 ** 6:
         raise ConfigError(f"truth_n: need at least 1e6 samples for a stable bracket, got {n_truth}")
@@ -369,11 +380,15 @@ def run_convergence(
 ) -> ResultTable:
     """Run the replicated study and aggregate bias/MSE per (sampler, N).
 
-    Randomized samplers scramble the largest grid size once per
-    replication and reuse prefixes for the smaller sizes; randomization is
-    pointwise, so each prefix is bit-identical to scrambling that size
-    directly with the same seed.
+    Randomized samplers scramble and evaluate the largest grid size once
+    per replication and reuse prefixes of the losses for the smaller
+    sizes; randomization and evaluation are pointwise, so each prefix is
+    bit-identical to scrambling and evaluating that size directly with the
+    same seed.  ``threads`` (None for serial) must be >= 1; the pool never
+    holds more threads than replications.
     """
+    if threads is not None and threads < 1:
+        raise ConfigError(f"threads: must be >= 1, got {threads}")
     model = cfg.model
     truth = resolve_truth(model, cfg.p, cfg.truth, progress=progress)
     if progress is not None:
@@ -390,18 +405,19 @@ def run_convergence(
         base = None if sampler == "mc" else sobol_points(n_max, model.dim)
 
         def run_rep(r: int, sampler: str = sampler, base=base, est_q=est_q, est_c=est_c) -> None:
-            pts = None if base is None else _randomized(sampler, base, cfg.master_seed, r)
+            losses = None if base is None else model.evaluate(_randomized(sampler, base, cfg.master_seed, r))
             for j, n in enumerate(grid):
-                if pts is None:
-                    block = sample_points("mc", n, model.dim, seed=cfg.master_seed, replication=r)
+                if losses is None:
+                    values = model.evaluate(sample_points("mc", n, model.dim, seed=cfg.master_seed, replication=r))
                 else:
-                    block = pts[:n]
-                batch = SampleBatch(model.evaluate(block), label=sampler)
+                    values = losses[:n]
+                batch = SampleBatch(values, label=sampler)
                 est_q[r, j] = quantile_estimate(batch, cfg.p)
                 est_c[r, j] = shortfall_estimate(batch, cfg.p)
 
-        if threads is not None and threads > 1 and reps > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
+        workers = min(threads or 1, reps)
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
                 list(pool.map(run_rep, range(reps)))
         else:
             for r in range(reps):

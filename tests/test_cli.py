@@ -154,6 +154,24 @@ def test_estimate_with_model_config(capsys, tmp_path):
     assert abs(v - 0.10536052) < 5e-3
 
 
+def test_seeds_outside_64_bits_exit_1(capsys):
+    # owen and shift seeds would alias modulo 2^64, and numpy rejects
+    # negative mc and truth seeds only once the run has started
+    for argv in (
+        ("estimate", "-n", "256", "--sampler", "owen", "--seed", str(2**64)),
+        ("estimate", "-n", "256", "--sampler", "owen", "--seed", "-1"),
+        ("estimate", "-n", "256", "--sampler", "shift", "--seed", "-1"),
+        ("estimate", "-n", "256", "--sampler", "mc", "--seed", "-1"),
+        ("points", "-d", "2", "-n", "4", "--seed", str(2**64)),
+        ("truth", "-n", "1e6", "--seed", "-1"),
+        ("converge", "--seed", "-1"),
+    ):
+        code, out, err = _run(capsys, *argv)
+        assert code == 1 and "seed" in err and out == "", argv
+    code, out, _ = _run(capsys, "estimate", "-n", "256", "--sampler", "owen", "--seed", str(2**64 - 1))
+    assert code == 0 and "quantile" in out
+
+
 def test_estimate_rejects_bad_level(capsys):
     code, _, err = _run(capsys, "estimate", "-n", "256", "-p", "2.0")
     assert code == 1
@@ -215,6 +233,24 @@ def test_converge_unwritable_output_is_a_runtime_failure(capsys, tmp_path):
     code, _, err = _run(capsys, "converge", "--config", str(cfg), "--out", str(tmp_path / "no" / "dir.csv"))
     assert code == 2
     assert "runtime error" in err
+
+
+def test_converge_rejects_bad_thread_counts(capsys, tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(SMALL_STUDY)
+    for threads in ("0", "-3"):
+        code, out, err = _run(capsys, "converge", "--config", str(cfg), "--threads", threads)
+        assert code == 1 and "threads" in err
+        assert out == "" and "truth" not in err  # rejected before the study starts
+
+
+def test_converge_explains_a_skipped_rate_fit(capsys, tmp_path):
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(SMALL_STUDY.replace("2^8..2^10", "2^6..2^7"))
+    code, out, err = _run(capsys, "converge", "--config", str(cfg))
+    assert code == 0 and out.startswith(CSV_HEADER)
+    assert "q_mse: rate fit skipped (fit_rate: need at least 3 grid points, got 2)" in err
+    assert "nonpositive" not in err
 
 
 def test_converge_rejects_unknown_config_keys(capsys, tmp_path):

@@ -77,8 +77,10 @@ def test_experiment_config_validation():
         ExperimentConfig(model=m, n_grid=())
     with pytest.raises(ConfigError):
         ExperimentConfig(model=m, replications=0)
-    with pytest.raises(ConfigError):
-        ExperimentConfig(model=m, master_seed=2**64)
+    for seed in (2**64, -1):
+        with pytest.raises(ConfigError, match="master_seed"):
+            ExperimentConfig(model=m, master_seed=seed)
+    assert ExperimentConfig(model=m, master_seed=2**64 - 1).master_seed == 2**64 - 1
 
 
 def test_truth_spec_validation():
@@ -127,6 +129,17 @@ def test_sample_points_validation():
         sample_points("mc", 0, 2)
     with pytest.raises(ConfigError):
         sample_points("halton", 16, 2)
+    # Owen and shift seeds would alias modulo 2^64, MC seeds fail in numpy
+    for sampler in ("mc", "rqmc-owen", "rqmc-shift"):
+        for seed in (-1, 2**64):
+            with pytest.raises(ConfigError, match="seed"):
+                sample_points(sampler, 16, 2, seed=seed)
+
+
+def test_mc_truth_rejects_seeds_outside_64_bits():
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            mc_truth(ExpModel(), 0.1, 10**6, seed=seed)
 
 
 # ---------------------------------------------------------------- truth resolution
@@ -251,6 +264,23 @@ def test_run_convergence_is_deterministic_across_threads():
     assert csv_a == csv_b == csv_c
 
 
+def test_run_convergence_validates_and_caps_threads(monkeypatch):
+    for threads in (0, -3):
+        with pytest.raises(ConfigError, match="threads"):
+            run_convergence(_small_cfg(replications=2), threads=threads)
+    widths = []
+
+    class RecordingPool(experiments.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
+    serial = run_convergence(_small_cfg(replications=2)).to_csv()
+    assert run_convergence(_small_cfg(replications=2), threads=3).to_csv() == serial
+    assert widths == [2, 2]  # one pool per sampler, no wider than R
+
+
 def test_run_convergence_seed_sensitivity():
     a = run_convergence(_small_cfg()).to_csv()
     b = run_convergence(_small_cfg(master_seed=4)).to_csv()
@@ -258,33 +288,35 @@ def test_run_convergence_seed_sensitivity():
 
 
 def test_run_convergence_matches_manual_composition():
-    cfg = _small_cfg(n_grid=(256, 1024), replications=3, master_seed=9)
-    table = run_convergence(cfg)
-    m = cfg.model
-    truth_v, truth_c = m.true_quantile(0.1), m.true_shortfall(0.1)
-    for sampler in cfg.samplers:
-        est_q = np.empty((3, 2))
-        est_c = np.empty((3, 2))
-        for r in range(3):
-            full = sample_points(sampler, 1024, 1, seed=9, replication=r)
-            for j, n in enumerate((256, 1024)):
-                if sampler == "mc":
-                    pts = sample_points("mc", n, 1, seed=9, replication=r)
-                else:
-                    pts = full[:n]  # randomization is pointwise: prefixes agree
-                batch = SampleBatch(m.evaluate(pts))
-                est_q[r, j] = quantile_estimate(batch, 0.1)
-                est_c[r, j] = shortfall_estimate(batch, 0.1)
-        rows = table.for_sampler(sampler)
-        for j, row in enumerate(rows):
-            q, c = est_q[:, j], est_c[:, j]
-            assert row.q_mean == float(q.mean())
-            assert row.q_bias == float(q.mean() - truth_v)
-            assert row.q_mse == float(((q - truth_v) ** 2).mean())
-            assert row.es_mean == float(c.mean())
-            assert row.es_mse == float(((c - truth_c) ** 2).mean())
-            want_stderr = float(((q - truth_v) ** 2).std(ddof=1) / math.sqrt(3))
-            assert row.mse_stderr == want_stderr
+    # the harness evaluates each replication once and slices the losses;
+    # here every prefix is evaluated on its own
+    for truth_spec, m in ((TruthSpec("auto"), ExpModel()), (TruthSpec("explicit", v=5.683, c=4.845), SanModel())):
+        cfg = _small_cfg(model=m, truth=truth_spec, n_grid=(256, 1024), replications=3, master_seed=9)
+        table = run_convergence(cfg)
+        truth = resolve_truth(m, 0.1, truth_spec)
+        for sampler in cfg.samplers:
+            est_q = np.empty((3, 2))
+            est_c = np.empty((3, 2))
+            for r in range(3):
+                full = sample_points(sampler, 1024, m.dim, seed=9, replication=r)
+                for j, n in enumerate((256, 1024)):
+                    if sampler == "mc":
+                        pts = sample_points("mc", n, m.dim, seed=9, replication=r)
+                    else:
+                        pts = full[:n]  # randomization is pointwise: prefixes agree
+                    batch = SampleBatch(m.evaluate(pts))
+                    est_q[r, j] = quantile_estimate(batch, 0.1)
+                    est_c[r, j] = shortfall_estimate(batch, 0.1)
+            rows = table.for_sampler(sampler)
+            for j, row in enumerate(rows):
+                q, c = est_q[:, j], est_c[:, j]
+                assert row.q_mean == float(q.mean())
+                assert row.q_bias == float(q.mean() - truth.v)
+                assert row.q_mse == float(((q - truth.v) ** 2).mean())
+                assert row.es_mean == float(c.mean())
+                assert row.es_mse == float(((c - truth.c) ** 2).mean())
+                want_stderr = float(((q - truth.v) ** 2).std(ddof=1) / math.sqrt(3))
+                assert row.mse_stderr == want_stderr
 
 
 def test_qmc_sampler_is_forced_to_one_replication():

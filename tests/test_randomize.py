@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmcrisk.bits import hash64, mix64_vec
 from qmcrisk.errors import ConfigError, PrecisionError
 from qmcrisk.lowdisc import (
     DEFAULT_BIT_DEPTH,
@@ -21,6 +22,24 @@ from qmcrisk.randomize import (
 )
 
 _NB = DEFAULT_BIT_DEPTH
+_OWEN_TAG = 0x6F77656E  # "owen"
+
+
+def _reference_owen(ps, seed):
+    """The scramble as one full-length pass per column and digit, on the
+    complete mix64: the reference the tiled loop must equal bit for bit."""
+    ints = ps.as_integers()
+    out = np.empty_like(ints)
+    for j in range(ps.dim):
+        x = ints[:, j]
+        dim_key = hash64(seed, _OWEN_TAG, j + 1)
+        flips = np.zeros_like(x)
+        for k in range(1, _NB + 1):
+            prefix = x >> np.uint64(_NB - (k - 1))
+            bit = mix64_vec(prefix ^ np.uint64(hash64(dim_key, k))) >> np.uint64(63)
+            flips |= bit << np.uint64(_NB - k)
+        out[:, j] = x ^ flips
+    return out * 2.0**-_NB
 
 
 def _flips(ps, seed):
@@ -88,6 +107,23 @@ def test_scramble_flips_every_digit_position():
     assert np.bitwise_or.reduce(flips, axis=None) == (1 << _NB) - 1
 
 
+@pytest.mark.parametrize(
+    "n, d",
+    [
+        (1, 1),
+        (3, 15),
+        (70000, 1),  # more than one 2^16-row tile
+        (3 * 4369 + 7, 15),  # three full 4369-row tiles and a ragged one
+        (2 * 1024 + 3, 64),  # 1024-row tiles
+    ],
+)
+def test_scramble_matches_the_per_column_reference(n, d):
+    ps = sobol_points(n, d)
+    for seed in (0, 2**64 - 1):
+        got = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=seed)).points
+        assert np.array_equal(got, _reference_owen(ps, seed)), f"seed {seed}"
+
+
 def test_scramble_is_reproducible_and_seed_sensitive():
     ps = sobol_points(256, 2)
     a = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=5)).points
@@ -100,9 +136,11 @@ def test_scramble_is_reproducible_and_seed_sensitive():
 def test_scramble_is_pointwise_so_prefixes_agree():
     # scrambling a longer batch and slicing equals scrambling the prefix
     spec = ScrambleSpec(KIND_OWEN, seed=11)
-    long = owen_scramble(sobol_points(1024, 3), spec).points
-    short = owen_scramble(sobol_points(256, 3), spec).points
-    assert np.array_equal(long[:256], short)
+    # the second pair ends mid-tile: 5000 rows of 4369-row tiles
+    for n_long, n_short, d in ((1024, 256, 3), (2**14, 5000, 15)):
+        long = owen_scramble(sobol_points(n_long, d), spec).points
+        short = owen_scramble(sobol_points(n_short, d), spec).points
+        assert np.array_equal(long[:n_short], short), (n_long, n_short, d)
 
 
 def test_scramble_preserves_net_property():
