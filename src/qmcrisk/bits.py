@@ -11,11 +11,25 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
+
 MASK64 = (1 << 64) - 1
 GOLDEN64 = 0x9E3779B97F4A7C15
 
 MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """The seed as an int; ConfigError unless 0 <= seed < 2^64.
+
+    Owen and shift seeds enter a 64-bit hash and MC seeds a SeedSequence,
+    so a seed outside this range would alias another seed or fail late.
+    """
+    seed = int(seed)
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{name}: must be an integer in [0, 2^64), got {seed}")
+    return seed
 
 
 def mix64(z: int) -> int:

@@ -15,6 +15,7 @@ from (master_seed, r).
 
 from __future__ import annotations
 
+import itertools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -22,7 +23,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import child_seed
+from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
 from .lowdisc import PointSet, sobol_points
@@ -50,25 +51,16 @@ _TRUTH_STREAM_TAG = 0x74727574
 
 _TRUTH_BLOCK = 1 << 19
 _MAX_BRACKET = 1 << 24
-_HIST_BINS = 1 << 16
+# mc_truth: bins of the grid over the pilot's range, and the half-width of
+# the quantile bracket in standard deviations of the pilot's quantile rank
+_TRUTH_BINS = 1 << 16
+_BRACKET_SIGMAS = 8.0
 
 # below this many total draws the smallest grid point sits in the
 # pre-asymptotic regime and is dropped from rate fits
 RATE_FIT_MIN_DRAWS = 1 << 12
 
 ProgressFn = Optional[Callable[[str], None]]
-
-
-def check_seed(seed: int, name: str = "seed") -> int:
-    """The seed as an int; ConfigError unless 0 <= seed < 2^64.
-
-    Owen and shift seeds enter a 64-bit hash and MC seeds a SeedSequence,
-    so a seed outside this range would alias another seed or fail late.
-    """
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
-        raise ConfigError(f"{name}: must be an integer in [0, 2^64), got {seed}")
-    return seed
 
 
 @dataclass(frozen=True)
@@ -266,12 +258,19 @@ def mc_truth(
 ) -> TruthResult:
     """Large-sample pseudorandom reference values for (v, c).
 
-    Two streaming passes over the same counter-based stream: the first
-    builds a histogram to bracket the p-quantile, the second selects the
-    exact order statistic inside the bracket and accumulates the shortfall
-    sums.  If the bracket would not fit in memory (or the quantile falls
-    outside the histogram range) the histogram is rebuilt finer over the
-    observed range and both passes rerun once.
+    One streaming pass over a counter-based stream.  Its first block, of m
+    rows, is the pilot: a grid of ``_TRUTH_BINS`` bins spans the pilot's
+    range (5% margin each side), and the pilot's order statistics at ranks
+    k0 +- ``_BRACKET_SIGMAS`` * sqrt(m p (1 - p)), with k0 = ceil(p m),
+    widened to the edges of their bins, bracket the p-quantile.  The pass
+    counts the values below the bracket, accumulates their shortfall sums
+    pivoted at its lower edge and keeps the values inside it; v is then
+    the exact k-th order statistic, selected among the kept values.
+    Exactly ``n_truth`` rows are drawn and evaluated.  If the quantile
+    falls outside the bracket, the stream is replayed once with the
+    bracket extended to the extreme value on that side.  A bracket holding
+    more than ``_MAX_BRACKET`` values raises WorkLimitError.  The density
+    behind ``v_stderr`` is the count of values in v's grid bin.
 
     ``block_size`` only sets the streaming granularity: the underlying
     stream is identical for any blocking, so v is exactly reproducible and
@@ -285,89 +284,79 @@ def mc_truth(
     k = order_index(p, n_truth)
     n_blocks = (n_truth + block_size - 1) // block_size
 
-    def first_pass(lo: float, hi: float, bins: int):
-        counts = np.zeros(bins, dtype=np.int64)
-        below = 0
-        gmin = math.inf
-        gmax = -math.inf
-        inv_h = bins / (hi - lo)
-        for i, x in enumerate(_truth_stream(model, n_truth, seed, block_size)):
-            gmin = min(gmin, float(x.min()))
-            gmax = max(gmax, float(x.max()))
-            idx = np.floor((x - lo) * inv_h).astype(np.int64)
-            inside = (idx >= 0) & (idx < bins)
-            counts += np.bincount(idx[inside], minlength=bins)
-            below += int(np.count_nonzero(idx < 0))
-            if progress is not None and (i + 1) % 32 == 0:
-                progress(f"truth pass 1: block {i + 1}/{n_blocks}")
-        return counts, below, gmin, gmax
-
-    # histogram range from a pilot block; the retry covers the tail case
-    # where the quantile escapes it
-    pilot = next(_truth_stream(model, min(block_size, n_truth), seed, block_size))
+    stream = _truth_stream(model, n_truth, seed, block_size)
+    pilot = next(stream)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     span = pmax - pmin
     if span <= 0.0:
         span = max(abs(pmin), 1.0)
     lo = pmin - 0.05 * span
     hi = pmax + 0.05 * span
-    bins = _HIST_BINS
+    h = (hi - lo) / _TRUTH_BINS
+    inv_h = _TRUTH_BINS / (hi - lo)
 
-    for attempt in range(2):
-        counts, below, gmin, gmax = first_pass(lo, hi, bins)
-        cum = below + np.cumsum(counts)
-        hit = int(np.searchsorted(cum, k))
-        in_range = below < k <= int(cum[-1]) and hit < bins
-        if in_range and counts[hit] <= _MAX_BRACKET:
-            break
-        if attempt == 1:
-            raise WorkLimitError(
-                f"quantile bracket holds {int(counts[hit]) if in_range else 'unknown'} values; "
-                f"budget is {_MAX_BRACKET}"
-            )
-        # rebuild finer over the observed range
-        width = gmax - gmin
-        if width <= 0.0:
-            width = max(abs(gmin), 1.0)
-        lo = gmin - 1e-9 * width
-        hi = gmax + 1e-9 * width
-        bins = min(bins * 16, 1 << 22)
+    def grid_bin(x: float) -> int:
+        return math.floor((x - lo) * inv_h)
 
-    h = (hi - lo) / bins
-    bracket_lo = lo + hit * h
-    bracket_hi = lo + (hit + 1) * h
+    m = pilot.size
+    k0 = order_index(p, m)
+    width = _BRACKET_SIGMAS * math.sqrt(m * p * (1.0 - p))
+    ranks = [max(1, math.floor(k0 - width)) - 1, min(m, math.ceil(k0 + width)) - 1]
+    first, last = np.partition(pilot, ranks)[ranks]
+    # the bracket holds the values whose grid coordinate lies in [b_lo, b_hi)
+    b_lo, b_hi = grid_bin(first), grid_bin(last) + 1
 
-    # second pass: exact selection in the bracket plus shortfall moments
-    # pivoted at bracket_lo so the sums can be re-centered at v afterwards
-    below_cnt = 0
-    s1 = 0.0
-    s2 = 0.0
-    pieces: List[np.ndarray] = []
-    for i, x in enumerate(_truth_stream(model, n_truth, seed, block_size)):
-        lower = x < bracket_lo
-        d = bracket_lo - x[lower]
-        below_cnt += int(d.size)
-        s1 += float(d.sum())
-        s2 += float((d * d).sum())
-        pieces.append(x[(x >= bracket_lo) & (x < bracket_hi)].copy())
-        if progress is not None and (i + 1) % 32 == 0:
-            progress(f"truth pass 2: block {i + 1}/{n_blocks}")
-    buffer = np.concatenate(pieces)
+    def one_pass(blocks, b_lo: int, b_hi: int):
+        pivot = lo + b_lo * h
+        below = 0
+        s1 = 0.0
+        s2 = 0.0
+        n_kept = 0
+        pieces: List[np.ndarray] = []
+        gmin = math.inf
+        gmax = -math.inf
+        for i, x in enumerate(blocks):
+            t = (x - lo) * inv_h
+            d = pivot - x[t < b_lo]
+            below += d.size
+            s1 += float(d.sum())
+            s2 += float((d * d).sum())
+            pieces.append(x[(t >= b_lo) & (t < b_hi)])
+            n_kept += pieces[-1].size
+            if n_kept > _MAX_BRACKET:
+                raise WorkLimitError(f"quantile bracket holds more values than the budget of {_MAX_BRACKET}")
+            gmin = min(gmin, float(x.min()))
+            gmax = max(gmax, float(x.max()))
+            if progress is not None and (i + 1) % 32 == 0:
+                progress(f"truth pass: block {i + 1}/{n_blocks}")
+        return below, s1, s2, np.concatenate(pieces), gmin, gmax
 
-    j = k - below_cnt
-    if not 1 <= j <= buffer.size:
-        raise WorkLimitError("bracket drifted between passes; stream is not reproducible")
-    v = float(np.partition(buffer, j - 1)[j - 1])
+    below, s1, s2, kept, gmin, gmax = one_pass(itertools.chain([pilot], stream), b_lo, b_hi)
+    j = k - below
+    if not 1 <= j <= kept.size:
+        # the quantile lies outside the bracket: replay the stream with the
+        # bracket extended to the extreme value on that side, which holds it
+        if j < 1:
+            b_lo = grid_bin(gmin)
+        else:
+            b_hi = grid_bin(gmax) + 1
+        below, s1, s2, kept, _, _ = one_pass(_truth_stream(model, n_truth, seed, block_size), b_lo, b_hi)
+        j = k - below
+    v = float(np.partition(kept, j - 1)[j - 1])
 
-    shift = v - bracket_lo
-    d2 = np.maximum(v - buffer, 0.0)
-    total_s1 = (s1 + below_cnt * shift) + float(d2.sum())
-    total_s2 = (s2 + 2.0 * shift * s1 + below_cnt * shift * shift) + float((d2 * d2).sum())
+    # re-center the pivoted shortfall sums at v
+    shift = v - (lo + b_lo * h)
+    d2 = np.maximum(v - kept, 0.0)
+    total_s1 = (s1 + below * shift) + float(d2.sum())
+    total_s2 = (s2 + 2.0 * shift * s1 + below * shift * shift) + float((d2 * d2).sum())
     c = v - total_s1 / (p * n_truth)
 
     mean_pos = total_s1 / n_truth
     var_pos = max(total_s2 / n_truth - mean_pos * mean_pos, 0.0)
-    density = counts[hit] / (n_truth * h)
+    # every value of v's bin lies inside the bracket, whose edges are bin edges
+    hit = grid_bin(v)
+    t = (kept - lo) * inv_h
+    density = int(np.count_nonzero((t >= hit) & (t < hit + 1))) / (n_truth * h)
     v_stderr = math.sqrt(p * (1.0 - p) / n_truth) / density
     c_stderr = math.sqrt(var_pos / n_truth) / p
     return TruthResult(v, c, v_stderr, c_stderr, "mc", n_truth)

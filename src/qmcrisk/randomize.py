@@ -39,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bits import MIX1, MIX2, hash64
+from .bits import MIX1, MIX2, check_seed, hash64
 from .errors import ConfigError
 from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, PointSetMeta
 
@@ -58,7 +58,7 @@ _TILE_COORDS = 1 << 16
 
 @dataclass(frozen=True)
 class ScrambleSpec:
-    """What randomization to apply and with which seed."""
+    """What randomization to apply and with which seed (0 <= seed < 2^64)."""
 
     kind: str
     seed: int = 0
@@ -66,6 +66,7 @@ class ScrambleSpec:
     def __post_init__(self) -> None:
         if self.kind not in _KINDS:
             raise ConfigError(f"unknown randomization kind {self.kind!r}, expected one of {_KINDS}")
+        object.__setattr__(self, "seed", check_seed(self.seed))
 
 
 def owen_scramble(ps: PointSet, spec: ScrambleSpec) -> PointSet:

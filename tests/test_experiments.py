@@ -5,7 +5,7 @@ import pytest
 
 from qmcrisk.bits import child_seed
 from qmcrisk.errors import ConfigError, WorkLimitError
-from qmcrisk.estimators import SampleBatch, quantile_estimate, shortfall_estimate
+from qmcrisk.estimators import SampleBatch, order_index, quantile_estimate, shortfall_estimate
 from qmcrisk.experiments import (
     CSV_HEADER,
     DEFAULT_GRID,
@@ -199,15 +199,53 @@ def test_mc_truth_rejects_small_runs():
         mc_truth(ExpModel(), 0.1, 10**5)
 
 
-def test_mc_truth_retries_with_finer_bins(monkeypatch):
+class _CountingModel:
+    """Wraps a model and counts the rows it evaluates."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.rows = 0
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
+    def evaluate(self, u):
+        self.rows += len(u)
+        return self.model.evaluate(u)
+
+
+@pytest.mark.parametrize("model", [ExpModel(), SanModel()], ids=["exp", "san"])
+@pytest.mark.parametrize("p", [0.1, 0.02])
+def test_mc_truth_is_exact_on_a_stream_held_in_memory(model, p):
+    n, seed = 10**6, 5
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
+    values = model.evaluate(gen.random((n, model.dim)))
+    k = order_index(p, n)
+    v = np.partition(values, k - 1)[k - 1]
+    c = v - np.maximum(v - values, 0.0).sum() / (p * n)
+    counting = _CountingModel(model)
+    t = mc_truth(counting, p, n, seed=seed)
+    assert t.v == v
+    assert t.c == pytest.approx(c, rel=1e-12, abs=0.0)
+    # one pass: the pilot block is the stream's first block, not a redraw
+    assert counting.rows == n
+
+
+@pytest.mark.parametrize("seed", [3, 4], ids=["quantile-above", "quantile-below"])
+def test_mc_truth_reruns_when_the_bracket_misses(monkeypatch, seed):
     m = ExpModel()
-    base = mc_truth(m, 0.1, 10**6, seed=3)
-    # with the default 2^16 bins the bracket near the 0.1-quantile holds a
-    # few hundred values; capping the budget below that forces the rebuild
-    monkeypatch.setattr(experiments, "_MAX_BRACKET", 100)
-    retried = mc_truth(m, 0.1, 10**6, seed=3)
-    assert retried.v == base.v  # selection is exact either way
-    assert retried.c == pytest.approx(base.c, rel=1e-12)
+    base = mc_truth(m, 0.1, 10**6, seed=seed)
+    # a zero-width bracket holds only the bins of the pilot's own quantile,
+    # which misses the stream's quantile for these seeds (above it for
+    # seed 3, below it for seed 4); the rerun extends it over that side
+    monkeypatch.setattr(experiments, "_BRACKET_SIGMAS", 0.0)
+    counting = _CountingModel(m)
+    rerun = mc_truth(counting, 0.1, 10**6, seed=seed)
+    assert counting.rows == 2 * 10**6
+    assert rerun.v == base.v  # selection is exact either way
+    assert rerun.v_stderr == base.v_stderr
+    assert rerun.c == pytest.approx(base.c, rel=1e-12)
 
 
 def test_mc_truth_fails_when_bracket_never_fits(monkeypatch):
@@ -219,8 +257,8 @@ def test_mc_truth_fails_when_bracket_never_fits(monkeypatch):
 def test_mc_truth_emits_progress(monkeypatch):
     messages = []
     mc_truth(ExpModel(), 0.1, 10**6, seed=3, block_size=1 << 14, progress=messages.append)
-    assert any("pass 1" in m for m in messages)
-    assert any("pass 2" in m for m in messages)
+    # 62 blocks of 2^14, one message every 32 blocks of the single pass
+    assert messages == ["truth pass: block 32/62"]
 
 
 # ---------------------------------------------------------------- convergence harness

@@ -1,7 +1,7 @@
 """Golden output: SHA-256 hashes of generator, randomization and CLI bytes.
 
-A refactor of the Sobol' generator, the scrambles or the sampler dispatch
-must leave every output below bit for bit unchanged.  A hash mismatch here
+A refactor of the Sobol' generator, the scrambles, the sampler dispatch,
+the model evaluation or the truth oracle must leave every output below bit for bit unchanged.  A hash mismatch here
 means the change altered results; if that is intended, it is a stated
 output change and the hash is updated with it.
 """
@@ -71,6 +71,20 @@ def test_converge_csv_golden(capsys, tmp_path):
     cfg.write_text(STUDY)
     out = _stdout(capsys, "converge", "--config", str(cfg))
     assert _sha(out.encode()) == "e31c8e64a190ce50741c8712adecc98bc1a5a0735baaabcf33bbed789599adb2"
+
+
+@pytest.mark.parametrize(
+    "model, digest",
+    [
+        ("san-15", "0942b8c1e798e900383f2bfdd8f3277b975764ec6c347e17481f58a440da9bef"),
+        ("exp", "f68d57735662770bf076c40d285958066e19644237578af6b68dc0437fb05a94"),
+    ],
+)
+def test_truth_stdout_golden(capsys, tmp_path, model, digest):
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(f"kind = {model}\n")
+    out = _stdout(capsys, "truth", "--config", str(cfg), "-n", "1e6", "--seed", "2")
+    assert _sha(out.encode()) == digest
 
 
 @pytest.mark.parametrize(

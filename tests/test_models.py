@@ -25,6 +25,7 @@ def test_default_network_shape():
     san = SanModel()
     assert san.dim == EDGE_COUNT == 15
     assert len(san.paths) == 10
+    assert san.paths == SanModel.paths == DEFAULT_SAN_PATHS
     assert san.rates == (0.5,) * 8 + (1.0,) * 7
     assert san.clamp_epsilon == CLAMP_EPSILON == 2.0**-53
 
@@ -34,11 +35,12 @@ def test_network_validation():
         SanModel(rates=(1.0,) * 14)
     with pytest.raises(ConfigError):
         SanModel(rates=(1.0,) * 7 + (-1.0,) + (1.0,) * 7)
-    with pytest.raises(ConfigError):
+    # the paths are fixed: evaluate hard-codes the network's recursion
+    with pytest.raises(TypeError):
         SanModel(paths=())
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         SanModel(paths=((1, 2), ()))
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         SanModel(paths=((1, 16),))
     with pytest.raises(ConfigError):
         SanModel(clamp_epsilon=0.5)
@@ -242,3 +244,36 @@ def test_load_model_rejects_malformed_documents():
         load_model("kind\n")  # no value
     with pytest.raises(ConfigError):
         load_model("[a]\nkind = exp\n[b]\nkind = exp\n")  # ambiguous sections
+
+
+# ---------------------------------------------------------------- folded evaluation
+
+
+def _per_path_reference(model, u):
+    """Completion times by one gather, sum and max per listed path."""
+    eps = model.clamp_epsilon
+    durations = -np.log(np.clip(u, eps, 1.0 - eps)) / np.asarray(model.rates)
+    cols = [np.asarray(path, dtype=np.intp) - 1 for path in DEFAULT_SAN_PATHS]
+    out = durations[:, cols[0]].sum(axis=1)
+    for c in cols[1:]:
+        np.maximum(out, durations[:, c].sum(axis=1), out=out)
+    return out
+
+
+@pytest.mark.parametrize("rates", [DEFAULT_SAN_RATES, tuple(np.linspace(0.3, 3.1, 15))])
+def test_san_evaluate_matches_the_per_path_reference_bitwise(rates):
+    rng = np.random.default_rng(21)
+    top = 1.0 - 2.0**-53
+    u = rng.random((1 << 16, 15))
+    mask = rng.random(u.shape) < 0.02
+    u[mask] = rng.choice([0.0, top], size=int(mask.sum()))
+    # three rows at the corners of the cube; they also make the last
+    # evaluation tile ragged
+    corners = np.array([[0.0] * 15, [top] * 15, [0.0, top] * 7 + [0.0]])
+    u = np.vstack([u, corners])
+    model = SanModel(rates=rates)
+    got = model.evaluate(u)
+    want = _per_path_reference(model, u)
+    assert got.dtype == np.float64 and got.shape == (u.shape[0],)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert model.evaluate(u[:0]).shape == (0,)

@@ -59,6 +59,15 @@ def test_scramble_spec_validates_kind_and_depth():
         ScrambleSpec(KIND_OWEN, bit_depth=52)
 
 
+@pytest.mark.parametrize("kind", [KIND_OWEN, KIND_SHIFT])
+def test_scramble_spec_rejects_seeds_outside_64_bits(kind):
+    # -1 and 2^64 would alias 2^64 - 1 and 0 in the 64-bit hash
+    for seed in (-1, 2**64):
+        with pytest.raises(ConfigError, match="seed"):
+            ScrambleSpec(kind, seed=seed)
+    assert ScrambleSpec(kind, seed=2**64 - 1).seed == 2**64 - 1
+
+
 def test_kind_mismatch_is_rejected():
     ps = sobol_points(8, 2)
     with pytest.raises(ConfigError):
