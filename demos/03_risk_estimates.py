@@ -31,7 +31,7 @@ print(f"\n  estimates from one batch of N = 2^16, p = {P}")
 print(f"  {'sampler':>10} {'quantile err':>14} {'shortfall err':>14}")
 for sampler in ("mc", "qmc-sobol", "rqmc-owen", "rqmc-shift"):
     pts = sample_points(sampler, N, model.dim, seed=11, replication=0)
-    batch = SampleBatch(model.evaluate(pts), label=sampler)
+    batch = SampleBatch(model.evaluate(pts))
     dv = abs(quantile_estimate(batch, P) - v_true)
     dc = abs(shortfall_estimate(batch, P) - c_true)
     print(f"  {sampler:>10} {dv:>14.2e} {dc:>14.2e}")
@@ -40,7 +40,7 @@ print("  the digital sequences cut the error by orders of magnitude")
 print("\n=== activity network: 15 edges, 10 paths, no closed form ===")
 san = SanModel()
 pts = sample_points("rqmc-owen", N, san.dim, seed=11, replication=0)
-batch = SampleBatch(san.evaluate(pts), label="rqmc-owen")
+batch = SampleBatch(san.evaluate(pts))
 v = quantile_estimate(batch, P)
 c = shortfall_estimate(batch, P)
 print(f"  completion-time sample, N = 2^16")

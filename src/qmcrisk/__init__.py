@@ -11,7 +11,6 @@ from .lowdisc import (
     NetCheckResult,
     NetParams,
     PointSet,
-    PointSetMeta,
     find_t,
     is_net,
     radical_inverse,
@@ -19,15 +18,7 @@ from .lowdisc import (
     star_discrepancy_1d,
     van_der_corput_points,
 )
-from .randomize import (
-    KIND_NONE,
-    KIND_OWEN,
-    KIND_SHIFT,
-    ScrambleSpec,
-    digital_shift,
-    owen_scramble,
-    randomize,
-)
+from .randomize import digital_shift, owen_scramble
 from .estimators import (
     SampleBatch,
     empirical_cdf,
@@ -74,20 +65,14 @@ __all__ = [
     "NetCheckResult",
     "NetParams",
     "PointSet",
-    "PointSetMeta",
     "find_t",
     "is_net",
     "radical_inverse",
     "sobol_points",
     "star_discrepancy_1d",
     "van_der_corput_points",
-    "KIND_NONE",
-    "KIND_OWEN",
-    "KIND_SHIFT",
-    "ScrambleSpec",
     "digital_shift",
     "owen_scramble",
-    "randomize",
     "SampleBatch",
     "empirical_cdf",
     "k_hat",

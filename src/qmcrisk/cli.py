@@ -144,7 +144,7 @@ def _cmd_verify_net(args: argparse.Namespace) -> int:
         raise ConfigError(f"--file: cannot read {args.file!r}: {exc}") from None
     except ValueError as exc:
         raise ConfigError(f"--file: not a numeric CSV: {exc}") from None
-    ps = PointSet.from_array(data, generator="file")
+    ps = PointSet.from_array(data)
     params = NetParams(t=args.t, m=args.m, d=args.dim, b=args.base)
     result = is_net(ps, params)
     if result.ok:
@@ -161,7 +161,7 @@ def _cmd_verify_net(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _load_model_arg(args.config)
     pts = sample_points(sampler_name(args.sampler), args.count, model.dim, seed=args.seed)
-    batch = SampleBatch(model.evaluate(pts), label=args.sampler)
+    batch = SampleBatch(model.evaluate(pts))
     v = quantile_estimate(batch, args.level)
     c = shortfall_estimate(batch, args.level)
     _emit(

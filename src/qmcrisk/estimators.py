@@ -30,9 +30,9 @@ class SampleBatch:
     it); ``sorted_values`` is a lazily cached ascending view.
     """
 
-    __slots__ = ("values", "label", "_sorted")
+    __slots__ = ("values", "_sorted")
 
-    def __init__(self, values: Union[Sequence[float], np.ndarray], label: str = "") -> None:
+    def __init__(self, values: Union[Sequence[float], np.ndarray]) -> None:
         arr = np.array(values, dtype=np.float64, copy=True).ravel()
         if arr.size < 1:
             raise ConfigError("batch must hold at least one value")
@@ -40,7 +40,6 @@ class SampleBatch:
             raise ConfigError("batch values must all be finite")
         arr.setflags(write=False)
         self.values = arr
-        self.label = label
         self._sorted: Optional[np.ndarray] = None
 
     @property

@@ -23,20 +23,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from . import randomize
 from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
 from .lowdisc import PointSet, sobol_points
 from .models import Model, model_from_section, parse_sections
-from .randomize import KIND_NONE, KIND_OWEN, KIND_SHIFT, ScrambleSpec, randomize
 
-# sampler name -> (short name for the CLI and configs, randomization of the
-# Sobol' points); plain MC draws no Sobol' points
+# sampler name -> (short name for the CLI and configs, the ``randomize``
+# function applied to the Sobol' points, if any); plain MC draws no
+# Sobol' points
 SAMPLER_TABLE: Dict[str, Tuple[str, Optional[str]]] = {
     "mc": ("mc", None),
-    "qmc-sobol": ("sobol", KIND_NONE),
-    "rqmc-owen": ("owen", KIND_OWEN),
-    "rqmc-shift": ("shift", KIND_SHIFT),
+    "qmc-sobol": ("sobol", None),
+    "rqmc-owen": ("owen", "owen_scramble"),
+    "rqmc-shift": ("shift", "digital_shift"),
 }
 SAMPLERS = tuple(SAMPLER_TABLE)
 
@@ -196,8 +197,11 @@ def sampler_name(token: str) -> str:
 
 def _randomized(sampler: str, base: PointSet, seed: int, replication: int) -> np.ndarray:
     """The sampler's randomization of the Sobol' points ``base``."""
-    spec = ScrambleSpec(SAMPLER_TABLE[sampler][1], seed=child_seed(seed, replication))
-    return np.asarray(randomize(base, spec).points)
+    scheme = SAMPLER_TABLE[sampler][1]
+    if scheme is None:
+        return base.points
+    # looked up per call, so a patched module attribute takes effect
+    return getattr(randomize, scheme)(base, child_seed(seed, replication)).points
 
 
 def sample_points(
@@ -239,11 +243,11 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
     return TruthResult(float(v), float(c), 0.0, 0.0, "closed-form", 0)
 
 
-def _truth_stream(model: Model, n_truth: int, seed: int, block_size: int):
+def _truth_stream(model: Model, n_truth: int, seed: int):
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, _TRUTH_STREAM_TAG])))
     remaining = n_truth
     while remaining > 0:
-        m = min(block_size, remaining)
+        m = min(_TRUTH_BLOCK, remaining)
         yield model.evaluate(gen.random((m, model.dim)))
         remaining -= m
 
@@ -253,7 +257,6 @@ def mc_truth(
     p: float,
     n_truth: int,
     seed: int = 1,
-    block_size: int = _TRUTH_BLOCK,
     progress: ProgressFn = None,
 ) -> TruthResult:
     """Large-sample pseudorandom reference values for (v, c).
@@ -272,9 +275,9 @@ def mc_truth(
     more than ``_MAX_BRACKET`` values raises WorkLimitError.  The density
     behind ``v_stderr`` is the count of values in v's grid bin.
 
-    ``block_size`` only sets the streaming granularity: the underlying
-    stream is identical for any blocking, so v is exactly reproducible and
-    c varies only by summation roundoff.
+    The block size ``_TRUTH_BLOCK`` only sets the streaming granularity:
+    the underlying stream is identical for any blocking, so v is exactly
+    reproducible and c varies only by summation roundoff.
     """
     p = check_level(p)
     seed = check_seed(seed)
@@ -282,9 +285,9 @@ def mc_truth(
     if n_truth < 10 ** 6:
         raise ConfigError(f"truth_n: need at least 1e6 samples for a stable bracket, got {n_truth}")
     k = order_index(p, n_truth)
-    n_blocks = (n_truth + block_size - 1) // block_size
+    n_blocks = (n_truth + _TRUTH_BLOCK - 1) // _TRUTH_BLOCK
 
-    stream = _truth_stream(model, n_truth, seed, block_size)
+    stream = _truth_stream(model, n_truth, seed)
     pilot = next(stream)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     span = pmax - pmin
@@ -340,7 +343,7 @@ def mc_truth(
             b_lo = grid_bin(gmin)
         else:
             b_hi = grid_bin(gmax) + 1
-        below, s1, s2, kept, _, _ = one_pass(_truth_stream(model, n_truth, seed, block_size), b_lo, b_hi)
+        below, s1, s2, kept, _, _ = one_pass(_truth_stream(model, n_truth, seed), b_lo, b_hi)
         j = k - below
     v = float(np.partition(kept, j - 1)[j - 1])
 
@@ -400,7 +403,7 @@ def run_convergence(
                     values = model.evaluate(sample_points("mc", n, model.dim, seed=cfg.master_seed, replication=r))
                 else:
                     values = losses[:n]
-                batch = SampleBatch(values, label=sampler)
+                batch = SampleBatch(values)
                 est_q[r, j] = quantile_estimate(batch, cfg.p)
                 est_c[r, j] = shortfall_estimate(batch, cfg.p)
 

@@ -5,14 +5,15 @@ verifies the digital-net property by exhaustive elementary-interval
 counting, and computes the exact one-dimensional star discrepancy.
 
 Coordinates are exact dyadic rationals with at most 52 binary digits, so
-every value is an exact double.  Generation is deterministic and has the prefix property: the first n points of a longer
-run are byte-identical to a run of n points.
+every value is an exact double.  Generation is deterministic and has the
+prefix property: the first n points of a longer run are byte-identical to
+a run of n points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
 from typing import Iterator, Optional
@@ -61,19 +62,26 @@ def _directions(dim: int) -> np.ndarray:
     return v
 
 
-@dataclass(frozen=True)
-class PointSetMeta:
-    generator: str
-    randomization: str = "none"
-    seed: Optional[int] = None
+def grid_integers(scaled: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Coordinates already multiplied by 2^52, cast into the uint64 ``out``.
+
+    Raises PrecisionError if any coordinate is not exactly representable
+    with 52 binary digits, i.e. if any scaled value is not an integer.
+    """
+    np.copyto(out, scaled, casting="unsafe")
+    if not np.array_equal(out, scaled):
+        raise PrecisionError(
+            f"coordinates are not dyadic with {DEFAULT_BIT_DEPTH} bits; "
+            "only base-2 generated point sets can be used here"
+        )
+    return out
 
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered batch of N points in [0,1)^d with provenance metadata."""
+    """An ordered batch of N points in [0,1)^d."""
 
     points: np.ndarray  # (N, d) float64
-    meta: PointSetMeta = field(default_factory=lambda: PointSetMeta("manual"))
 
     def __post_init__(self) -> None:
         pts = np.asarray(self.points, dtype=np.float64)
@@ -95,26 +103,17 @@ class PointSet:
         return self.points.shape[1]
 
     @classmethod
-    def from_array(cls, arr, generator: str = "manual") -> "PointSet":
+    def from_array(cls, arr) -> "PointSet":
         a = np.asarray(arr, dtype=np.float64)
         if a.ndim == 1:
             a = a.reshape(-1, 1)
-        return cls(points=a, meta=PointSetMeta(generator))
+        return cls(points=a)
 
-    def as_integers(self, bit_depth: int = DEFAULT_BIT_DEPTH) -> np.ndarray:
-        """Coordinates on the 2^bit_depth dyadic grid, as uint64.
-
-        Raises PrecisionError if any coordinate is not exactly representable
-        with bit_depth binary digits.
-        """
-        scaled = self.points * float(1 << bit_depth)
-        ints = np.floor(scaled)
-        if not np.array_equal(ints, scaled):
-            raise PrecisionError(
-                f"coordinates are not dyadic with {bit_depth} bits; "
-                "only base-2 generated point sets can be used here"
-            )
-        return ints.astype(np.uint64)
+    def as_integers(self) -> np.ndarray:
+        """Coordinates on the 2^52 dyadic grid, as uint64; PrecisionError
+        if any coordinate is not exact with 52 binary digits."""
+        scaled = self.points * 2.0 ** DEFAULT_BIT_DEPTH
+        return grid_integers(scaled, np.empty(scaled.shape, dtype=np.uint64))
 
 
 def radical_inverse(i: int, b: int = 2) -> float:
@@ -154,13 +153,12 @@ def sobol_points(n: int, dim: int) -> PointSet:
             m = min(h, n - h)
             np.bitwise_xor(x[:m], v[j, k], out=x[h : h + m])
         np.multiply(x, scale, out=pts[:, j])
-    return PointSet(points=pts, meta=PointSetMeta(generator="sobol"))
+    return PointSet(points=pts)
 
 
 def van_der_corput_points(n: int) -> PointSet:
     """First dimension of the Sobol' sequence: the base-2 radical inverse."""
-    ps = sobol_points(n, dim=1)
-    return PointSet(points=ps.points, meta=PointSetMeta("van-der-corput"))
+    return sobol_points(n, 1)
 
 
 @dataclass(frozen=True)

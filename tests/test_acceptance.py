@@ -24,7 +24,7 @@ from qmcrisk.estimators import SampleBatch, empirical_cdf, quantile_estimate, sh
 from qmcrisk.experiments import ExperimentConfig, TruthSpec, mc_truth, rate_summary, run_convergence
 from qmcrisk.lowdisc import NetParams, is_net, sobol_points, van_der_corput_points
 from qmcrisk.models import ExpModel, SanModel
-from qmcrisk.randomize import KIND_OWEN, ScrambleSpec, owen_scramble
+from qmcrisk.randomize import owen_scramble
 
 # targeted SAN reference values and their tolerance
 SAN_TARGET_V = 2.5446
@@ -57,7 +57,7 @@ def test_criterion_1_net_structure():
         assert is_net(ps, NetParams(t=0, m=m, d=2)).ok, f"plain m={m}"
         checked += 1
         for seed in range(20):
-            out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=seed))
+            out = owen_scramble(ps, seed)
             assert is_net(out, NetParams(t=0, m=m, d=2)).ok, f"m={m} seed={seed}"
             checked += 1
     elapsed = time.perf_counter() - start
@@ -69,7 +69,7 @@ def test_criterion_1_net_structure():
 def test_criterion_2_calibration_model_truth():
     start = time.perf_counter()
     model = ExpModel(rate=1.0)
-    pts = owen_scramble(sobol_points(1 << 20, 1), ScrambleSpec(KIND_OWEN, seed=2024))
+    pts = owen_scramble(sobol_points(1 << 20, 1), 2024)
     batch = SampleBatch(model.evaluate(pts.points))
     v = quantile_estimate(batch, 0.1)
     c = shortfall_estimate(batch, 0.1)
@@ -242,7 +242,7 @@ def test_criterion_8_scrambling_uniformity():
     base = sobol_points(16, 2)
     vals = np.empty(1000)
     for seed in range(1000):
-        vals[seed] = owen_scramble(base, ScrambleSpec(KIND_OWEN, seed=seed)).points[0, 0]
+        vals[seed] = owen_scramble(base, seed).points[0, 0]
     counts, _ = np.histogram(vals, bins=16, range=(0.0, 1.0))
     expected = len(vals) / 16
     chi2 = float(((counts - expected) ** 2 / expected).sum())
@@ -253,7 +253,7 @@ def test_criterion_8_scrambling_uniformity():
     # per-coordinate means of one full scrambled batch
     n = 1 << 12
     coord_bound = 4.0 * (12.0 * n) ** -0.5 * 0.5
-    pts = owen_scramble(sobol_points(n, 2), ScrambleSpec(KIND_OWEN, seed=0)).points
+    pts = owen_scramble(sobol_points(n, 2), 0).points
     coord_dev = float(np.abs(pts.mean(axis=0) - 0.5).max())
 
     ok = chi2 < crit and mean_dev <= mean_bound and coord_dev <= coord_bound

@@ -26,7 +26,7 @@ from qmcrisk.experiments import (
 )
 from qmcrisk.lowdisc import sobol_points
 from qmcrisk.models import ExpModel, SanModel
-from qmcrisk.randomize import KIND_OWEN, KIND_SHIFT, ScrambleSpec, randomize
+from qmcrisk.randomize import digital_shift, owen_scramble
 
 import qmcrisk.experiments as experiments
 
@@ -117,10 +117,9 @@ def test_qmc_sampler_is_the_plain_sequence():
 
 
 def test_rqmc_samplers_match_library_composition():
-    for name, kind in (("rqmc-owen", KIND_OWEN), ("rqmc-shift", KIND_SHIFT)):
+    for name, scheme in (("rqmc-owen", owen_scramble), ("rqmc-shift", digital_shift)):
         got = sample_points(name, 128, 2, seed=17, replication=4)
-        spec = ScrambleSpec(kind, seed=child_seed(17, 4))
-        want = randomize(sobol_points(128, 2), spec).points
+        want = scheme(sobol_points(128, 2), child_seed(17, 4)).points
         assert np.array_equal(got, want), name
 
 
@@ -184,10 +183,12 @@ def test_mc_truth_recovers_closed_form():
     assert t.c_stderr < 1e-3
 
 
-def test_mc_truth_is_block_size_invariant():
+def test_mc_truth_is_block_size_invariant(monkeypatch):
     m = ExpModel()
-    a = mc_truth(m, 0.1, 10**6, seed=3, block_size=1 << 19)
-    b = mc_truth(m, 0.1, 10**6, seed=3, block_size=1 << 16)
+    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 19)
+    a = mc_truth(m, 0.1, 10**6, seed=3)
+    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 16)
+    b = mc_truth(m, 0.1, 10**6, seed=3)
     # the stream is counter-based, so the order statistic is identical;
     # the shortfall sums reassociate across block boundaries
     assert a.v == b.v
@@ -256,7 +257,8 @@ def test_mc_truth_fails_when_bracket_never_fits(monkeypatch):
 
 def test_mc_truth_emits_progress(monkeypatch):
     messages = []
-    mc_truth(ExpModel(), 0.1, 10**6, seed=3, block_size=1 << 14, progress=messages.append)
+    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 14)
+    mc_truth(ExpModel(), 0.1, 10**6, seed=3, progress=messages.append)
     # 62 blocks of 2^14, one message every 32 blocks of the single pass
     assert messages == ["truth pass: block 32/62"]
 

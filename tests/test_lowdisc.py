@@ -87,11 +87,10 @@ def test_as_integers_rejects_non_dyadic():
 
 
 def test_as_integers_respects_requested_depth():
+    # the grid has 2^52 cells: 1/4 is the integer 2^50
     ps = PointSet.from_array([0.0, 0.5, 0.25, 0.75])
-    assert np.array_equal(ps.as_integers(2).ravel(), [0, 2, 1, 3])
-    fine = sobol_points(16, 1)  # includes odd multiples of 1/16
-    with pytest.raises(PrecisionError):
-        fine.as_integers(3)
+    quarter = 1 << (DEFAULT_BIT_DEPTH - 2)
+    assert np.array_equal(ps.as_integers().ravel(), [0, 2 * quarter, quarter, 3 * quarter])
 
 
 # ---------------------------------------------------------------- generators

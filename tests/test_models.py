@@ -16,7 +16,7 @@ from qmcrisk.models import (
     SanModel,
     load_model,
 )
-from qmcrisk.randomize import KIND_OWEN, ScrambleSpec, owen_scramble
+from qmcrisk.randomize import owen_scramble
 
 # ---------------------------------------------------------------- construction
 
@@ -187,7 +187,7 @@ def test_network_has_no_closed_form():
 def test_empirical_cdf_at_true_quantile():
     m = ExpModel(rate=1.0)
     p = 0.1
-    pts = owen_scramble(sobol_points(1 << 16, 1), ScrambleSpec(KIND_OWEN, seed=1))
+    pts = owen_scramble(sobol_points(1 << 16, 1), 1)
     batch = SampleBatch(m.evaluate(pts.points))
     assert abs(empirical_cdf(batch, m.true_quantile(p)) - p) < 0.01
 

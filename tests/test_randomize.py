@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -11,18 +13,11 @@ from qmcrisk.lowdisc import (
     sobol_points,
     van_der_corput_points,
 )
-from qmcrisk.randomize import (
-    KIND_NONE,
-    KIND_OWEN,
-    KIND_SHIFT,
-    ScrambleSpec,
-    digital_shift,
-    owen_scramble,
-    randomize,
-)
+from qmcrisk.randomize import digital_shift, owen_scramble
 
 _NB = DEFAULT_BIT_DEPTH
 _OWEN_TAG = 0x6F77656E  # "owen"
+_SHIFT_TAG = 0x73666874  # "sfht"
 
 
 def _reference_owen(ps, seed):
@@ -44,44 +39,48 @@ def _reference_owen(ps, seed):
 
 def _flips(ps, seed):
     """Per-point, per-coordinate flip words of the keyed Owen scramble."""
-    out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=seed))
+    out = owen_scramble(ps, seed)
     return out.as_integers() ^ ps.as_integers()
 
 
-# ---------------------------------------------------------------- spec validation
+def _reference_shift(ps, seed):
+    """The shift as one whole-array XOR of the integers: the reference the
+    tiled loop must equal bit for bit."""
+    words = [hash64(seed, _SHIFT_TAG, j + 1) & ((1 << _NB) - 1) for j in range(ps.dim)]
+    return ps.as_integers() ^ np.array(words, dtype=np.uint64)[np.newaxis, :]
 
 
-def test_scramble_spec_validates_kind_and_depth():
-    with pytest.raises(ConfigError):
-        ScrambleSpec("bogus")
-    # every scramble works on all 52 digits; the depth is not a setting
-    with pytest.raises(TypeError):
-        ScrambleSpec(KIND_OWEN, bit_depth=52)
+# tile shapes for the tiled loop: ragged last tiles, one-row and one-column sets
+_TILE_SHAPES = [
+    (1, 1),
+    (3, 15),
+    (70000, 1),  # more than one 2^16-row tile
+    (3 * 4369 + 7, 15),  # three full 4369-row tiles and a ragged one
+    (2 * 1024 + 3, 64),  # 1024-row tiles
+]
+
+_SCHEMES = [owen_scramble, digital_shift]
 
 
-@pytest.mark.parametrize("kind", [KIND_OWEN, KIND_SHIFT])
-def test_scramble_spec_rejects_seeds_outside_64_bits(kind):
+# ---------------------------------------------------------------- seeds and input
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES, ids=["owen", "digital_shift"])
+def test_scramble_spec_rejects_seeds_outside_64_bits(scheme):
     # -1 and 2^64 would alias 2^64 - 1 and 0 in the 64-bit hash
+    ps = sobol_points(8, 2)
     for seed in (-1, 2**64):
         with pytest.raises(ConfigError, match="seed"):
-            ScrambleSpec(kind, seed=seed)
-    assert ScrambleSpec(kind, seed=2**64 - 1).seed == 2**64 - 1
-
-
-def test_kind_mismatch_is_rejected():
-    ps = sobol_points(8, 2)
-    with pytest.raises(ConfigError):
-        owen_scramble(ps, ScrambleSpec(KIND_SHIFT))
-    with pytest.raises(ConfigError):
-        digital_shift(ps, ScrambleSpec(KIND_OWEN))
+            scheme(ps, seed)
+    assert scheme(ps, 2**64 - 1).n == 8
 
 
 def test_non_dyadic_input_is_rejected():
     ps = PointSet.from_array([1.0 / 3.0])
     with pytest.raises(PrecisionError):
-        owen_scramble(ps, ScrambleSpec(KIND_OWEN))
+        owen_scramble(ps, 0)
     with pytest.raises(PrecisionError):
-        digital_shift(ps, ScrambleSpec(KIND_SHIFT))
+        digital_shift(ps, 0)
 
 
 # ---------------------------------------------------------------- nested scrambling
@@ -116,39 +115,29 @@ def test_scramble_flips_every_digit_position():
     assert np.bitwise_or.reduce(flips, axis=None) == (1 << _NB) - 1
 
 
-@pytest.mark.parametrize(
-    "n, d",
-    [
-        (1, 1),
-        (3, 15),
-        (70000, 1),  # more than one 2^16-row tile
-        (3 * 4369 + 7, 15),  # three full 4369-row tiles and a ragged one
-        (2 * 1024 + 3, 64),  # 1024-row tiles
-    ],
-)
+@pytest.mark.parametrize("n, d", _TILE_SHAPES)
 def test_scramble_matches_the_per_column_reference(n, d):
     ps = sobol_points(n, d)
     for seed in (0, 2**64 - 1):
-        got = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=seed)).points
+        got = owen_scramble(ps, seed).points
         assert np.array_equal(got, _reference_owen(ps, seed)), f"seed {seed}"
 
 
 def test_scramble_is_reproducible_and_seed_sensitive():
     ps = sobol_points(256, 2)
-    a = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=5)).points
-    b = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=5)).points
-    c = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=6)).points
+    a = owen_scramble(ps, 5).points
+    b = owen_scramble(ps, 5).points
+    c = owen_scramble(ps, 6).points
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
 def test_scramble_is_pointwise_so_prefixes_agree():
     # scrambling a longer batch and slicing equals scrambling the prefix
-    spec = ScrambleSpec(KIND_OWEN, seed=11)
     # the second pair ends mid-tile: 5000 rows of 4369-row tiles
     for n_long, n_short, d in ((1024, 256, 3), (2**14, 5000, 15)):
-        long = owen_scramble(sobol_points(n_long, d), spec).points
-        short = owen_scramble(sobol_points(n_short, d), spec).points
+        long = owen_scramble(sobol_points(n_long, d), 11).points
+        short = owen_scramble(sobol_points(n_short, d), 11).points
         assert np.array_equal(long[:n_short], short), (n_long, n_short, d)
 
 
@@ -156,27 +145,27 @@ def test_scramble_preserves_net_property():
     for m in (4, 8):
         ps = sobol_points(2**m, 2)
         for seed in range(20):
-            out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=seed))
+            out = owen_scramble(ps, seed)
             assert is_net(out, NetParams(t=0, m=m, d=2)).ok, f"m={m} seed={seed}"
 
 
 def test_scramble_keeps_one_point_per_cell_in_d1():
     # a scrambled (0, m, 1)-net still has one point per dyadic cell
     ps = van_der_corput_points(256)
-    out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=3))
+    out = owen_scramble(ps, 3)
     cells = np.sort((out.points[:, 0] * 256).astype(np.int64))
     assert np.array_equal(cells, np.arange(256))
 
 
 def test_scramble_uses_independent_streams_per_dimension():
     ps = sobol_points(64, 2)
-    out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=1)).points
+    out = owen_scramble(ps, 1).points
     assert not np.array_equal(out[:, 0], out[:, 1])
 
 
 def test_scramble_moves_the_origin():
     ps = sobol_points(16, 2)
-    out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=12345)).points
+    out = owen_scramble(ps, 12345).points
     assert np.any(out[0] != 0.0)  # all-zero flips for 104 digits is absurd
     assert np.all((out >= 0.0) & (out < 1.0))
 
@@ -186,15 +175,8 @@ def test_scramble_marginal_means_are_centered():
     bound = 4.0 * (12.0 * n) ** -0.5 * 0.5
     ps = sobol_points(n, 2)
     for seed in (0, 1, 2):
-        out = owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=seed)).points
+        out = owen_scramble(ps, seed).points
         assert np.all(np.abs(out.mean(axis=0) - 0.5) <= bound)
-
-
-def test_scramble_metadata():
-    out = owen_scramble(sobol_points(8, 1), ScrambleSpec(KIND_OWEN, seed=7))
-    assert out.meta.generator == "sobol"
-    assert out.meta.randomization == "owen"
-    assert out.meta.seed == 7
 
 
 # ---------------------------------------------------------------- digital shift
@@ -202,28 +184,24 @@ def test_scramble_metadata():
 
 def test_shift_of_origin_reveals_the_word():
     origin = PointSet.from_array([[0.0, 0.0]])
-    spec = ScrambleSpec(KIND_SHIFT, seed=21)
-    word = digital_shift(origin, spec).as_integers()[0]
+    word = digital_shift(origin, 21).as_integers()[0]
     ps = sobol_points(64, 2)
-    shifted = digital_shift(ps, spec)
+    shifted = digital_shift(ps, 21)
     assert np.array_equal(shifted.as_integers(), ps.as_integers() ^ word[np.newaxis, :])
 
 
 def test_shift_is_an_involution():
     ps = sobol_points(128, 3)
-    spec = ScrambleSpec(KIND_SHIFT, seed=4)
-    back = digital_shift(digital_shift(ps, spec), spec)
+    back = digital_shift(digital_shift(ps, 4), 4)
     assert np.array_equal(back.points, ps.points)
 
 
 def test_shifts_compose_by_xor():
     ps = sobol_points(32, 2)
-    s1 = ScrambleSpec(KIND_SHIFT, seed=1)
-    s2 = ScrambleSpec(KIND_SHIFT, seed=2)
     origin = PointSet.from_array([[0.0, 0.0]])
-    w1 = digital_shift(origin, s1).as_integers()[0]
-    w2 = digital_shift(origin, s2).as_integers()[0]
-    twice = digital_shift(digital_shift(ps, s1), s2).as_integers()
+    w1 = digital_shift(origin, 1).as_integers()[0]
+    w2 = digital_shift(origin, 2).as_integers()[0]
+    twice = digital_shift(digital_shift(ps, 1), 2).as_integers()
     assert np.array_equal(twice, ps.as_integers() ^ (w1 ^ w2)[np.newaxis, :])
 
 
@@ -231,27 +209,40 @@ def test_shift_preserves_grid_gaps():
     # on a full dyadic grid the shift permutes cells and offsets the
     # remaining digits uniformly, so sorted gaps are untouched
     ps = van_der_corput_points(256)
-    out = digital_shift(ps, ScrambleSpec(KIND_SHIFT, seed=8))
+    out = digital_shift(ps, 8)
     gaps = np.diff(np.sort(out.points[:, 0]))
     assert np.all(gaps == 1.0 / 256)
 
 
 def test_shift_is_reproducible_and_seed_sensitive():
     ps = sobol_points(64, 2)
-    a = digital_shift(ps, ScrambleSpec(KIND_SHIFT, seed=5)).points
-    b = digital_shift(ps, ScrambleSpec(KIND_SHIFT, seed=5)).points
-    c = digital_shift(ps, ScrambleSpec(KIND_SHIFT, seed=6)).points
+    a = digital_shift(ps, 5).points
+    b = digital_shift(ps, 5).points
+    c = digital_shift(ps, 6).points
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
 
 
-# ---------------------------------------------------------------- dispatch
+@pytest.mark.parametrize("n, d", _TILE_SHAPES)
+def test_shift_matches_the_whole_array_reference(n, d):
+    ps = sobol_points(n, d)
+    for seed in (0, 2**64 - 1):
+        got = digital_shift(ps, seed).as_integers()
+        assert np.array_equal(got, _reference_shift(ps, seed)), f"seed {seed}"
 
 
-def test_randomize_dispatches_on_kind():
-    ps = sobol_points(16, 2)
-    assert randomize(ps, ScrambleSpec(KIND_NONE)) is ps
-    owen = randomize(ps, ScrambleSpec(KIND_OWEN, seed=2))
-    assert np.array_equal(owen.points, owen_scramble(ps, ScrambleSpec(KIND_OWEN, seed=2)).points)
-    shift = randomize(ps, ScrambleSpec(KIND_SHIFT, seed=2))
-    assert np.array_equal(shift.points, digital_shift(ps, ScrambleSpec(KIND_SHIFT, seed=2)).points)
+# ---------------------------------------------------------------- memory
+
+
+@pytest.mark.parametrize("scheme", _SCHEMES, ids=["owen", "digital_shift"])
+def test_randomization_peak_memory_is_the_output_plus_tiles(scheme):
+    # beside its output a randomization holds tile-sized blocks only, no
+    # further N x d array (an integer copy alone would add 1.0x)
+    ps = sobol_points(1 << 16, 15)
+    tracemalloc.start()
+    try:
+        scheme(ps, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * ps.points.nbytes
