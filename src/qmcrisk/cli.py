@@ -29,6 +29,7 @@ from .experiments import (
     TruthSpec,
     load_experiment,
     mc_truth,
+    parse_count,
     rate_summary,
     run_convergence,
     sample_points,
@@ -49,19 +50,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_count(raw: str) -> int:
-    """Sample counts: plain integers, 2^k, or float literals like 1e8."""
-    token = raw.strip()
-    try:
-        if token.startswith("2^"):
-            return 2 ** int(token[2:])
-        if any(ch in token for ch in ".eE"):
-            value = float(token)
-            if value != int(value):
-                raise ValueError
-            return int(value)
-        return int(token)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"--count: expected an integer, 2^k or 1e8-style literal, got {raw!r}") from None
+    return parse_count(raw, "--count")
 
 
 def _read_text(path: str, flag: str) -> str:

@@ -27,17 +27,17 @@ from . import randomize
 from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
-from .lowdisc import PointSet, sobol_points
+from .lowdisc import walk
 from .models import Model, model_from_section, parse_sections
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
-# function applied to the Sobol' points, if any); plain MC draws no
+# step factory applied to the Sobol' tiles, if any); plain MC draws no
 # Sobol' points
 SAMPLER_TABLE: Dict[str, Tuple[str, Optional[str]]] = {
     "mc": ("mc", None),
     "qmc-sobol": ("sobol", None),
-    "rqmc-owen": ("owen", "owen_scramble"),
-    "rqmc-shift": ("shift", "digital_shift"),
+    "rqmc-owen": ("owen", "owen_step"),
+    "rqmc-shift": ("shift", "shift_step"),
 }
 SAMPLERS = tuple(SAMPLER_TABLE)
 
@@ -195,15 +195,6 @@ def sampler_name(token: str) -> str:
     raise ConfigError(f"samplers: unknown sampler {token!r}")
 
 
-def _randomized(sampler: str, base: PointSet, seed: int, replication: int) -> np.ndarray:
-    """The sampler's randomization of the Sobol' points ``base``."""
-    scheme = SAMPLER_TABLE[sampler][1]
-    if scheme is None:
-        return base.points
-    # looked up per call, so a patched module attribute takes effect
-    return getattr(randomize, scheme)(base, child_seed(seed, replication)).points
-
-
 def sample_points(
     sampler: str,
     n: int,
@@ -215,17 +206,22 @@ def sample_points(
 
     "mc" draws from a counter-based pseudorandom stream keyed by
     (seed, N, replication); the QMC samplers take the first n points of
-    the digital sequence, randomized per the sampler name.
+    the digital sequence, randomized per the sampler name tile by tile.
     """
     if n < 1:
         raise ConfigError(f"count: must be >= 1, got {n}")
+    if dim < 1:
+        raise ConfigError(f"dim: must be >= 1, got {dim}")
     seed = check_seed(seed)
     if sampler not in SAMPLER_TABLE:
         raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
     if sampler == "mc":
         gen = np.random.Generator(np.random.Philox(mc_stream_seed(seed, n, replication)))
         return gen.random((n, dim))
-    return _randomized(sampler, sobol_points(n, dim), seed, replication)
+    factory = SAMPLER_TABLE[sampler][1]
+    # looked up per call, so a patched module attribute takes effect
+    step = None if factory is None else getattr(randomize, factory)(dim, child_seed(seed, replication))
+    return walk(n, dim, step)
 
 
 def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn = None) -> TruthResult:
@@ -394,16 +390,14 @@ def run_convergence(
         reps = 1 if sampler == "qmc-sobol" else cfg.replications
         est_q = np.empty((reps, len(grid)))
         est_c = np.empty((reps, len(grid)))
-        base = None if sampler == "mc" else sobol_points(n_max, model.dim)
 
-        def run_rep(r: int, sampler: str = sampler, base=base, est_q=est_q, est_c=est_c) -> None:
-            losses = None if base is None else model.evaluate(_randomized(sampler, base, cfg.master_seed, r))
+        def run_rep(r: int, sampler: str = sampler, est_q=est_q, est_c=est_c) -> None:
+            def draw(n: int) -> np.ndarray:
+                return model.evaluate(sample_points(sampler, n, model.dim, cfg.master_seed, r))
+
+            losses = None if sampler == "mc" else draw(n_max)
             for j, n in enumerate(grid):
-                if losses is None:
-                    values = model.evaluate(sample_points("mc", n, model.dim, seed=cfg.master_seed, replication=r))
-                else:
-                    values = losses[:n]
-                batch = SampleBatch(values)
+                batch = SampleBatch(draw(n) if losses is None else losses[:n])
                 est_q[r, j] = quantile_estimate(batch, cfg.p)
                 est_c[r, j] = shortfall_estimate(batch, cfg.p)
 
@@ -512,26 +506,34 @@ _EXPERIMENT_KEYS = {
 }
 
 
-def _parse_grid_tokens(raw: str) -> Tuple[int, ...]:
-    def power(token: str) -> int:
-        token = token.strip()
+def parse_count(raw: str, name: str) -> int:
+    """A sample count: a plain integer, 2^k, or a float literal like 1e8
+    with an integer value; ``name`` (the flag or key) heads the error."""
+    token = raw.strip()
+    try:
         if token.startswith("2^"):
             return 2 ** int(token[2:])
+        if any(ch in token for ch in ".eE"):
+            value = float(token)
+            if value != int(value):
+                raise ValueError
+            return int(value)
         return int(token)
+    except (ValueError, OverflowError):
+        raise ConfigError(f"{name}: expected an integer, 2^k or 1e8-style literal, got {raw!r}") from None
 
+
+def _parse_grid_tokens(raw: str) -> Tuple[int, ...]:
     grid: List[int] = []
     for token in raw.replace(",", " ").split():
         if ".." in token:
             first, last = token.split("..", 1)
-            a, b = power(first), power(last)
+            a, b = parse_count(first, "n_grid"), parse_count(last, "n_grid")
             if a < 1 or a & (a - 1) or b < a:
                 raise ConfigError(f"n_grid: bad range {token!r}")
-            n = a
-            while n <= b:
-                grid.append(n)
-                n *= 2
+            grid.extend(1 << k for k in range(a.bit_length() - 1, b.bit_length()))
         else:
-            grid.append(power(token))
+            grid.append(parse_count(token, "n_grid"))
     return tuple(grid)
 
 
@@ -561,7 +563,7 @@ def load_experiment(text: str) -> ExperimentConfig:
             if "master_seed" in section:
                 kwargs["master_seed"] = int(section["master_seed"], 0)
             if "truth_n" in section:
-                truth_kw["n"] = int(float(section["truth_n"]))
+                truth_kw["n"] = parse_count(section["truth_n"], "truth_n")
             if "truth_seed" in section:
                 truth_kw["seed"] = int(section["truth_seed"], 0)
             if "truth_v" in section:
@@ -574,10 +576,7 @@ def load_experiment(text: str) -> ExperimentConfig:
             tokens = section["samplers"].replace(",", " ").split()
             kwargs["samplers"] = tuple(sampler_name(token) for token in tokens)
         if "n_grid" in section:
-            try:
-                kwargs["n_grid"] = _parse_grid_tokens(section["n_grid"])
-            except ValueError:
-                raise ConfigError(f"n_grid: bad value {section['n_grid']!r}") from None
+            kwargs["n_grid"] = _parse_grid_tokens(section["n_grid"])
         if "truth" in section:
             truth_kw["kind"] = section["truth"].strip().lower()
         elif "v" in truth_kw or "c" in truth_kw:

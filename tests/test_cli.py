@@ -261,6 +261,15 @@ def test_converge_rejects_unknown_config_keys(capsys, tmp_path):
     assert "budget" in err
 
 
+def test_converge_rejects_fractional_truth_n(capsys, tmp_path):
+    # used to load as 1000000, while `truth -n 1000000.7` exits 1
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text("[experiment]\ntruth = mc\ntruth_n = 1000000.7\n[model]\nkind = exp\n")
+    code, out, err = _run(capsys, "converge", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert "truth_n" in err and "1000000.7" in err
+
+
 def test_converge_rejects_overflowing_truth_n(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text("[experiment]\ntruth = mc\ntruth_n = 1e400\n[model]\nkind = exp\n")

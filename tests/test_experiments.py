@@ -123,11 +123,21 @@ def test_rqmc_samplers_match_library_composition():
         assert np.array_equal(got, want), name
 
 
+def test_rqmc_prefix_that_cuts_a_tile_equals_a_fresh_draw():
+    # 5000 rows end 904 rows into the second 4096-row tile at d = 15
+    full = sample_points("rqmc-shift", 1 << 14, 15, seed=3)
+    assert np.array_equal(full[:5000], sample_points("rqmc-shift", 5000, 15, seed=3))
+
+
 def test_sample_points_validation():
     with pytest.raises(ConfigError):
         sample_points("mc", 0, 2)
     with pytest.raises(ConfigError):
         sample_points("halton", 16, 2)
+    for sampler in ("mc", "qmc-sobol", "rqmc-owen", "rqmc-shift"):
+        for dim in (0, -1):
+            with pytest.raises(ConfigError, match="dim"):
+                sample_points(sampler, 5, dim)
     # Owen and shift seeds would alias modulo 2^64, MC seeds fail in numpy
     for sampler in ("mc", "rqmc-owen", "rqmc-shift"):
         for seed in (-1, 2**64):
@@ -530,6 +540,16 @@ kind = san-15
     assert cfg.truth.kind == "mc"
     assert cfg.truth.n == 2 * 10**6
     assert cfg.truth.seed == 7
+
+
+def test_load_experiment_counts_use_the_count_parser():
+    cfg = load_experiment("[experiment]\ntruth = mc\ntruth_n = 2^20\n[model]\nkind = exp\n")
+    assert cfg.truth.n == 1048576
+    cfg = load_experiment("[experiment]\nn_grid = 1.6e1..2^5\n[model]\nkind = exp\n")
+    assert cfg.n_grid == (16, 32)
+    for key, value in (("truth_n", "1000000.7"), ("truth_n", "many"), ("n_grid", "2^x"), ("n_grid", "8..1e400")):
+        with pytest.raises(ConfigError, match=key):
+            load_experiment(f"[experiment]\n{key} = {value}\n[model]\nkind = exp\n")
 
 
 def test_load_experiment_explicit_truth_values_imply_kind():

@@ -8,6 +8,7 @@ from qmcrisk.lowdisc import (
     DEFAULT_BIT_DEPTH,
     NetParams,
     PointSet,
+    _directions,
     find_t,
     is_net,
     radical_inverse,
@@ -94,6 +95,31 @@ def test_as_integers_respects_requested_depth():
 
 
 # ---------------------------------------------------------------- generators
+
+
+def _reference_sobol(n, dim):
+    """Column-at-a-time doubling, X[h:h+m] = X[:m] ^ V_k: the whole-array
+    reference the tiled generator must equal bit for bit."""
+    v = _directions(dim)
+    pts = np.empty((n, dim))
+    x = np.zeros(n, dtype=np.uint64)
+    for j in range(dim):
+        for k in range((n - 1).bit_length()):
+            h = 1 << k
+            m = min(h, n - h)
+            np.bitwise_xor(x[:m], v[j, k], out=x[h : h + m])
+        np.multiply(x, 2.0**-DEFAULT_BIT_DEPTH, out=pts[:, j])
+    return pts
+
+
+# one-point and sub-tile sets, 4096-row tiles at d = 15 cut on both sides of
+# a boundary, ragged last tiles, one-column and 64-column sets
+@pytest.mark.parametrize(
+    "n, d",
+    [(1, 1), (2, 1), (3, 15), (4095, 15), (4096, 15), (4097, 15), (13114, 15), (70000, 1), (2051, 64), (1 << 17, 2)],
+)
+def test_sobol_matches_the_column_doubling_reference(n, d):
+    assert np.array_equal(sobol_points(n, d).points, _reference_sobol(n, d))
 
 
 def test_sobol_first_point_is_origin():

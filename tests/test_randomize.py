@@ -5,6 +5,7 @@ import pytest
 
 from qmcrisk.bits import hash64, mix64_vec
 from qmcrisk.errors import ConfigError, PrecisionError
+from qmcrisk.experiments import ExperimentConfig, TruthSpec, run_convergence, sample_points
 from qmcrisk.lowdisc import (
     DEFAULT_BIT_DEPTH,
     NetParams,
@@ -13,6 +14,7 @@ from qmcrisk.lowdisc import (
     sobol_points,
     van_der_corput_points,
 )
+from qmcrisk.models import SanModel
 from qmcrisk.randomize import digital_shift, owen_scramble
 
 _NB = DEFAULT_BIT_DEPTH
@@ -55,7 +57,7 @@ _TILE_SHAPES = [
     (1, 1),
     (3, 15),
     (70000, 1),  # more than one 2^16-row tile
-    (3 * 4369 + 7, 15),  # three full 4369-row tiles and a ragged one
+    (3 * 4369 + 7, 15),  # three full 4096-row tiles and a ragged one (13114 rows)
     (2 * 1024 + 3, 64),  # 1024-row tiles
 ]
 
@@ -234,14 +236,37 @@ def test_shift_matches_the_whole_array_reference(n, d):
 # ---------------------------------------------------------------- memory
 
 
-@pytest.mark.parametrize("scheme", _SCHEMES, ids=["owen", "digital_shift"])
-def test_randomization_peak_memory_is_the_output_plus_tiles(scheme):
-    # beside its output a randomization holds tile-sized blocks only, no
-    # further N x d array (an integer copy alone would add 1.0x)
+def _one_study_replication(ps):
+    cfg = ExperimentConfig(
+        model=SanModel(),
+        samplers=("rqmc-owen",),
+        n_grid=(ps.n,),
+        replications=1,
+        truth=TruthSpec("explicit", v=5.68, c=4.84),
+    )
+    run_convergence(cfg)
+
+
+# each call beside the (2^16, 15) set it randomizes, draws or evaluates
+_PEAK_CASES = {
+    "owen": lambda ps: owen_scramble(ps, 1),
+    "digital_shift": lambda ps: digital_shift(ps, 1),
+    "sample_points-owen": lambda ps: sample_points("rqmc-owen", ps.n, ps.dim, seed=1),
+    "sample_points-shift": lambda ps: sample_points("rqmc-shift", ps.n, ps.dim, seed=1),
+    "study-replication": _one_study_replication,
+}
+
+
+@pytest.mark.parametrize("case", list(_PEAK_CASES))
+def test_randomization_peak_memory_is_the_output_plus_tiles(case):
+    # beside one N x d output a randomization holds tile-sized blocks only,
+    # no further N x d array (an integer copy or an unrandomized Sobol'
+    # array alone would add 1.0x); a study replication holds one sampled
+    # N x d array, the N losses and the model's tiles
     ps = sobol_points(1 << 16, 15)
     tracemalloc.start()
     try:
-        scheme(ps, 1)
+        _PEAK_CASES[case](ps)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
