@@ -50,7 +50,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_count(raw: str) -> int:
-    return parse_count(raw, "--count")
+    # argparse replaces a ValueError's message (ConfigError is one) with
+    # "invalid _parse_count value", but shows an ArgumentTypeError's
+    try:
+        return parse_count(raw, "--count")
+    except ConfigError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _read_text(path: str, flag: str) -> str:

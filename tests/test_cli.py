@@ -85,6 +85,14 @@ def test_points_rejects_bad_arguments(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [("points", "-d", "2", "-n", "1000000.7"), ("estimate", "-n", "2^x")])
+def test_bad_counts_report_the_count_syntax(capsys, argv):
+    # the parser's own message, not argparse's "invalid _parse_count value"
+    code, out, err = _run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert "--count: expected an integer, 2^k or 1e8-style literal" in err
+
+
 # ---------------------------------------------------------------- verify-net
 
 

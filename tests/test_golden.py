@@ -50,12 +50,12 @@ def test_sobol_points_golden():
     [
         (
             1,
-            "c9704f40e84ed45fe0bb8942ba62c296f93f980707ec64cc0407a510f46d0bba",
+            "85018f864c508a622e6c9919a9dc70cad3406d579412b5ea691462491a15db5a",
             "41c081e099fed9ffb78a99c243919baa5991e3b9494468c6097db0dc08dffa56",
         ),
         (
             2,
-            "3e7be1d56ebbef2bd394c88453e5da174d053a8224ecf9f688e349462a571c37",
+            "961fb5068feafa547cc80c38c3deb3aafa4204f7313dab5945feffcbfc4ffa9f",
             "8e33066fa27ea46dc748ed73be722c077f1779afc84658852a9e6ba851629231",
         ),
     ],
@@ -70,7 +70,7 @@ def test_converge_csv_golden(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(STUDY)
     out = _stdout(capsys, "converge", "--config", str(cfg))
-    assert _sha(out.encode()) == "e31c8e64a190ce50741c8712adecc98bc1a5a0735baaabcf33bbed789599adb2"
+    assert _sha(out.encode()) == "151304f65ee8c95254f24ec7f5a95a386c0426ac2d9d7cf76449b3a7b53af0d0"
 
 
 @pytest.mark.parametrize(
@@ -90,7 +90,7 @@ def test_truth_stdout_golden(capsys, tmp_path, model, digest):
 @pytest.mark.parametrize(
     "sampler, digest",
     [
-        ("owen", "ebf7fe7660ef8db2d5a8ad130268d553e8f2240fedeebc74f2e23c05fce45ea9"),
+        ("owen", "8dc6f56ad5a98d720fb3867771f785ecfa2b39ffe9e996f4e28342afb1bd8bfe"),
         ("mc", "99e9305cff30c73510111fe6bba2c800702070240a704aece9b5c790aa2cedec"),
     ],
 )

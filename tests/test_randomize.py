@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from qmcrisk.bits import hash64, mix64_vec
 from qmcrisk.errors import ConfigError, PrecisionError
@@ -18,24 +19,45 @@ from qmcrisk.models import SanModel
 from qmcrisk.randomize import digital_shift, owen_scramble
 
 _NB = DEFAULT_BIT_DEPTH
+_DEPTH = 20  # digits with keyed flips; the rest take one hash of this prefix
+_TAIL_MASK = np.uint64((1 << (_NB - _DEPTH)) - 1)
 _OWEN_TAG = 0x6F77656E  # "owen"
 _SHIFT_TAG = 0x73666874  # "sfht"
 
 
+def _keyed_flips(x, dim_key, depth):
+    """Flip words of digits 1..depth of the words x, one full-length pass
+    per digit on the complete mix64 of the digit's keyed prefix."""
+    flips = np.zeros_like(x)
+    for k in range(1, depth + 1):
+        prefix = x >> np.uint64(_NB - (k - 1))
+        bit = mix64_vec(prefix ^ np.uint64(hash64(dim_key, k))) >> np.uint64(63)
+        flips |= bit << np.uint64(_NB - k)
+    return flips
+
+
+def _full_depth_owen(ps, seed):
+    """The keyed flips on all 52 digits, per column: the scramble before
+    its depth was truncated, whose top 20 digits the scramble must keep."""
+    ints = ps.as_integers()
+    out = np.empty_like(ints)
+    for j in range(ps.dim):
+        out[:, j] = ints[:, j] ^ _keyed_flips(ints[:, j], hash64(seed, _OWEN_TAG, j + 1), _NB)
+    return out * 2.0**-_NB
+
+
 def _reference_owen(ps, seed):
-    """The scramble as one full-length pass per column and digit, on the
-    complete mix64: the reference the tiled loop must equal bit for bit."""
+    """The scramble per column: keyed flips on digits 1..20 and, on digits
+    21..52, the top 32 bits of the mix64 of the 20-digit prefix and the
+    tail key.  The reference the tiled loop must equal bit for bit."""
     ints = ps.as_integers()
     out = np.empty_like(ints)
     for j in range(ps.dim):
         x = ints[:, j]
         dim_key = hash64(seed, _OWEN_TAG, j + 1)
-        flips = np.zeros_like(x)
-        for k in range(1, _NB + 1):
-            prefix = x >> np.uint64(_NB - (k - 1))
-            bit = mix64_vec(prefix ^ np.uint64(hash64(dim_key, k))) >> np.uint64(63)
-            flips |= bit << np.uint64(_NB - k)
-        out[:, j] = x ^ flips
+        prefix = x >> np.uint64(_NB - _DEPTH)
+        tail = mix64_vec(prefix ^ np.uint64(hash64(dim_key, 0))) >> np.uint64(64 - (_NB - _DEPTH))
+        out[:, j] = x ^ _keyed_flips(x, dim_key, _DEPTH) ^ tail
     return out * 2.0**-_NB
 
 
@@ -123,6 +145,50 @@ def test_scramble_matches_the_per_column_reference(n, d):
     for seed in (0, 2**64 - 1):
         got = owen_scramble(ps, seed).points
         assert np.array_equal(got, _reference_owen(ps, seed)), f"seed {seed}"
+
+
+@pytest.mark.parametrize("n, d", _TILE_SHAPES)
+def test_scramble_keeps_the_top_digits_of_the_full_depth_scramble(n, d):
+    ps = sobol_points(n, d)
+    for seed in (0, 2**64 - 1):
+        got = owen_scramble(ps, seed).as_integers() >> np.uint64(_NB - _DEPTH)
+        want = PointSet.from_array(_full_depth_owen(ps, seed)).as_integers() >> np.uint64(_NB - _DEPTH)
+        assert np.array_equal(got, want), f"seed {seed}"
+
+
+def test_scramble_tail_depends_only_on_the_prefix():
+    # random words plus copies that keep their top 20 digits and change the
+    # rest: a copy must get its word's tail flips, and words with distinct
+    # prefixes distinct 32-bit tails (a collision among 64 has odds ~5e-7)
+    rng = np.random.default_rng(7)
+    base = rng.integers(0, 1 << _NB, size=(64, 2), dtype=np.uint64)
+    other = base ^ rng.integers(1, 1 << (_NB - _DEPTH), size=(64, 2), dtype=np.uint64)
+    words = np.concatenate([base, other])
+    ps = PointSet.from_array(words * 2.0**-_NB)
+    tails = _flips(ps, seed=9) & _TAIL_MASK
+    assert np.array_equal(tails[:64], tails[64:])
+    for j in range(2):
+        prefixes = np.unique(base[:, j] >> np.uint64(_NB - _DEPTH)).size
+        assert np.unique(tails[:64, j]).size == prefixes, f"dim {j + 1}"
+
+
+def _tail_chi2(words):
+    """Chi-square statistic of digits 21..24 of the words over 16 cells."""
+    counts = np.bincount(((words >> np.uint64(_NB - _DEPTH - 4)) & np.uint64(15)).astype(np.int64), minlength=16)
+    expected = words.size / 16
+    return float(((counts - expected) ** 2 / expected).sum())
+
+
+def test_scramble_tail_digits_are_uniform():
+    # digits 21..24 of a scrambled 2^12-point batch, per dimension, and of
+    # the scrambled origin across 1000 seeds, at criterion 8's level
+    crit = float(stats.chi2.isf(0.001, 15))
+    ints = owen_scramble(sobol_points(1 << 12, 2), 0).as_integers()
+    for j in range(2):
+        assert _tail_chi2(ints[:, j]) < crit, f"dim {j + 1}"
+    origin = PointSet.from_array([[0.0]])
+    words = np.array([owen_scramble(origin, seed).as_integers()[0, 0] for seed in range(1000)])
+    assert _tail_chi2(words) < crit
 
 
 def test_scramble_is_reproducible_and_seed_sensitive():
