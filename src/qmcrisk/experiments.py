@@ -17,9 +17,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
+import os
+from collections import deque
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -50,7 +52,14 @@ CSV_HEADER = "sampler,N,R,q_mean,q_bias,q_mse,es_mean,es_bias,es_mse,mse_stderr"
 _MC_STREAM_TAG = 0x6D63
 _TRUTH_STREAM_TAG = 0x74727574
 
+# rows per truth block, the unit of work of the truth pool.  Block b jumps
+# its own Philox stream to draw b * _TRUTH_BLOCK * dim, and Philox.advance
+# moves in counter steps of 4 draws, so block starts must be multiples of 4
+# draws, which a power of two >= 4 guarantees.
 _TRUTH_BLOCK = 1 << 19
+# rows per drawn and evaluated tile of a truth block: a (2^13, 15) float64
+# tile is about 1 MiB, the size of the SanModel.evaluate tile
+_TRUTH_TILE = 1 << 13
 _MAX_BRACKET = 1 << 24
 # mc_truth: bins of the grid over the pilot's range, and the half-width of
 # the quantile bracket in standard deviations of the pilot's quantile rank
@@ -239,13 +248,47 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
     return TruthResult(float(v), float(c), 0.0, 0.0, "closed-form", 0)
 
 
-def _truth_stream(model: Model, n_truth: int, seed: int):
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, _TRUTH_STREAM_TAG])))
-    remaining = n_truth
-    while remaining > 0:
-        m = min(_TRUTH_BLOCK, remaining)
-        yield model.evaluate(gen.random((m, model.dim)))
-        remaining -= m
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def _truth_losses(model: Model, n_truth: int, seed: int, b: int) -> np.ndarray:
+    """The losses of truth block b: rows b * _TRUTH_BLOCK onward, at most
+    ``_TRUTH_BLOCK`` of them, of one ``gen.random((n_truth, dim))`` stream.
+
+    One Philox counter step yields 4 uint64s and ``random`` takes one per
+    double, so advancing a fresh generator by b * _TRUTH_BLOCK * dim / 4
+    steps starts it at the block's first draw.  The rows are drawn and
+    evaluated in tiles of ``_TRUTH_TILE``.
+    """
+    start = b * _TRUTH_BLOCK
+    m = min(_TRUTH_BLOCK, n_truth - start)
+    bitgen = np.random.Philox(np.random.SeedSequence([seed, _TRUTH_STREAM_TAG]))
+    bitgen.advance(start * model.dim // 4)
+    gen = np.random.Generator(bitgen)
+    tile = np.empty((min(_TRUTH_TILE, m), model.dim))
+    losses = np.empty(m)
+    for s in range(0, m, _TRUTH_TILE):
+        u = tile[: min(_TRUTH_TILE, m - s)]
+        gen.random(out=u)
+        losses[s : s + len(u)] = model.evaluate(u)
+    return losses
+
+
+def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: Iterable, ahead: int) -> Iterator:
+    """fn of each item, run on ``pool`` and yielded in the items' order,
+    with at most ``ahead`` items submitted and not yet yielded."""
+    pending: Deque[Future] = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == ahead:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def mc_truth(
@@ -271,9 +314,17 @@ def mc_truth(
     more than ``_MAX_BRACKET`` values raises WorkLimitError.  The density
     behind ``v_stderr`` is the count of values in v's grid bin.
 
-    The block size ``_TRUTH_BLOCK`` only sets the streaming granularity:
-    the underlying stream is identical for any blocking, so v is exactly
-    reproducible and c varies only by summation roundoff.
+    The pass runs on a pool of one thread per usable CPU, at most one per
+    block.  Each task draws one block of ``_TRUTH_BLOCK`` rows from its own
+    Philox generator, jumped to the block's start with ``advance``, and
+    reduces it against the bracket: the count below it, the two pivoted
+    sums, the values inside it and the block's extremes.  The main thread
+    adds these up strictly in block order, with at most one block per
+    thread plus one in flight, so the result, the WorkLimitError check and
+    the progress events do not depend on the number of threads.  The block
+    size only sets the granularity: the stream is identical for any
+    blocking, so v is exactly reproducible and c varies only by summation
+    roundoff.
     """
     p = check_level(p)
     seed = check_seed(seed)
@@ -282,9 +333,9 @@ def mc_truth(
         raise ConfigError(f"truth_n: need at least 1e6 samples for a stable bracket, got {n_truth}")
     k = order_index(p, n_truth)
     n_blocks = (n_truth + _TRUTH_BLOCK - 1) // _TRUTH_BLOCK
+    workers = min(_usable_cpus(), n_blocks)
 
-    stream = _truth_stream(model, n_truth, seed)
-    pilot = next(stream)
+    pilot = _truth_losses(model, n_truth, seed, 0)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     span = pmax - pmin
     if span <= 0.0:
@@ -305,8 +356,22 @@ def mc_truth(
     # the bracket holds the values whose grid coordinate lies in [b_lo, b_hi)
     b_lo, b_hi = grid_bin(first), grid_bin(last) + 1
 
-    def one_pass(blocks, b_lo: int, b_hi: int):
-        pivot = lo + b_lo * h
+    def block_stats(x: np.ndarray, b_lo: int, b_hi: int):
+        t = (x - lo) * inv_h
+        d = (lo + b_lo * h) - x[t < b_lo]
+        kept = x[(t >= b_lo) & (t < b_hi)]
+        return d.size, float(d.sum()), float((d * d).sum()), kept, float(x.min()), float(x.max())
+
+    def one_pass(pool: ThreadPoolExecutor, b_lo: int, b_hi: int, head=None):
+        """The pass over every block; ``head``, if given, is block 0's
+        ``block_stats``."""
+
+        def draw_block_stats(b: int):
+            return block_stats(_truth_losses(model, n_truth, seed, b), b_lo, b_hi)
+
+        blocks = _in_order(pool, draw_block_stats, range(0 if head is None else 1, n_blocks), workers + 1)
+        if head is not None:
+            blocks = itertools.chain([head], blocks)
         below = 0
         s1 = 0.0
         s2 = 0.0
@@ -314,33 +379,35 @@ def mc_truth(
         pieces: List[np.ndarray] = []
         gmin = math.inf
         gmax = -math.inf
-        for i, x in enumerate(blocks):
-            t = (x - lo) * inv_h
-            d = pivot - x[t < b_lo]
-            below += d.size
-            s1 += float(d.sum())
-            s2 += float((d * d).sum())
-            pieces.append(x[(t >= b_lo) & (t < b_hi)])
-            n_kept += pieces[-1].size
+        for i, (n_below, d_s1, d_s2, piece, xmin, xmax) in enumerate(blocks):
+            below += n_below
+            s1 += d_s1
+            s2 += d_s2
+            pieces.append(piece)
+            n_kept += piece.size
             if n_kept > _MAX_BRACKET:
                 raise WorkLimitError(f"quantile bracket holds more values than the budget of {_MAX_BRACKET}")
-            gmin = min(gmin, float(x.min()))
-            gmax = max(gmax, float(x.max()))
+            gmin = min(gmin, xmin)
+            gmax = max(gmax, xmax)
             if progress is not None and (i + 1) % 32 == 0:
                 progress(f"truth pass: block {i + 1}/{n_blocks}")
         return below, s1, s2, np.concatenate(pieces), gmin, gmax
 
-    below, s1, s2, kept, gmin, gmax = one_pass(itertools.chain([pilot], stream), b_lo, b_hi)
-    j = k - below
-    if not 1 <= j <= kept.size:
-        # the quantile lies outside the bracket: replay the stream with the
-        # bracket extended to the extreme value on that side, which holds it
-        if j < 1:
-            b_lo = grid_bin(gmin)
-        else:
-            b_hi = grid_bin(gmax) + 1
-        below, s1, s2, kept, _, _ = one_pass(_truth_stream(model, n_truth, seed), b_lo, b_hi)
+    head = block_stats(pilot, b_lo, b_hi)
+    del pilot
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        below, s1, s2, kept, gmin, gmax = one_pass(pool, b_lo, b_hi, head)
         j = k - below
+        if not 1 <= j <= kept.size:
+            # the quantile lies outside the bracket: replay the stream with
+            # the bracket extended to the extreme value on that side, which
+            # holds it
+            if j < 1:
+                b_lo = grid_bin(gmin)
+            else:
+                b_hi = grid_bin(gmax) + 1
+            below, s1, s2, kept, _, _ = one_pass(pool, b_lo, b_hi)
+            j = k - below
     v = float(np.partition(kept, j - 1)[j - 1])
 
     # re-center the pivoted shortfall sums at v

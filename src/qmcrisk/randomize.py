@@ -98,7 +98,10 @@ def owen_step(dim: int, seed: int) -> Callable[..., None]:
     A tile takes three passes.  The tail reads the prefix before any of its
     digits flips; digits 13..20 take their keyed flips, deepest first; and
     digits 1..12 take one lookup in a per-step table holding, for each
-    dimension and each 12-digit prefix, the flips the keyed loop gives.
+    dimension and each 12-digit prefix, the flips the keyed loop gives.  The
+    table is built once the step has seen 2^12 rows, counting the current
+    tile; the tiles before that run digits 1..12 through the keyed loop too,
+    so a short draw never pays for it.
     """
     seed = check_seed(seed)
     nb, depth, top = DEFAULT_BIT_DEPTH, _OWEN_DEPTH, _OWEN_TABLE_DIGITS
@@ -107,15 +110,25 @@ def owen_step(dim: int, seed: int) -> Callable[..., None]:
     # digit index 0 is free for the tail
     keys = np.array([[[hash64(key, k)] for key in dim_keys] for k in range(1, depth + 1)], dtype=np.uint64)
     tail_keys = np.array([[hash64(key, 0)] for key in dim_keys], dtype=np.uint64)
-    # table[j << top | i]: flips of digits 1..top for top digits i in dimension j
-    words = np.arange(1 << top, dtype=np.uint64) << np.uint64(nb - top)
-    table = np.tile(words, (dim, 1))
-    _flip_digits(table, *np.empty((2, dim, 1 << top), dtype=np.uint64), keys, 1, top)
-    table ^= words
-    table = table.reshape(-1)
     offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
+    table = None
+    rows_seen = 0
+
+    def flip_table(z: np.ndarray, t: np.ndarray) -> np.ndarray:
+        # table[j << top | i]: flips of digits 1..top for top digits i in
+        # dimension j, built in chunks that fit the tile's scratch z and t
+        table = np.empty((dim, 1 << top), dtype=np.uint64)
+        for s in range(0, 1 << top, z.shape[1]):
+            part = table[:, s : s + z.shape[1]]
+            m = part.shape[1]
+            words = np.arange(s, s + m, dtype=np.uint64) << np.uint64(nb - top)
+            part[...] = words
+            _flip_digits(part, z[:, :m], t[:, :m], keys, 1, top)
+            part ^= words
+        return table.reshape(-1)
 
     def scramble(x: np.ndarray, z: np.ndarray, t: np.ndarray) -> None:
+        nonlocal table, rows_seen
         # digits 21..52: the top 32 bits of the full mix64 of the keyed
         # 20-digit prefix, read before any digit above it flips
         np.right_shift(x, np.uint64(nb - depth), out=z)
@@ -125,7 +138,15 @@ def owen_step(dim: int, seed: int) -> Callable[..., None]:
         z ^= t
         z >>= np.uint64(64 - (nb - depth))
         x ^= z
+        # until the step has seen as many rows as the table has entries,
+        # building it costs more than running its digits through the loop
+        rows_seen += x.shape[1]
+        if table is None and rows_seen < 1 << top:
+            _flip_digits(x, z, t, keys, 1, depth)
+            return
         _flip_digits(x, z, t, keys, top + 1, depth)
+        if table is None:
+            table = flip_table(z, t)
         # digits 1..12: the table entry at j << 12 | the top 12 digits
         np.right_shift(x, np.uint64(nb - top), out=z)
         index = z.view(np.int64)

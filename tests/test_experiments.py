@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -211,18 +214,36 @@ def test_mc_truth_rejects_small_runs():
 
 
 class _CountingModel:
-    """Wraps a model and counts the rows it evaluates."""
+    """Wraps a model and counts the rows it evaluates, from any thread."""
 
     def __init__(self, model) -> None:
         self.model = model
         self.rows = 0
+        self._lock = threading.Lock()
 
     @property
     def dim(self) -> int:
         return self.model.dim
 
     def evaluate(self, u):
-        self.rows += len(u)
+        with self._lock:
+            self.rows += len(u)
+        return self.model.evaluate(u)
+
+
+class _RecordingModel:
+    """Wraps a model and keeps a copy of every point tile it evaluates."""
+
+    def __init__(self, model) -> None:
+        self.model = model
+        self.tiles = []
+
+    @property
+    def dim(self) -> int:
+        return self.model.dim
+
+    def evaluate(self, u):
+        self.tiles.append(np.array(u))
         return self.model.evaluate(u)
 
 
@@ -271,6 +292,64 @@ def test_mc_truth_emits_progress(monkeypatch):
     mc_truth(ExpModel(), 0.1, 10**6, seed=3, progress=messages.append)
     # 62 blocks of 2^14, one message every 32 blocks of the single pass
     assert messages == ["truth pass: block 32/62"]
+
+
+@pytest.mark.parametrize("model", [ExpModel(), SanModel()], ids=["exp", "san"])
+def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model):
+    # every block jumps a fresh generator to its first draw; together the
+    # blocks and their tiles must read one stream front to back
+    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 12)
+    monkeypatch.setattr(experiments, "_TRUTH_TILE", 1 << 9)
+    n, seed = 3 * (1 << 12) + 1000, 7  # a ragged last block, with a ragged last tile
+    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
+    stream = gen.random((n, model.dim))
+    for b, start in enumerate(range(0, n, 1 << 12)):
+        recording = _RecordingModel(model)
+        losses = experiments._truth_losses(recording, n, seed, b)
+        want = stream[start : start + (1 << 12)]
+        assert max(len(u) for u in recording.tiles) <= 1 << 9
+        assert np.array_equal(np.concatenate(recording.tiles), want), f"block {b}"
+        assert np.array_equal(losses, model.evaluate(want)), f"block {b}"
+
+
+@pytest.mark.parametrize("sigmas", [8.0, 0.0], ids=["one-pass", "replay"])
+def test_mc_truth_does_not_depend_on_the_worker_count(monkeypatch, sigmas):
+    # 62 blocks of 2^14 reduced in block order; with a zero-width bracket
+    # the quantile falls outside it and the stream is replayed
+    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 14)
+    monkeypatch.setattr(experiments, "_BRACKET_SIGMAS", sigmas)
+    n = 10**6
+    results = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(experiments, "_usable_cpus", lambda workers=workers: workers)
+            messages = []
+            counting = _CountingModel(ExpModel())
+            t = mc_truth(counting, 0.1, n, seed=3, progress=messages.append)
+            results.append((t, messages, counting.rows))
+    finally:
+        sys.setswitchinterval(interval)
+    passes = 1 if sigmas else 2
+    assert results[0][1] == ["truth pass: block 32/62"] * passes
+    assert results[0][2] == passes * n
+    assert results[1] == results[0]
+    assert results[2] == results[0]
+
+
+def test_mc_truth_peak_memory_is_a_few_blocks(monkeypatch):
+    # each worker holds one block of losses and tile-sized draws, never a
+    # block of points: one 2^19 x 15 block of draws alone is 60 MiB
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    block_bytes = (1 << 19) * 8
+    tracemalloc.start()
+    try:
+        mc_truth(SanModel(), 0.1, 1 << 21, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10 * block_bytes
 
 
 # ---------------------------------------------------------------- convergence harness

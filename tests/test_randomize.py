@@ -81,6 +81,7 @@ _TILE_SHAPES = [
     (70000, 1),  # more than one 2^16-row tile
     (3 * 4369 + 7, 15),  # three full 4096-row tiles and a ragged one (13114 rows)
     (2 * 1024 + 3, 64),  # 1024-row tiles
+    (4 * 1024 + 5, 64),  # the Owen flip table is built on the fourth tile
 ]
 
 _SCHEMES = [owen_scramble, digital_shift]
