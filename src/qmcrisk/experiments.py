@@ -15,9 +15,9 @@ from (master_seed, r).
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import math
-import os
 from collections import deque
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass
@@ -29,7 +29,7 @@ from . import randomize
 from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
-from .lowdisc import walk
+from .lowdisc import _usable_cpus, walk
 from .models import Model, model_from_section, parse_sections
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
@@ -227,10 +227,34 @@ def sample_points(
     if sampler == "mc":
         gen = np.random.Generator(np.random.Philox(mc_stream_seed(seed, n, replication)))
         return gen.random((n, dim))
+    return walk(n, dim, _qmc_step(sampler, dim, seed, replication))
+
+
+def _qmc_step(sampler: str, dim: int, seed: int, replication: int) -> Optional[Callable]:
+    """The ``walk`` step of a QMC sampler's replication, None for qmc-sobol."""
     factory = SAMPLER_TABLE[sampler][1]
     # looked up per call, so a patched module attribute takes effect
-    step = None if factory is None else getattr(randomize, factory)(dim, child_seed(seed, replication))
-    return walk(n, dim, step)
+    return None if factory is None else getattr(randomize, factory)(dim, child_seed(seed, replication))
+
+
+def _sample_losses(model: Model, sampler: str, n: int, seed: int, replication: int) -> np.ndarray:
+    """``model.evaluate(sample_points(sampler, n, model.dim, seed,
+    replication))``, bit for bit: the model's rows are independent, so the
+    QMC samplers evaluate each walk tile as it is made, and no (n, dim)
+    point array exists.  That array was 7.5 MiB per replication at
+    2^16 x 15, and whether glibc kept a freed one resident in a study
+    thread's malloc arena depended on timing: study-rqmc benchmark runs
+    peaked at about 61 or at 67-79 MiB RSS.
+    """
+    if sampler == "mc":
+        return model.evaluate(sample_points(sampler, n, model.dim, seed, replication))
+    losses = np.empty(n)
+
+    def sink(start: int, u: np.ndarray) -> None:
+        losses[start : start + len(u)] = model.evaluate(u)
+
+    walk(n, model.dim, _qmc_step(sampler, model.dim, seed, replication), sink=sink)
+    return losses
 
 
 def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn = None) -> TruthResult:
@@ -246,14 +270,6 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
             "truth: model has no closed form; set truth = mc or give truth_v and truth_c"
         )
     return TruthResult(float(v), float(c), 0.0, 0.0, "closed-form", 0)
-
-
-def _usable_cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity masks on this platform
-        return os.cpu_count() or 1
 
 
 def _truth_losses(model: Model, n_truth: int, seed: int, b: int) -> np.ndarray:
@@ -453,51 +469,57 @@ def run_convergence(
     n_max = grid[-1]
     rows: List[ResultRow] = []
 
-    for sampler in cfg.samplers:
-        reps = 1 if sampler == "qmc-sobol" else cfg.replications
-        est_q = np.empty((reps, len(grid)))
-        est_c = np.empty((reps, len(grid)))
+    reps_of = {s: 1 if s == "qmc-sobol" else cfg.replications for s in cfg.samplers}
+    workers = min(threads or 1, max(reps_of.values()))
+    # one pool for every sampler: with a pool per sampler, the second
+    # pool's threads could start before the first pool's had exited, and
+    # glibc then gave one of them a new malloc arena, whose freed blocks
+    # stayed resident (a fourth arena and 10 MiB more peak RSS in 2 of 14
+    # processes of 20 studies each at 2^16 x 15)
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        for sampler in cfg.samplers:
+            reps = reps_of[sampler]
+            est_q = np.empty((reps, len(grid)))
+            est_c = np.empty((reps, len(grid)))
 
-        def run_rep(r: int, sampler: str = sampler, est_q=est_q, est_c=est_c) -> None:
-            def draw(n: int) -> np.ndarray:
-                return model.evaluate(sample_points(sampler, n, model.dim, cfg.master_seed, r))
+            def run_rep(r: int, sampler: str = sampler, est_q=est_q, est_c=est_c) -> None:
+                def draw(n: int) -> np.ndarray:
+                    return _sample_losses(model, sampler, n, cfg.master_seed, r)
 
-            losses = None if sampler == "mc" else draw(n_max)
-            for j, n in enumerate(grid):
-                batch = SampleBatch(draw(n) if losses is None else losses[:n])
-                est_q[r, j] = quantile_estimate(batch, cfg.p)
-                est_c[r, j] = shortfall_estimate(batch, cfg.p)
+                losses = None if sampler == "mc" else draw(n_max)
+                for j, n in enumerate(grid):
+                    batch = SampleBatch(draw(n) if losses is None else losses[:n])
+                    est_q[r, j] = quantile_estimate(batch, cfg.p)
+                    est_c[r, j] = shortfall_estimate(batch, cfg.p)
 
-        workers = min(threads or 1, reps)
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+            if pool is not None and reps > 1:
                 list(pool.map(run_rep, range(reps)))
-        else:
-            for r in range(reps):
-                run_rep(r)
-        if progress is not None:
-            progress(f"{sampler}: {reps} replication(s) done")
+            else:
+                for r in range(reps):
+                    run_rep(r)
+            if progress is not None:
+                progress(f"{sampler}: {reps} replication(s) done")
 
-        for j, n in enumerate(grid):
-            q = est_q[:, j]
-            c = est_c[:, j]
-            q_sqerr = (q - truth.v) ** 2
-            c_sqerr = (c - truth.c) ** 2
-            stderr = float(q_sqerr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-            rows.append(
-                ResultRow(
-                    sampler=sampler,
-                    n=n,
-                    r=reps,
-                    q_mean=float(q.mean()),
-                    q_bias=float(q.mean() - truth.v),
-                    q_mse=float(q_sqerr.mean()),
-                    es_mean=float(c.mean()),
-                    es_bias=float(c.mean() - truth.c),
-                    es_mse=float(c_sqerr.mean()),
-                    mse_stderr=stderr,
+            for j, n in enumerate(grid):
+                q = est_q[:, j]
+                c = est_c[:, j]
+                q_sqerr = (q - truth.v) ** 2
+                c_sqerr = (c - truth.c) ** 2
+                stderr = float(q_sqerr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+                rows.append(
+                    ResultRow(
+                        sampler=sampler,
+                        n=n,
+                        r=reps,
+                        q_mean=float(q.mean()),
+                        q_bias=float(q.mean() - truth.v),
+                        q_mse=float(q_sqerr.mean()),
+                        es_mean=float(c.mean()),
+                        es_bias=float(c.mean() - truth.c),
+                        es_mse=float(c_sqerr.mean()),
+                        mse_stderr=stderr,
+                    )
                 )
-            )
     return ResultTable(tuple(rows), truth)
 
 

@@ -8,12 +8,19 @@ Coordinates are exact dyadic rationals with at most 52 binary digits, so
 every value is an exact double.  Generation is deterministic and has the
 prefix property: the first n points of a longer run are byte-identical to
 a run of n points.  ``walk`` is the one place where the 52-bit integers
-become floats, one tile at a time, so it never holds a second N x d array.
+become floats, one tile at a time, so it never holds a second N x d array;
+given a sink, which takes each float tile in turn, it holds none.
+Called from the main thread on a large enough draw, it spreads its tiles
+over a pool of one thread per usable CPU; each tile depends on its own
+indices or input rows alone, so the output is the same for any CPU count.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
@@ -32,15 +39,29 @@ _BUNDLED_TABLE = "joe-kuo-64.txt"
 
 # Coordinates per tile of ``walk``, at most.  Every numpy call thus covers
 # about 2^16 coordinates (512 KiB).  That size is a constant, not a
-# setting, chosen for the study's thread pool: smaller calls hand the GIL
+# setting, chosen for the two pools that run tiles concurrently, the
+# study's replication pool and the walk's own: smaller calls hand the GIL
 # back so often that the threads stop overlapping, and larger tiles leave
 # the cache.  On a 2-core host with numpy 2.4.6, two threads ran eight
 # 2^16 x 15 Owen scrambles in 0.94 s at 2^16 coordinates per tile, against
 # 1.12 s at 2^17, 1.32 s at 2^15 and 2.17 s at 2^14 (slower than one
 # thread); one 2^19 x 15 scramble took 1.5-1.8 s at every size from 2^14
-# to 2^17.  Tiling changes no output bit, since each coordinate's value
+# to 2^17.  One 2^19 x 15 Owen walk on two threads against one, best of 3
+# in four alternating runs, ran 0.93-1.30x as fast at 2048-row tiles,
+# 1.15-1.72x at 4096 and 1.44-1.76x at 8192, likely because each tile
+# costs about 100 numpy calls whose Python overhead holds the GIL.  So
+# every worker of the walk's pool keeps a full tile rather than a share of
+# one.  Tiling changes no output bit, since each coordinate's value
 # depends on that coordinate's index or input alone.
 _TILE_COORDS = 1 << 16
+
+# Tiles per worker of the walk's pool, at least.  Each worker holds three
+# tiles of scratch, so the pool's scratch stays within 3/16 of the output,
+# and a 2^16 x 15 draw (16 tiles, the study's largest size) stays on one
+# thread.  With no floor, two workers took the tracemalloc peak of an Owen
+# scramble, a digital shift or an Owen draw of that size to 1.55-1.59x the
+# output, against 1.26-1.38x on one thread.
+_TILES_PER_WORKER = 16
 
 
 @lru_cache(maxsize=None)
@@ -144,15 +165,41 @@ def radical_inverse(i: int, b: int = 2) -> float:
     return r
 
 
-def walk(n: int, dim: int, step: Optional[Callable] = None, points: Optional[np.ndarray] = None) -> np.ndarray:
+def _usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+def walk(
+    n: int,
+    dim: int,
+    step: Optional[Callable] = None,
+    points: Optional[np.ndarray] = None,
+    sink: Optional[Callable] = None,
+) -> Optional[np.ndarray]:
     """An (n, dim) float array filled one (dim, r) uint64 tile at a time,
     with r = 2^floor(log2(_TILE_COORDS / dim)) or the power of two covering n.
 
     The tiles hold the first n Sobol' points or the integers of ``points``
     (PrecisionError if one is not dyadic).  ``step(x, z, t)``, if given,
-    changes the tile ``x`` in place, with scratch blocks ``z`` and ``t``.
+    changes the tile ``x`` in place, with scratch blocks ``z`` and ``t``;
+    it must be safe to call from several threads at once.
     The Sobol' tile at s, a multiple of r, is the first r points XORed with
     the XOR of V_k over the set bits k of s: s and i < r share no bits.
+
+    With ``sink``, no output array exists: each tile's (m, dim) float rows,
+    from row ``start`` on, go to ``sink(start, u)`` and the walk returns
+    None.  ``u`` is a view of the worker's scratch, valid until the call
+    returns; ``sink`` must be safe to call from several threads at once.
+
+    Called from the main thread, the walk runs on a pool of one thread per
+    usable CPU, with at least ``_TILES_PER_WORKER`` tiles per thread.
+    Worker w takes tiles w, w + workers, ... with its own x, z and t and
+    writes their disjoint rows of the output.  Called from any other
+    thread, whose pool already owns the CPUs, it runs inline.
     """
     nb = DEFAULT_BIT_DEPTH
     if points is None:
@@ -160,24 +207,46 @@ def walk(n: int, dim: int, step: Optional[Callable] = None, points: Optional[np.
         if not 1 <= n <= 1 << nb:
             raise ConfigError(f"point count {n} outside the generator's range 1..2^{nb}")
     rows = min(1 << max(0, (_TILE_COORDS // dim).bit_length() - 1), 1 << (n - 1).bit_length())
-    x, z, t = np.empty((3, dim, rows), dtype=np.uint64)
+    starts = range(0, n, rows)
+    workers = 1
+    if threading.current_thread() is threading.main_thread():
+        workers = max(1, min(_usable_cpus(), len(starts) // _TILES_PER_WORKER))
+    # every worker's x, z and t (and float tile, for a sink) in one block
+    # allocated here: allocated on the workers themselves (in per-thread
+    # malloc arenas), they raised the peak RSS of a 2^19 x 15 Owen draw on
+    # two workers by 3.8-4.4 MiB over one thread, against 1.1-1.4 MiB
+    scratch = np.empty((workers, 3 if sink is None else 4, dim, rows), dtype=np.uint64)
     if points is None:
         # the first `rows` points, by doubling: points h..2h-1 are 0..h-1 ^ V_k
         lead = np.zeros((dim, rows), dtype=np.uint64)
         for k in range(rows.bit_length() - 1):
             h = 1 << k
             np.bitwise_xor(lead[:, :h], v[:, k : k + 1], out=lead[:, h : 2 * h])
-    out = np.empty((n, dim))
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        if points is None:
-            word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if start >> k & 1]], axis=1, keepdims=True)
-            np.bitwise_xor(lead[:, :m], word, out=x[:, :m])
-        else:
-            grid_integers(points[start : start + m].T, x[:, :m])
-        if step is not None:
-            step(x[:, :m], z[:, :m], t[:, :m])
-        np.multiply(x[:, :m].T, 2.0 ** -nb, out=out[start : start + m])
+    out = np.empty((n, dim)) if sink is None else None
+
+    def fill(w: int) -> None:
+        x, z, t = scratch[w, :3]
+        for start in starts[w::workers]:
+            m = min(rows, n - start)
+            if points is None:
+                word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if start >> k & 1]], axis=1, keepdims=True)
+                np.bitwise_xor(lead[:, :m], word, out=x[:, :m])
+            else:
+                grid_integers(points[start : start + m].T, x[:, :m])
+            if step is not None:
+                step(x[:, :m], z[:, :m], t[:, :m])
+            if sink is None:
+                np.multiply(x[:, :m].T, 2.0 ** -nb, out=out[start : start + m])
+            else:
+                u = scratch[w, 3].view(np.float64)[:, :m]
+                np.multiply(x[:, :m], 2.0 ** -nb, out=u)
+                sink(start, u.T)
+
+    if workers == 1:
+        fill(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fill, range(workers)))
     return out
 
 

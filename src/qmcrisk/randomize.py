@@ -23,12 +23,14 @@ identical inputs give byte-identical outputs.  Each scheme is a step
 factory, ``owen_step(dim, seed)`` or ``shift_step(dim, seed)``, whose step
 changes one (d, rows) uint64 tile in place; ``lowdisc.walk`` runs it on
 Sobol' tiles (the samplers) or on the integers of a caller's point set
-(``owen_scramble``, ``digital_shift``).  Tiling changes no output bit,
-since each coordinate's randomization depends on that coordinate alone.
+(``owen_scramble``, ``digital_shift``), possibly on several threads at
+once.  Tiling changes no output bit, since each coordinate's randomization
+depends on that coordinate alone.
 """
 
 from __future__ import annotations
 
+import threading
 from typing import Callable
 
 import numpy as np
@@ -102,6 +104,11 @@ def owen_step(dim: int, seed: int) -> Callable[..., None]:
     table is built once the step has seen 2^12 rows, counting the current
     tile; the tiles before that run digits 1..12 through the keyed loop too,
     so a short draw never pays for it.
+
+    The step is safe to call from several threads at once, as the walk's
+    pool does: a lock guards the row count and builds the table exactly
+    once.  Table and loop give the same bits, so the output does not
+    depend on which tile, or which thread, builds it.
     """
     seed = check_seed(seed)
     nb, depth, top = DEFAULT_BIT_DEPTH, _OWEN_DEPTH, _OWEN_TABLE_DIGITS
@@ -113,6 +120,7 @@ def owen_step(dim: int, seed: int) -> Callable[..., None]:
     offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
     table = None
     rows_seen = 0
+    lock = threading.Lock()
 
     def flip_table(z: np.ndarray, t: np.ndarray) -> np.ndarray:
         # table[j << top | i]: flips of digits 1..top for top digits i in
@@ -140,18 +148,24 @@ def owen_step(dim: int, seed: int) -> Callable[..., None]:
         x ^= z
         # until the step has seen as many rows as the table has entries,
         # building it costs more than running its digits through the loop
-        rows_seen += x.shape[1]
-        if table is None and rows_seen < 1 << top:
+        with lock:
+            rows_seen += x.shape[1]
+            early = table is None and rows_seen < 1 << top
+        if early:
             _flip_digits(x, z, t, keys, 1, depth)
             return
         _flip_digits(x, z, t, keys, top + 1, depth)
-        if table is None:
-            table = flip_table(z, t)
-        # digits 1..12: the table entry at j << 12 | the top 12 digits
+        with lock:
+            if table is None:
+                table = flip_table(z, t)
+            flips = table
+        # digits 1..12: the table entry at j << 12 | the top 12 digits.  The
+        # index is always in range; "clip" spares the tile-sized copy of
+        # ``out`` that take's default "raise" mode makes, one per worker
         np.right_shift(x, np.uint64(nb - top), out=z)
         index = z.view(np.int64)
         index += offsets
-        np.take(table, index, out=t)
+        np.take(flips, index, out=t, mode="clip")
         x ^= t
 
     return scramble

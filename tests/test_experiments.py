@@ -32,6 +32,7 @@ from qmcrisk.models import ExpModel, SanModel
 from qmcrisk.randomize import digital_shift, owen_scramble
 
 import qmcrisk.experiments as experiments
+import qmcrisk.lowdisc as lowdisc
 
 
 class _ConstModel:
@@ -407,7 +408,7 @@ def test_run_convergence_validates_and_caps_threads(monkeypatch):
     monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
     serial = run_convergence(_small_cfg(replications=2)).to_csv()
     assert run_convergence(_small_cfg(replications=2), threads=3).to_csv() == serial
-    assert widths == [2, 2]  # one pool per sampler, no wider than R
+    assert widths == [2]  # one pool for both samplers, no wider than R
 
 
 def test_run_convergence_seed_sensitivity():
@@ -446,6 +447,41 @@ def test_run_convergence_matches_manual_composition():
                 assert row.es_mse == float(((c - truth.c) ** 2).mean())
                 want_stderr = float(((q - truth.v) ** 2).std(ddof=1) / math.sqrt(3))
                 assert row.mse_stderr == want_stderr
+
+
+@pytest.mark.parametrize("sampler", ["qmc-sobol", "rqmc-owen", "rqmc-shift", "mc"])
+def test_sampled_losses_are_the_model_of_the_points(monkeypatch, sampler):
+    # 33 tiles of 4096 rows at d = 15, the last one ragged; on 2 CPUs the
+    # walk evaluates its tiles on two pool threads
+    n = (1 << 17) + 7
+    model = _CountingModel(SanModel())
+    want = model.evaluate(sample_points(sampler, n, model.dim, seed=5, replication=2))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2):
+            monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
+            model.rows = 0
+            got = experiments._sample_losses(model, sampler, n, 5, 2)
+            assert got.tobytes() == want.tobytes(), cpus
+            assert model.rows == n, cpus
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_sampled_losses_never_hold_the_points():
+    # the 2^16 x 15 points of one study replication are 7.5 MiB; the
+    # losses, four tiles of scratch and the model's tile read 0.53x that
+    model = SanModel()
+    n = 1 << 16
+    experiments._sample_losses(model, "rqmc-owen", n, 1, 0)  # direction numbers
+    tracemalloc.start()
+    try:
+        experiments._sample_losses(model, "rqmc-owen", n, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * model.dim * 8 * 2 / 3
 
 
 def test_qmc_sampler_is_forced_to_one_replication():

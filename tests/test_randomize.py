@@ -1,9 +1,13 @@
+import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from qmcrisk import lowdisc, randomize
 from qmcrisk.bits import hash64, mix64_vec
 from qmcrisk.errors import ConfigError, PrecisionError
 from qmcrisk.experiments import ExperimentConfig, TruthSpec, run_convergence, sample_points
@@ -300,6 +304,138 @@ def test_shift_matches_the_whole_array_reference(n, d):
         assert np.array_equal(got, _reference_shift(ps, seed)), f"seed {seed}"
 
 
+# ---------------------------------------------------------------- threads
+
+
+@pytest.fixture
+def pool_widths(monkeypatch):
+    """The worker count of every pool the walk starts."""
+    widths = []
+
+    class RecordingPool(lowdisc.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(lowdisc, "ThreadPoolExecutor", RecordingPool)
+    return widths
+
+
+# 49 tiles each, the last one ragged: 4096-row tiles at d = 15 and 1024-row
+# tiles at d = 64, where the Owen table is built on the fourth tile
+_POOL_SHAPES = [(3 * 16 * 4096 + 7, 15), (3 * 16 * 1024 + 5, 64)]
+
+
+@pytest.mark.parametrize("n, d", _POOL_SHAPES)
+def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, n, d):
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
+    ps = sobol_points(n, d)
+    draws = {
+        "sobol": lambda: sample_points("qmc-sobol", n, d, seed=1),
+        "owen": lambda: sample_points("rqmc-owen", n, d, seed=1),
+        "shift": lambda: sample_points("rqmc-shift", n, d, seed=1),
+        "sobol_points": lambda: sobol_points(n, d).points,
+        "owen_scramble": lambda: owen_scramble(ps, 1).points,
+        "digital_shift": lambda: digital_shift(ps, 1).points,
+    }
+    digests = []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
+            digests.append({name: hashlib.sha256(draw()).hexdigest() for name, draw in draws.items()})
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_widths == [2] * len(draws) + [3] * len(draws)
+    assert digests[1] == digests[0]
+    assert digests[2] == digests[0]
+
+
+@pytest.mark.parametrize("n, d", _POOL_SHAPES)
+def test_walk_sink_gets_every_row_once(monkeypatch, pool_widths, n, d):
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
+    want = lowdisc.walk(n, d, randomize.owen_step(d, 1))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for cpus in (1, 3):
+            monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
+            got = np.full((n, d), np.nan)
+            starts = []
+            lock = threading.Lock()
+
+            def sink(start, u):
+                got[start : start + len(u)] = u
+                with lock:
+                    starts.append(start)
+
+            assert lowdisc.walk(n, d, randomize.owen_step(d, 1), sink=sink) is None
+            assert len(starts) == len(set(starts)) == 49, cpus
+            assert got.tobytes() == want.tobytes(), cpus
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_widths == [3]
+
+
+def test_pooled_owen_step_builds_its_table_once(monkeypatch, pool_widths):
+    # only the table's build runs the keyed loop on digits 1..12 alone, so
+    # those calls count the table entries built
+    built = []
+    flip_digits = randomize._flip_digits
+
+    def counting_flip_digits(x, z, t, keys, first, last):
+        if last == randomize._OWEN_TABLE_DIGITS:
+            built.append(x.shape[1])
+        flip_digits(x, z, t, keys, first, last)
+
+    monkeypatch.setattr(randomize, "_flip_digits", counting_flip_digits)
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
+    n, d = _POOL_SHAPES[1]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for seed in range(4):
+            sample_points("rqmc-owen", n, d, seed=seed)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_widths == [3] * 4
+    assert sum(built) == 4 << randomize._OWEN_TABLE_DIGITS
+
+
+def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths):
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
+    n, d = _POOL_SHAPES[0]
+    pts = sobol_points(n, d).points.copy()
+    pts[-1, 7] = 1.0 / 3.0  # in the last tile, which worker 0 of 3 runs
+    ps = PointSet(pts)
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with pytest.raises(PrecisionError):
+            owen_scramble(ps, 1)
+    finally:
+        sys.setswitchinterval(interval)
+    assert pool_widths == [3]
+
+
+def test_walk_starts_no_pool_where_none_belongs(monkeypatch, pool_widths):
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
+    sample_points("rqmc-owen", 2, 15, seed=0)  # a cold-start probe's draw
+    sample_points("rqmc-owen", 1 << 16, 15, seed=0)  # the study's largest N
+    # a thread other than the main one belongs to a pool that owns the CPUs
+    shapes = []
+    thread = threading.Thread(target=lambda: shapes.append(sample_points("rqmc-owen", 1 << 19, 15, seed=0).shape))
+    thread.start()
+    thread.join(timeout=60)
+    assert not thread.is_alive()
+    assert shapes == [(1 << 19, 15)]
+    assert pool_widths == []
+    sample_points("rqmc-owen", 1 << 17, 15, seed=0)  # 32 tiles: two workers
+    assert pool_widths == [2]
+
+
 # ---------------------------------------------------------------- memory
 
 
@@ -338,3 +474,30 @@ def test_randomization_peak_memory_is_the_output_plus_tiles(case):
     finally:
         tracemalloc.stop()
     assert peak < 1.5 * ps.points.nbytes
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("case", list(_PEAK_CASES))
+def test_randomization_peak_memory_with_four_cpus(monkeypatch, case):
+    # 16 tiles are too few for a second worker, so the peak is the serial one
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
+    ps = sobol_points(1 << 16, 15)
+    assert _traced_peak(lambda: _PEAK_CASES[case](ps)) < 1.5 * ps.points.nbytes
+
+
+@pytest.mark.parametrize("sampler", ["rqmc-owen", "rqmc-shift"])
+def test_pooled_draw_peak_memory_is_the_output_plus_scratch(monkeypatch, pool_widths, sampler):
+    # 64 tiles on four workers: 12 tiles of scratch, 3/16 of the output,
+    # besides the Sobol' lead tile and the Owen table
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
+    n, d = 1 << 18, 15
+    assert _traced_peak(lambda: sample_points(sampler, n, d, seed=1)) < 1.35 * n * d * 8
+    assert pool_widths == [4]
