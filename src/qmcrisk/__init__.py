@@ -52,6 +52,7 @@ from .experiments import (
     rate_summary,
     resolve_truth,
     run_convergence,
+    sample_losses,
     sample_points,
 )
 
@@ -101,6 +102,7 @@ __all__ = [
     "rate_summary",
     "resolve_truth",
     "run_convergence",
+    "sample_losses",
     "sample_points",
     "__version__",
 ]

@@ -32,6 +32,7 @@ from .experiments import (
     parse_count,
     rate_summary,
     run_convergence,
+    sample_losses,
     sample_points,
     sampler_name,
 )
@@ -154,8 +155,7 @@ def _cmd_verify_net(args: argparse.Namespace) -> int:
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
     model = _load_model_arg(args.config)
-    pts = sample_points(sampler_name(args.sampler), args.count, model.dim, seed=args.seed)
-    batch = SampleBatch(model.evaluate(pts))
+    batch = SampleBatch(sample_losses(model, sampler_name(args.sampler), args.count, seed=args.seed))
     v = quantile_estimate(batch, args.level)
     c = shortfall_estimate(batch, args.level)
     _emit(

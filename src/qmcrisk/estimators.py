@@ -9,14 +9,13 @@ Given a batch of model outputs X_1..X_N and a risk level p in (0,1):
 * K_N(x) = (1/N) * sum_i (x - X_i)^+, the sample lower partial moment the
   shortfall estimator is built from.
 
-All functions are pure; a batch is immutable after construction and its
-sorted view is computed at most once.
+All functions are pure; a batch is immutable after construction.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Union
+from typing import Sequence, Union
 
 import numpy as np
 
@@ -27,10 +26,10 @@ class SampleBatch:
     """An ordered batch of N real-valued model outputs.
 
     ``values`` keeps the generator's output order (replications may rely on
-    it); ``sorted_values`` is a lazily cached ascending view.
+    it).
     """
 
-    __slots__ = ("values", "_sorted")
+    __slots__ = ("values",)
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]) -> None:
         arr = np.array(values, dtype=np.float64, copy=True).ravel()
@@ -40,21 +39,10 @@ class SampleBatch:
             raise ConfigError("batch values must all be finite")
         arr.setflags(write=False)
         self.values = arr
-        self._sorted: Optional[np.ndarray] = None
 
     @property
     def n(self) -> int:
         return self.values.size
-
-    @property
-    def sorted_values(self) -> np.ndarray:
-        # single-assignment under the GIL: worst case two threads compute
-        # the same array and one result wins
-        if self._sorted is None:
-            s = np.sort(self.values)
-            s.setflags(write=False)
-            self._sorted = s
-        return self._sorted
 
 
 def check_level(p: float) -> float:
@@ -90,9 +78,7 @@ def empirical_cdf(batch: SampleBatch, x: float) -> float:
 def quantile_estimate(batch: SampleBatch, p: float) -> float:
     """The ceil(pN)-th order statistic of the batch."""
     k = order_index(p, batch.n)
-    if batch._sorted is not None:
-        return float(batch._sorted[k - 1])
-    # expected-linear-time selection; repeated queries should sort once
+    # expected-linear-time selection
     return float(np.partition(batch.values, k - 1)[k - 1])
 
 

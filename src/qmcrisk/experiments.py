@@ -57,8 +57,9 @@ _TRUTH_STREAM_TAG = 0x74727574
 # moves in counter steps of 4 draws, so block starts must be multiples of 4
 # draws, which a power of two >= 4 guarantees.
 _TRUTH_BLOCK = 1 << 19
-# rows per drawn and evaluated tile of a truth block: a (2^13, 15) float64
-# tile is about 1 MiB, the size of the SanModel.evaluate tile
+# rows per drawn and evaluated tile of a truth block or an MC replication
+# (``sample_losses``): a (2^13, 15) float64 tile is about 1 MiB, the size
+# of the SanModel.evaluate tile
 _TRUTH_TILE = 1 << 13
 _MAX_BRACKET = 1 << 24
 # mc_truth: bins of the grid over the pilot's range, and the half-width of
@@ -204,6 +205,19 @@ def sampler_name(token: str) -> str:
     raise ConfigError(f"samplers: unknown sampler {token!r}")
 
 
+def _check_draw(sampler: str, n: int, dim: int, seed: int) -> int:
+    """The seed of a valid draw; ConfigError for a bad count, dimension,
+    seed or sampler."""
+    if n < 1:
+        raise ConfigError(f"count: must be >= 1, got {n}")
+    if dim < 1:
+        raise ConfigError(f"dim: must be >= 1, got {dim}")
+    seed = check_seed(seed)
+    if sampler not in SAMPLER_TABLE:
+        raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
+    return seed
+
+
 def sample_points(
     sampler: str,
     n: int,
@@ -217,43 +231,39 @@ def sample_points(
     (seed, N, replication); the QMC samplers take the first n points of
     the digital sequence, randomized per the sampler name tile by tile.
     """
-    if n < 1:
-        raise ConfigError(f"count: must be >= 1, got {n}")
-    if dim < 1:
-        raise ConfigError(f"dim: must be >= 1, got {dim}")
-    seed = check_seed(seed)
-    if sampler not in SAMPLER_TABLE:
-        raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
+    seed = _check_draw(sampler, n, dim, seed)
     if sampler == "mc":
         gen = np.random.Generator(np.random.Philox(mc_stream_seed(seed, n, replication)))
         return gen.random((n, dim))
-    return walk(n, dim, _qmc_step(sampler, dim, seed, replication))
+    return walk(n, dim, _qmc_step(sampler, dim, seed, replication, n))
 
 
-def _qmc_step(sampler: str, dim: int, seed: int, replication: int) -> Optional[Callable]:
-    """The ``walk`` step of a QMC sampler's replication, None for qmc-sobol."""
+def _qmc_step(sampler: str, dim: int, seed: int, replication: int, n: int) -> Optional[Callable]:
+    """The ``walk`` step of a QMC sampler's replication of n points, None
+    for qmc-sobol."""
     factory = SAMPLER_TABLE[sampler][1]
     # looked up per call, so a patched module attribute takes effect
-    return None if factory is None else getattr(randomize, factory)(dim, child_seed(seed, replication))
+    return None if factory is None else getattr(randomize, factory)(dim, child_seed(seed, replication), n)
 
 
-def _sample_losses(model: Model, sampler: str, n: int, seed: int, replication: int) -> np.ndarray:
+def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication: int = 0) -> np.ndarray:
     """``model.evaluate(sample_points(sampler, n, model.dim, seed,
-    replication))``, bit for bit: the model's rows are independent, so the
-    QMC samplers evaluate each walk tile as it is made, and no (n, dim)
-    point array exists.  That array was 7.5 MiB per replication at
-    2^16 x 15, and whether glibc kept a freed one resident in a study
-    thread's malloc arena depended on timing: study-rqmc benchmark runs
-    peaked at about 61 or at 67-79 MiB RSS.
+    replication))``, bit for bit, with no (n, dim) point array.
+
+    The model's rows are independent, so each tile is evaluated as it is
+    made: the QMC samplers' walk tiles and, for "mc", (2^13, dim) tiles of
+    the same Philox stream, drawn as the truth pass draws its blocks.  The
+    draw holds the n losses and tile-sized blocks only.
     """
+    seed = _check_draw(sampler, n, model.dim, seed)
     if sampler == "mc":
-        return model.evaluate(sample_points(sampler, n, model.dim, seed, replication))
+        return _truth_losses(model, mc_stream_seed(seed, n, replication), 0, n)
     losses = np.empty(n)
 
     def sink(start: int, u: np.ndarray) -> None:
         losses[start : start + len(u)] = model.evaluate(u)
 
-    walk(n, model.dim, _qmc_step(sampler, model.dim, seed, replication), sink=sink)
+    walk(n, model.dim, _qmc_step(sampler, model.dim, seed, replication, n), sink=sink)
     return losses
 
 
@@ -272,18 +282,16 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
     return TruthResult(float(v), float(c), 0.0, 0.0, "closed-form", 0)
 
 
-def _truth_losses(model: Model, n_truth: int, seed: int, b: int) -> np.ndarray:
-    """The losses of truth block b: rows b * _TRUTH_BLOCK onward, at most
-    ``_TRUTH_BLOCK`` of them, of one ``gen.random((n_truth, dim))`` stream.
+def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int) -> np.ndarray:
+    """The losses of rows start..start + m - 1 of the stream
+    ``Generator(Philox(seq)).random((rows, model.dim))``.
 
     One Philox counter step yields 4 uint64s and ``random`` takes one per
-    double, so advancing a fresh generator by b * _TRUTH_BLOCK * dim / 4
-    steps starts it at the block's first draw.  The rows are drawn and
-    evaluated in tiles of ``_TRUTH_TILE``.
+    double, so advancing a fresh generator by start * dim / 4 steps starts
+    it at row ``start``, which start * dim, a multiple of 4, allows.  The
+    rows are drawn and evaluated in tiles of ``_TRUTH_TILE``.
     """
-    start = b * _TRUTH_BLOCK
-    m = min(_TRUTH_BLOCK, n_truth - start)
-    bitgen = np.random.Philox(np.random.SeedSequence([seed, _TRUTH_STREAM_TAG]))
+    bitgen = np.random.Philox(seq)
     bitgen.advance(start * model.dim // 4)
     gen = np.random.Generator(bitgen)
     tile = np.empty((min(_TRUTH_TILE, m), model.dim))
@@ -350,8 +358,13 @@ def mc_truth(
     k = order_index(p, n_truth)
     n_blocks = (n_truth + _TRUTH_BLOCK - 1) // _TRUTH_BLOCK
     workers = min(_usable_cpus(), n_blocks)
+    seq = np.random.SeedSequence([seed, _TRUTH_STREAM_TAG])
 
-    pilot = _truth_losses(model, n_truth, seed, 0)
+    def block_losses(b: int) -> np.ndarray:
+        start = b * _TRUTH_BLOCK
+        return _truth_losses(model, seq, start, min(_TRUTH_BLOCK, n_truth - start))
+
+    pilot = block_losses(0)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     span = pmax - pmin
     if span <= 0.0:
@@ -383,7 +396,7 @@ def mc_truth(
         ``block_stats``."""
 
         def draw_block_stats(b: int):
-            return block_stats(_truth_losses(model, n_truth, seed, b), b_lo, b_hi)
+            return block_stats(block_losses(b), b_lo, b_hi)
 
         blocks = _in_order(pool, draw_block_stats, range(0 if head is None else 1, n_blocks), workers + 1)
         if head is not None:
@@ -484,7 +497,7 @@ def run_convergence(
 
             def run_rep(r: int, sampler: str = sampler, est_q=est_q, est_c=est_c) -> None:
                 def draw(n: int) -> np.ndarray:
-                    return _sample_losses(model, sampler, n, cfg.master_seed, r)
+                    return sample_losses(model, sampler, n, cfg.master_seed, r)
 
                 losses = None if sampler == "mc" else draw(n_max)
                 for j, n in enumerate(grid):

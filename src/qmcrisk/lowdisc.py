@@ -186,7 +186,8 @@ def walk(
     The tiles hold the first n Sobol' points or the integers of ``points``
     (PrecisionError if one is not dyadic).  ``step(x, z, t)``, if given,
     changes the tile ``x`` in place, with scratch blocks ``z`` and ``t``;
-    it must be safe to call from several threads at once.
+    it must change no state of its own, since several threads may run it
+    at once.
     The Sobol' tile at s, a multiple of r, is the first r points XORed with
     the XOR of V_k over the set bits k of s: s and i < r share no bits.
 
@@ -198,8 +199,9 @@ def walk(
     Called from the main thread, the walk runs on a pool of one thread per
     usable CPU, with at least ``_TILES_PER_WORKER`` tiles per thread.
     Worker w takes tiles w, w + workers, ... with its own x, z and t and
-    writes their disjoint rows of the output.  Called from any other
-    thread, whose pool already owns the CPUs, it runs inline.
+    writes their disjoint rows of the output; a worker that raises stops
+    the others before their next tile.  Called from any other thread,
+    whose pool already owns the CPUs, it runs inline.
     """
     nb = DEFAULT_BIT_DEPTH
     if points is None:
@@ -223,24 +225,31 @@ def walk(
             h = 1 << k
             np.bitwise_xor(lead[:, :h], v[:, k : k + 1], out=lead[:, h : 2 * h])
     out = np.empty((n, dim)) if sink is None else None
+    failed = threading.Event()
 
     def fill(w: int) -> None:
         x, z, t = scratch[w, :3]
-        for start in starts[w::workers]:
-            m = min(rows, n - start)
-            if points is None:
-                word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if start >> k & 1]], axis=1, keepdims=True)
-                np.bitwise_xor(lead[:, :m], word, out=x[:, :m])
-            else:
-                grid_integers(points[start : start + m].T, x[:, :m])
-            if step is not None:
-                step(x[:, :m], z[:, :m], t[:, :m])
-            if sink is None:
-                np.multiply(x[:, :m].T, 2.0 ** -nb, out=out[start : start + m])
-            else:
-                u = scratch[w, 3].view(np.float64)[:, :m]
-                np.multiply(x[:, :m], 2.0 ** -nb, out=u)
-                sink(start, u.T)
+        try:
+            for start in starts[w::workers]:
+                if failed.is_set():
+                    return
+                m = min(rows, n - start)
+                if points is None:
+                    word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if start >> k & 1]], axis=1, keepdims=True)
+                    np.bitwise_xor(lead[:, :m], word, out=x[:, :m])
+                else:
+                    grid_integers(points[start : start + m].T, x[:, :m])
+                if step is not None:
+                    step(x[:, :m], z[:, :m], t[:, :m])
+                if sink is None:
+                    np.multiply(x[:, :m].T, 2.0 ** -nb, out=out[start : start + m])
+                else:
+                    u = scratch[w, 3].view(np.float64)[:, :m]
+                    np.multiply(x[:, :m], 2.0 ** -nb, out=u)
+                    sink(start, u.T)
+        except BaseException:
+            failed.set()
+            raise
 
     if workers == 1:
         fill(0)

@@ -21,7 +21,7 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -125,8 +125,6 @@ class SanModel:
 
     rates: Tuple[float, ...] = DEFAULT_SAN_RATES
     clamp_epsilon: float = CLAMP_EPSILON
-    # the network's paths; ``evaluate`` hard-codes their longest-path recursion
-    paths: ClassVar[Tuple[Tuple[int, ...], ...]] = DEFAULT_SAN_PATHS
 
     def __post_init__(self) -> None:
         rates = tuple(float(r) for r in self.rates)

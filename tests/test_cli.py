@@ -2,6 +2,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -149,6 +150,22 @@ def test_estimate_matches_library_composition(capsys):
     assert f"quantile = {v:.9g}" in out
     assert f"shortfall = {c:.9g}" in out
     assert "sampler = owen" in out and "N = 1024" in out
+
+
+@pytest.mark.parametrize("sampler", ["owen", "mc"])
+def test_estimate_never_holds_the_points(capsys, sampler):
+    # the 2^17 x 15 sample is 15 MiB; the run holds its losses, the batch's
+    # copy of them and tile-sized blocks
+    n, dim = 1 << 17, 15
+    _run(capsys, "estimate", "-n", "2^4", "--sampler", sampler)  # direction numbers
+    tracemalloc.start()
+    try:
+        code, out, _ = _run(capsys, "estimate", "-n", "2^17", "--sampler", sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and "quantile" in out
+    assert peak < n * dim * 8 * 2 / 3
 
 
 def test_estimate_with_model_config(capsys, tmp_path):

@@ -32,16 +32,6 @@ def test_batch_is_immutable_and_copies_input():
     assert b.values[0] == 3.0
     with pytest.raises(ValueError):
         b.values[0] = 0.0
-    with pytest.raises(ValueError):
-        b.sorted_values[0] = 0.0
-
-
-def test_batch_sorted_view_is_cached():
-    b = SampleBatch([3.0, 1.0, 2.0])
-    s1 = b.sorted_values
-    assert np.array_equal(s1, [1.0, 2.0, 3.0])
-    assert b.sorted_values is s1
-    assert np.array_equal(b.values, [3.0, 1.0, 2.0])  # original order kept
 
 
 def test_batch_flattens_and_counts():
@@ -106,13 +96,6 @@ def test_quantile_examples():
     assert quantile_estimate(SampleBatch([0.1, 0.2, 0.3, 0.4]), 0.5) == 0.2
     assert quantile_estimate(SampleBatch([7.0]), 0.3) == 7.0
     assert quantile_estimate(SampleBatch([0.4, 0.1, 0.3, 0.2]), 0.6) == 0.3
-
-
-def test_quantile_uses_cached_sort_when_present():
-    b = SampleBatch([0.4, 0.1, 0.3, 0.2])
-    fresh = quantile_estimate(b, 0.6)
-    _ = b.sorted_values
-    assert quantile_estimate(b, 0.6) == fresh
 
 
 def test_quantile_is_a_sample_value_and_meets_level():

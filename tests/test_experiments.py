@@ -1,5 +1,4 @@
 import math
-import sys
 import threading
 import tracemalloc
 
@@ -25,6 +24,7 @@ from qmcrisk.experiments import (
     rate_summary,
     resolve_truth,
     run_convergence,
+    sample_losses,
     sample_points,
 )
 from qmcrisk.lowdisc import sobol_points
@@ -304,9 +304,10 @@ def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model):
     n, seed = 3 * (1 << 12) + 1000, 7  # a ragged last block, with a ragged last tile
     gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
     stream = gen.random((n, model.dim))
+    seq = np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])
     for b, start in enumerate(range(0, n, 1 << 12)):
         recording = _RecordingModel(model)
-        losses = experiments._truth_losses(recording, n, seed, b)
+        losses = experiments._truth_losses(recording, seq, start, min(1 << 12, n - start))
         want = stream[start : start + (1 << 12)]
         assert max(len(u) for u in recording.tiles) <= 1 << 9
         assert np.array_equal(np.concatenate(recording.tiles), want), f"block {b}"
@@ -314,24 +315,19 @@ def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model):
 
 
 @pytest.mark.parametrize("sigmas", [8.0, 0.0], ids=["one-pass", "replay"])
-def test_mc_truth_does_not_depend_on_the_worker_count(monkeypatch, sigmas):
+def test_mc_truth_does_not_depend_on_the_worker_count(monkeypatch, fine_switching, sigmas):
     # 62 blocks of 2^14 reduced in block order; with a zero-width bracket
     # the quantile falls outside it and the stream is replayed
     monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 14)
     monkeypatch.setattr(experiments, "_BRACKET_SIGMAS", sigmas)
     n = 10**6
     results = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for workers in (1, 2, 3):
-            monkeypatch.setattr(experiments, "_usable_cpus", lambda workers=workers: workers)
-            messages = []
-            counting = _CountingModel(ExpModel())
-            t = mc_truth(counting, 0.1, n, seed=3, progress=messages.append)
-            results.append((t, messages, counting.rows))
-    finally:
-        sys.setswitchinterval(interval)
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(experiments, "_usable_cpus", lambda workers=workers: workers)
+        messages = []
+        counting = _CountingModel(ExpModel())
+        t = mc_truth(counting, 0.1, n, seed=3, progress=messages.append)
+        results.append((t, messages, counting.rows))
     passes = 1 if sigmas else 2
     assert results[0][1] == ["truth pass: block 32/62"] * passes
     assert results[0][2] == passes * n
@@ -450,38 +446,49 @@ def test_run_convergence_matches_manual_composition():
 
 
 @pytest.mark.parametrize("sampler", ["qmc-sobol", "rqmc-owen", "rqmc-shift", "mc"])
-def test_sampled_losses_are_the_model_of_the_points(monkeypatch, sampler):
+def test_sampled_losses_are_the_model_of_the_points(monkeypatch, fine_switching, sampler):
     # 33 tiles of 4096 rows at d = 15, the last one ragged; on 2 CPUs the
     # walk evaluates its tiles on two pool threads
     n = (1 << 17) + 7
     model = _CountingModel(SanModel())
     want = model.evaluate(sample_points(sampler, n, model.dim, seed=5, replication=2))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 2):
-            monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
-            model.rows = 0
-            got = experiments._sample_losses(model, sampler, n, 5, 2)
-            assert got.tobytes() == want.tobytes(), cpus
-            assert model.rows == n, cpus
-    finally:
-        sys.setswitchinterval(interval)
+    for cpus in (1, 2):
+        monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
+        model.rows = 0
+        got = sample_losses(model, sampler, n, 5, 2)
+        assert got.tobytes() == want.tobytes(), cpus
+        assert model.rows == n, cpus
 
 
 def test_sampled_losses_never_hold_the_points():
     # the 2^16 x 15 points of one study replication are 7.5 MiB; the
     # losses, four tiles of scratch and the model's tile read 0.53x that
+    # for owen, and the losses and Philox tiles 0.34x for mc
     model = SanModel()
     n = 1 << 16
-    experiments._sample_losses(model, "rqmc-owen", n, 1, 0)  # direction numbers
-    tracemalloc.start()
-    try:
-        experiments._sample_losses(model, "rqmc-owen", n, 1, 0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < n * model.dim * 8 * 2 / 3
+    for sampler in ("rqmc-owen", "mc"):
+        sample_losses(model, sampler, n, 1, 0)  # direction numbers
+        tracemalloc.start()
+        try:
+            sample_losses(model, sampler, n, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * model.dim * 8 * 2 / 3, sampler
+
+
+@pytest.mark.parametrize(
+    "n, sampler, seed",
+    [(0, "rqmc-owen", 0), (16, "sobol", 0), (16, "mc", -1), (16, "rqmc-owen", 2**64)],
+    ids=["count", "sampler", "seed-low", "seed-high"],
+)
+def test_sample_losses_rejects_what_sample_points_rejects(n, sampler, seed):
+    model = SanModel()
+    with pytest.raises(ConfigError) as points_error:
+        sample_points(sampler, n, model.dim, seed=seed)
+    with pytest.raises(ConfigError) as losses_error:
+        sample_losses(model, sampler, n, seed=seed)
+    assert str(losses_error.value) == str(points_error.value)
 
 
 def test_qmc_sampler_is_forced_to_one_replication():

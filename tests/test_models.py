@@ -24,8 +24,6 @@ from qmcrisk.randomize import owen_scramble
 def test_default_network_shape():
     san = SanModel()
     assert san.dim == EDGE_COUNT == 15
-    assert len(san.paths) == 10
-    assert san.paths == SanModel.paths == DEFAULT_SAN_PATHS
     assert san.rates == (0.5,) * 8 + (1.0,) * 7
     assert san.clamp_epsilon == CLAMP_EPSILON == 2.0**-53
 
@@ -199,7 +197,6 @@ def test_load_model_network_defaults():
     m = load_model("kind = san-15\n")
     assert isinstance(m, SanModel)
     assert m.rates == DEFAULT_SAN_RATES
-    assert m.paths == DEFAULT_SAN_PATHS
 
 
 def test_load_model_with_section_header_and_comments():

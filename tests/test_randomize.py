@@ -1,5 +1,4 @@
 import hashlib
-import sys
 import threading
 import tracemalloc
 
@@ -307,27 +306,13 @@ def test_shift_matches_the_whole_array_reference(n, d):
 # ---------------------------------------------------------------- threads
 
 
-@pytest.fixture
-def pool_widths(monkeypatch):
-    """The worker count of every pool the walk starts."""
-    widths = []
-
-    class RecordingPool(lowdisc.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(lowdisc, "ThreadPoolExecutor", RecordingPool)
-    return widths
-
-
 # 49 tiles each, the last one ragged: 4096-row tiles at d = 15 and 1024-row
-# tiles at d = 64, where the Owen table is built on the fourth tile
+# tiles at d = 64
 _POOL_SHAPES = [(3 * 16 * 4096 + 7, 15), (3 * 16 * 1024 + 5, 64)]
 
 
 @pytest.mark.parametrize("n, d", _POOL_SHAPES)
-def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, n, d):
+def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, fine_switching, n, d):
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
     ps = sobol_points(n, d)
     draws = {
@@ -339,46 +324,36 @@ def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, n, d
         "digital_shift": lambda: digital_shift(ps, 1).points,
     }
     digests = []
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 2, 3):
-            monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
-            digests.append({name: hashlib.sha256(draw()).hexdigest() for name, draw in draws.items()})
-    finally:
-        sys.setswitchinterval(interval)
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
+        digests.append({name: hashlib.sha256(draw()).hexdigest() for name, draw in draws.items()})
     assert pool_widths == [2] * len(draws) + [3] * len(draws)
     assert digests[1] == digests[0]
     assert digests[2] == digests[0]
 
 
 @pytest.mark.parametrize("n, d", _POOL_SHAPES)
-def test_walk_sink_gets_every_row_once(monkeypatch, pool_widths, n, d):
+def test_walk_sink_gets_every_row_once(monkeypatch, pool_widths, fine_switching, n, d):
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
-    want = lowdisc.walk(n, d, randomize.owen_step(d, 1))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for cpus in (1, 3):
-            monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
-            got = np.full((n, d), np.nan)
-            starts = []
-            lock = threading.Lock()
+    want = lowdisc.walk(n, d, randomize.owen_step(d, 1, n))
+    for cpus in (1, 3):
+        monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
+        got = np.full((n, d), np.nan)
+        starts = []
+        lock = threading.Lock()
 
-            def sink(start, u):
-                got[start : start + len(u)] = u
-                with lock:
-                    starts.append(start)
+        def sink(start, u):
+            got[start : start + len(u)] = u
+            with lock:
+                starts.append(start)
 
-            assert lowdisc.walk(n, d, randomize.owen_step(d, 1), sink=sink) is None
-            assert len(starts) == len(set(starts)) == 49, cpus
-            assert got.tobytes() == want.tobytes(), cpus
-    finally:
-        sys.setswitchinterval(interval)
+        assert lowdisc.walk(n, d, randomize.owen_step(d, 1, n), sink=sink) is None
+        assert len(starts) == len(set(starts)) == 49, cpus
+        assert got.tobytes() == want.tobytes(), cpus
     assert pool_widths == [3]
 
 
-def test_pooled_owen_step_builds_its_table_once(monkeypatch, pool_widths):
+def test_pooled_owen_step_builds_its_table_once(monkeypatch, pool_widths, fine_switching):
     # only the table's build runs the keyed loop on digits 1..12 alone, so
     # those calls count the table entries built
     built = []
@@ -392,32 +367,73 @@ def test_pooled_owen_step_builds_its_table_once(monkeypatch, pool_widths):
     monkeypatch.setattr(randomize, "_flip_digits", counting_flip_digits)
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
     n, d = _POOL_SHAPES[1]
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        for seed in range(4):
-            sample_points("rqmc-owen", n, d, seed=seed)
-    finally:
-        sys.setswitchinterval(interval)
+    for seed in range(4):
+        sample_points("rqmc-owen", n, d, seed=seed)
     assert pool_widths == [3] * 4
     assert sum(built) == 4 << randomize._OWEN_TABLE_DIGITS
 
 
-def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths):
+def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths, fine_switching):
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
     n, d = _POOL_SHAPES[0]
     pts = sobol_points(n, d).points.copy()
     pts[-1, 7] = 1.0 / 3.0  # in the last tile, which worker 0 of 3 runs
     ps = PointSet(pts)
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with pytest.raises(PrecisionError):
-            owen_scramble(ps, 1)
-    finally:
-        sys.setswitchinterval(interval)
+    with pytest.raises(PrecisionError):
+        owen_scramble(ps, 1)
     assert pool_widths == [3]
+
+
+def test_owen_factory_builds_the_table_only_for_long_draws(monkeypatch):
+    # only the table's build runs the keyed loop on digits 1..12 alone, so
+    # those calls count the table entries built
+    built = []
+    flip_digits = randomize._flip_digits
+
+    def counting_flip_digits(x, z, t, keys, first, last):
+        if last == randomize._OWEN_TABLE_DIGITS:
+            built.append(x.shape[1])
+        flip_digits(x, z, t, keys, first, last)
+
+    monkeypatch.setattr(randomize, "_flip_digits", counting_flip_digits)
+    sample_points("rqmc-owen", 2, 15, seed=0)  # a cold-start probe's draw
+    assert built == []
+    step = randomize.owen_step(15, 0, 1 << randomize._OWEN_TABLE_DIGITS)
+    assert sum(built) == 1 << randomize._OWEN_TABLE_DIGITS  # before any tile
+    x = sobol_points(1 << 12, 15).as_integers().T.copy()
+    step(x, np.empty_like(x), np.empty_like(x))
+    assert sum(built) == 1 << randomize._OWEN_TABLE_DIGITS
+
+
+def test_a_failing_tile_stops_the_other_workers(monkeypatch, pool_widths, fine_switching):
+    # tile 0 fails on worker 0 of 3; without a stop the other two workers
+    # would convert all 32 of their tiles before the error surfaced.  The
+    # barrier holds every worker at its first tile until all three have
+    # started, since map cancels the tasks not yet started once one fails
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
+    n, d = _POOL_SHAPES[0]
+    pts = sobol_points(n, d).points.copy()
+    pts[0, 7] = 1.0 / 3.0
+    ps = PointSet(pts)
+    converted = []
+    started = set()
+    all_started = threading.Barrier(3, timeout=60)
+    grid_integers = lowdisc.grid_integers
+
+    def counting_grid_integers(coords, out):
+        converted.append(coords.shape)
+        if threading.get_ident() not in started:
+            started.add(threading.get_ident())
+            all_started.wait()
+        return grid_integers(coords, out)
+
+    monkeypatch.setattr(lowdisc, "grid_integers", counting_grid_integers)
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
+    with pytest.raises(PrecisionError):
+        owen_scramble(ps, 1)
+    assert pool_widths == [3]
+    assert len(converted) < 49 / 2
 
 
 def test_walk_starts_no_pool_where_none_belongs(monkeypatch, pool_widths):
