@@ -36,7 +36,7 @@ from .experiments import (
     sample_points,
     sampler_name,
 )
-from .estimators import SampleBatch, quantile_estimate, shortfall_estimate
+from .estimators import SampleBatch, check_level, quantile_estimate, shortfall_estimate
 from .lowdisc import NetParams, PointSet, is_net
 from .models import SanModel, load_model
 
@@ -154,6 +154,7 @@ def _cmd_verify_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate(args: argparse.Namespace) -> int:
+    check_level(args.level)
     model = _load_model_arg(args.config)
     batch = SampleBatch(sample_losses(model, sampler_name(args.sampler), args.count, seed=args.seed))
     v = quantile_estimate(batch, args.level)

@@ -8,9 +8,9 @@ values, or from a large pseudorandom run (``mc_truth``).
 
 Reproducibility contract: a given ``ExperimentConfig`` yields a
 byte-identical ``ResultTable`` regardless of thread count.  MC replications
-draw from a counter-based generator keyed by (master_seed, stream tag, N,
-replication); randomized QMC replication r uses a scramble seed derived
-from (master_seed, r).
+draw from a PCG64 stream keyed by the ``SeedSequence`` (master_seed, stream
+tag, N, replication); randomized QMC replication r uses a scramble seed
+derived from (master_seed, r).
 """
 
 from __future__ import annotations
@@ -53,9 +53,8 @@ _MC_STREAM_TAG = 0x6D63
 _TRUTH_STREAM_TAG = 0x74727574
 
 # rows per truth block, the unit of work of the truth pool.  Block b jumps
-# its own Philox stream to draw b * _TRUTH_BLOCK * dim, and Philox.advance
-# moves in counter steps of 4 draws, so block starts must be multiples of 4
-# draws, which a power of two >= 4 guarantees.
+# its own PCG64 stream to draw b * _TRUTH_BLOCK * dim with ``advance``,
+# which counts draws, so any block size works.
 _TRUTH_BLOCK = 1 << 19
 # rows per drawn and evaluated tile of a truth block or an MC replication
 # (``sample_losses``): a (2^13, 15) float64 tile is about 1 MiB, the size
@@ -227,13 +226,13 @@ def sample_points(
 ) -> np.ndarray:
     """Generate an (n, dim) batch in [0,1) for the named sampler.
 
-    "mc" draws from a counter-based pseudorandom stream keyed by
-    (seed, N, replication); the QMC samplers take the first n points of
-    the digital sequence, randomized per the sampler name tile by tile.
+    "mc" draws from a PCG64 stream keyed by (seed, N, replication); the
+    QMC samplers take the first n points of the digital sequence,
+    randomized per the sampler name tile by tile.
     """
     seed = _check_draw(sampler, n, dim, seed)
     if sampler == "mc":
-        gen = np.random.Generator(np.random.Philox(mc_stream_seed(seed, n, replication)))
+        gen = np.random.Generator(np.random.PCG64(mc_stream_seed(seed, n, replication)))
         return gen.random((n, dim))
     return walk(n, dim, _qmc_step(sampler, dim, seed, replication, n))
 
@@ -252,7 +251,7 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
 
     The model's rows are independent, so each tile is evaluated as it is
     made: the QMC samplers' walk tiles and, for "mc", (2^13, dim) tiles of
-    the same Philox stream, drawn as the truth pass draws its blocks.  The
+    the same PCG64 stream, drawn as the truth pass draws its blocks.  The
     draw holds the n losses and tile-sized blocks only.
     """
     seed = _check_draw(sampler, n, model.dim, seed)
@@ -284,15 +283,15 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
 
 def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int) -> np.ndarray:
     """The losses of rows start..start + m - 1 of the stream
-    ``Generator(Philox(seq)).random((rows, model.dim))``.
+    ``Generator(PCG64(seq)).random((rows, model.dim))``.
 
-    One Philox counter step yields 4 uint64s and ``random`` takes one per
-    double, so advancing a fresh generator by start * dim / 4 steps starts
-    it at row ``start``, which start * dim, a multiple of 4, allows.  The
-    rows are drawn and evaluated in tiles of ``_TRUTH_TILE``.
+    ``random`` takes one draw per double and ``PCG64.advance`` counts
+    draws, so advancing a fresh generator by start * dim starts it at row
+    ``start``.  The rows are drawn and evaluated in tiles of
+    ``_TRUTH_TILE``.
     """
-    bitgen = np.random.Philox(seq)
-    bitgen.advance(start * model.dim // 4)
+    bitgen = np.random.PCG64(seq)
+    bitgen.advance(start * model.dim)
     gen = np.random.Generator(bitgen)
     tile = np.empty((min(_TRUTH_TILE, m), model.dim))
     losses = np.empty(m)
@@ -324,8 +323,8 @@ def mc_truth(
 ) -> TruthResult:
     """Large-sample pseudorandom reference values for (v, c).
 
-    One streaming pass over a counter-based stream.  Its first block, of m
-    rows, is the pilot: a grid of ``_TRUTH_BINS`` bins spans the pilot's
+    One streaming pass over a PCG64 stream.  Its first block, of m rows,
+    is the pilot: a grid of ``_TRUTH_BINS`` bins spans the pilot's
     range (5% margin each side), and the pilot's order statistics at ranks
     k0 +- ``_BRACKET_SIGMAS`` * sqrt(m p (1 - p)), with k0 = ceil(p m),
     widened to the edges of their bins, bracket the p-quantile.  The pass
@@ -340,7 +339,7 @@ def mc_truth(
 
     The pass runs on a pool of one thread per usable CPU, at most one per
     block.  Each task draws one block of ``_TRUTH_BLOCK`` rows from its own
-    Philox generator, jumped to the block's start with ``advance``, and
+    PCG64 generator, jumped to the block's start with ``advance``, and
     reduces it against the bracket: the count below it, the two pivoted
     sums, the values inside it and the block's extremes.  The main thread
     adds these up strictly in block order, with at most one block per

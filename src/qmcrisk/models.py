@@ -144,16 +144,16 @@ class SanModel:
 
         Rows are evaluated in tiles of ``_SAN_TILE_ROWS``: each tile is
         copied dimension-major into one (15, rows) block, where the clamp,
-        log, negation and division by the rates run in place, and the ten
-        paths are folded into the network's recursion (``_longest_path``).
-        Every row is computed on its own, so the result does not depend on
-        the batch size or the tiling.
+        log and division by the negated rates run in place (x / (-r) is
+        bitwise -(x / r)), and the ten paths are folded into the network's
+        recursion (``_longest_path``).  Every row is computed on its own, so
+        the result does not depend on the batch size or the tiling.
         """
         block, single = _as_point_block(u, self.dim)
         n = block.shape[0]
         rows = max(1, min(n, _SAN_TILE_ROWS))
         lo, hi = self.clamp_epsilon, 1.0 - self.clamp_epsilon
-        rates = np.asarray(self.rates)[:, np.newaxis]
+        neg_rates = -np.asarray(self.rates)[:, np.newaxis]
         y = np.empty((EDGE_COUNT, rows))
         a = np.empty(rows)
         t = np.empty(rows)
@@ -163,8 +163,7 @@ class SanModel:
             ym = y[:, :m]
             np.clip(block[start : start + m].T, lo, hi, out=ym)
             np.log(ym, out=ym)
-            np.negative(ym, out=ym)
-            ym /= rates
+            np.divide(ym, neg_rates, out=ym)
             _longest_path(ym, out[start : start + m], a[:m], t[:m])
         return float(out[0]) if single else out
 

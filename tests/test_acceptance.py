@@ -46,7 +46,7 @@ def _verdict(num: int, ok: bool, detail: str) -> None:
 @pytest.fixture(scope="module")
 def san_truth():
     # shared by criteria 4 and 5; the slowest fixture of the suite, about
-    # 12 s on a 2-core host
+    # 9 s on a 2-core host
     return mc_truth(SanModel(), 0.1, TRUTH_N, seed=TRUTH_SEED)
 
 

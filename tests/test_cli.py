@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import qmcrisk.cli as cli
 from qmcrisk.cli import main
 from qmcrisk.estimators import SampleBatch, quantile_estimate, shortfall_estimate
 from qmcrisk.experiments import CSV_HEADER, sample_points
@@ -197,10 +198,17 @@ def test_seeds_outside_64_bits_exit_1(capsys):
     assert code == 0 and "quantile" in out
 
 
-def test_estimate_rejects_bad_level(capsys):
+def test_estimate_rejects_bad_level(capsys, monkeypatch):
     code, _, err = _run(capsys, "estimate", "-n", "256", "-p", "2.0")
     assert code == 1
     assert "risk level" in err
+    # the level is checked before anything is drawn
+    calls = []
+    monkeypatch.setattr(cli, "sample_losses", lambda *args, **kwargs: calls.append(args))
+    code, _, err = _run(capsys, "estimate", "-n", "2^21", "--sampler", "mc", "-p", "1.5")
+    assert code == 1
+    assert "risk level" in err
+    assert calls == []
 
 
 # ---------------------------------------------------------------- truth

@@ -115,6 +115,15 @@ def test_mc_stream_seed_entropy():
     assert list(ss.entropy) == [9, 0x6D63, 1024, 7]
 
 
+def test_mc_stream_canary():
+    # numpy's PCG64 stream itself: if an upgrade changes it, this fails by
+    # name before every mc and truth golden hash does
+    want = [0.18835515375664047, 0.2873490725265614, 0.7833445415668789, 0.5925225791487951]
+    gen = np.random.Generator(np.random.PCG64(mc_stream_seed(0, 1024, 0)))
+    assert gen.random(4).tolist() == want
+    assert sample_points("mc", 1024, 1)[:4, 0].tolist() == want
+
+
 def test_qmc_sampler_is_the_plain_sequence():
     got = sample_points("qmc-sobol", 64, 3)
     assert np.array_equal(got, sobol_points(64, 3).points)
@@ -201,12 +210,14 @@ def test_mc_truth_is_block_size_invariant(monkeypatch):
     m = ExpModel()
     monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 19)
     a = mc_truth(m, 0.1, 10**6, seed=3)
-    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 16)
-    b = mc_truth(m, 0.1, 10**6, seed=3)
-    # the stream is counter-based, so the order statistic is identical;
-    # the shortfall sums reassociate across block boundaries
-    assert a.v == b.v
-    assert a.c == pytest.approx(b.c, rel=1e-12)
+    # blocks may start at any row, not only at powers of two
+    for block in (1 << 16, 3 * (1 << 15) + 7):
+        monkeypatch.setattr(experiments, "_TRUTH_BLOCK", block)
+        b = mc_truth(m, 0.1, 10**6, seed=3)
+        # every blocking reads one stream, so the order statistic is
+        # identical; the shortfall sums reassociate across block boundaries
+        assert a.v == b.v, block
+        assert a.c == pytest.approx(b.c, rel=1e-12), block
 
 
 def test_mc_truth_rejects_small_runs():
@@ -252,7 +263,7 @@ class _RecordingModel:
 @pytest.mark.parametrize("p", [0.1, 0.02])
 def test_mc_truth_is_exact_on_a_stream_held_in_memory(model, p):
     n, seed = 10**6, 5
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
     values = model.evaluate(gen.random((n, model.dim)))
     k = order_index(p, n)
     v = np.partition(values, k - 1)[k - 1]
@@ -265,13 +276,32 @@ def test_mc_truth_is_exact_on_a_stream_held_in_memory(model, p):
     assert counting.rows == n
 
 
-@pytest.mark.parametrize("seed", [3, 4], ids=["quantile-above", "quantile-below"])
-def test_mc_truth_reruns_when_the_bracket_misses(monkeypatch, seed):
+def _zero_width_bracket_side(model, p: float, n: int, seed: int, v: float) -> str:
+    """Where v, the stream's p-quantile, falls against the one-bin bracket
+    that ``mc_truth`` builds from its pilot when ``_BRACKET_SIGMAS`` is 0:
+    "above", "below" or "inside"."""
+    seq = np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])
+    pilot = experiments._truth_losses(model, seq, 0, min(experiments._TRUTH_BLOCK, n))
+    pmin, pmax = float(pilot.min()), float(pilot.max())
+    lo = pmin - 0.05 * (pmax - pmin)
+    hi = pmax + 0.05 * (pmax - pmin)
+    inv_h = experiments._TRUTH_BINS / (hi - lo)
+    k0 = order_index(p, pilot.size)
+    bracket = math.floor((np.partition(pilot, k0 - 1)[k0 - 1] - lo) * inv_h)
+    hit = math.floor((v - lo) * inv_h)
+    return "above" if hit > bracket else "below" if hit < bracket else "inside"
+
+
+# the smallest seeds >= 0 whose stream's quantile misses the zero-width
+# bracket above it and below it
+@pytest.mark.parametrize("seed, side", [(0, "above"), (1, "below")], ids=["quantile-above", "quantile-below"])
+def test_mc_truth_reruns_when_the_bracket_misses(monkeypatch, seed, side):
     m = ExpModel()
     base = mc_truth(m, 0.1, 10**6, seed=seed)
-    # a zero-width bracket holds only the bins of the pilot's own quantile,
-    # which misses the stream's quantile for these seeds (above it for
-    # seed 3, below it for seed 4); the rerun extends it over that side
+    # a zero-width bracket holds only the bin of the pilot's own quantile,
+    # which misses the stream's quantile for this seed on ``side``; the
+    # rerun extends it over that side
+    assert _zero_width_bracket_side(m, 0.1, 10**6, seed, base.v) == side
     monkeypatch.setattr(experiments, "_BRACKET_SIGMAS", 0.0)
     counting = _CountingModel(m)
     rerun = mc_truth(counting, 0.1, 10**6, seed=seed)
@@ -295,21 +325,30 @@ def test_mc_truth_emits_progress(monkeypatch):
     assert messages == ["truth pass: block 32/62"]
 
 
-@pytest.mark.parametrize("model", [ExpModel(), SanModel()], ids=["exp", "san"])
-def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model):
+@pytest.mark.parametrize(
+    "model, block, tile",
+    [
+        pytest.param(ExpModel(), 1 << 12, 1 << 9, id="exp"),
+        pytest.param(SanModel(), 1 << 12, 1 << 9, id="san"),
+        # blocks of 1001 rows start at draws that are not multiples of 4
+        pytest.param(ExpModel(), 1001, 300, id="exp-any-row"),
+        pytest.param(SanModel(), 1001, 300, id="san-any-row"),
+    ],
+)
+def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model, block, tile):
     # every block jumps a fresh generator to its first draw; together the
     # blocks and their tiles must read one stream front to back
-    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 12)
-    monkeypatch.setattr(experiments, "_TRUTH_TILE", 1 << 9)
-    n, seed = 3 * (1 << 12) + 1000, 7  # a ragged last block, with a ragged last tile
-    gen = np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
+    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", block)
+    monkeypatch.setattr(experiments, "_TRUTH_TILE", tile)
+    n, seed = 3 * block + 1000, 7  # a ragged last block, with a ragged last tile
+    gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
     stream = gen.random((n, model.dim))
     seq = np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])
-    for b, start in enumerate(range(0, n, 1 << 12)):
+    for b, start in enumerate(range(0, n, block)):
         recording = _RecordingModel(model)
-        losses = experiments._truth_losses(recording, seq, start, min(1 << 12, n - start))
-        want = stream[start : start + (1 << 12)]
-        assert max(len(u) for u in recording.tiles) <= 1 << 9
+        losses = experiments._truth_losses(recording, seq, start, min(block, n - start))
+        want = stream[start : start + block]
+        assert max(len(u) for u in recording.tiles) <= tile
         assert np.array_equal(np.concatenate(recording.tiles), want), f"block {b}"
         assert np.array_equal(losses, model.evaluate(want)), f"block {b}"
 
@@ -463,7 +502,7 @@ def test_sampled_losses_are_the_model_of_the_points(monkeypatch, fine_switching,
 def test_sampled_losses_never_hold_the_points():
     # the 2^16 x 15 points of one study replication are 7.5 MiB; the
     # losses, four tiles of scratch and the model's tile read 0.53x that
-    # for owen, and the losses and Philox tiles 0.34x for mc
+    # for owen, and the losses and PCG64 tiles 0.34x for mc
     model = SanModel()
     n = 1 << 16
     for sampler in ("rqmc-owen", "mc"):

@@ -70,14 +70,14 @@ def test_converge_csv_golden(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(STUDY)
     out = _stdout(capsys, "converge", "--config", str(cfg))
-    assert _sha(out.encode()) == "151304f65ee8c95254f24ec7f5a95a386c0426ac2d9d7cf76449b3a7b53af0d0"
+    assert _sha(out.encode()) == "c71a509461b7a1d403e491db25b12676de952687164b2775bcca15980b153121"
 
 
 @pytest.mark.parametrize(
     "model, digest",
     [
-        ("san-15", "0942b8c1e798e900383f2bfdd8f3277b975764ec6c347e17481f58a440da9bef"),
-        ("exp", "f68d57735662770bf076c40d285958066e19644237578af6b68dc0437fb05a94"),
+        ("san-15", "14ad931880e2ad072c6a5a8a3b82fb5649d66027cb64f300a1f94c68950ab5c3"),
+        ("exp", "c4d5c17bde4e4cec96af6c32eb52477e50a754ed321e3529e54bd888ea7d5c28"),
     ],
 )
 def test_truth_stdout_golden(capsys, tmp_path, model, digest):
@@ -91,7 +91,7 @@ def test_truth_stdout_golden(capsys, tmp_path, model, digest):
     "sampler, digest",
     [
         ("owen", "8dc6f56ad5a98d720fb3867771f785ecfa2b39ffe9e996f4e28342afb1bd8bfe"),
-        ("mc", "99e9305cff30c73510111fe6bba2c800702070240a704aece9b5c790aa2cedec"),
+        ("mc", "4be3b92419d58ac5655f7a7a0444f273d57015c2bab3c61ab5a5a3b9eb234878"),
     ],
 )
 def test_estimate_stdout_golden(capsys, sampler, digest):
