@@ -11,17 +11,18 @@ byte-identical ``ResultTable`` regardless of thread count.  MC replications
 draw from a PCG64 stream keyed by the ``SeedSequence`` (master_seed, stream
 tag, N, replication); randomized QMC replication r uses a scramble seed
 derived from (master_seed, r).
+
+Threads come from ``lowdisc.in_order`` alone: one call runs a study's
+replications on ``min(threads, R)`` workers, one per truth pass its blocks
+on a thread per usable CPU; a walk inside a study's task runs inline.
 """
 
 from __future__ import annotations
 
 import contextlib
-import itertools
 import math
-from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass
-from typing import Callable, Deque, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from dataclasses import astuple, dataclass
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from . import randomize
 from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
-from .lowdisc import _usable_cpus, walk
+from .lowdisc import _usable_cpus, check_count, in_order, walk
 from .models import Model, model_from_section, parse_sections
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
@@ -172,22 +173,7 @@ class ResultTable:
         is 0.
         """
         lines = [CSV_HEADER]
-        for row in self.rows:
-            lines.append(
-                "%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g"
-                % (
-                    row.sampler,
-                    row.n,
-                    row.r,
-                    row.q_mean,
-                    row.q_bias,
-                    row.q_mse,
-                    row.es_mean,
-                    row.es_bias,
-                    row.es_mse,
-                    row.mse_stderr,
-                )
-            )
+        lines += ["%s,%d,%d,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g,%.9g" % astuple(row) for row in self.rows]
         return "\n".join(lines) + "\n"
 
 
@@ -207,8 +193,7 @@ def sampler_name(token: str) -> str:
 def _check_draw(sampler: str, n: int, dim: int, seed: int) -> int:
     """The seed of a valid draw; ConfigError for a bad count, dimension,
     seed or sampler."""
-    if n < 1:
-        raise ConfigError(f"count: must be >= 1, got {n}")
+    check_count(n)
     if dim < 1:
         raise ConfigError(f"dim: must be >= 1, got {dim}")
     seed = check_seed(seed)
@@ -302,18 +287,6 @@ def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int)
     return losses
 
 
-def _in_order(pool: ThreadPoolExecutor, fn: Callable, items: Iterable, ahead: int) -> Iterator:
-    """fn of each item, run on ``pool`` and yielded in the items' order,
-    with at most ``ahead`` items submitted and not yet yielded."""
-    pending: Deque[Future] = deque()
-    for item in items:
-        pending.append(pool.submit(fn, item))
-        if len(pending) == ahead:
-            yield pending.popleft().result()
-    while pending:
-        yield pending.popleft().result()
-
-
 def mc_truth(
     model: Model,
     p: float,
@@ -337,14 +310,15 @@ def mc_truth(
     more than ``_MAX_BRACKET`` values raises WorkLimitError.  The density
     behind ``v_stderr`` is the count of values in v's grid bin.
 
-    The pass runs on a pool of one thread per usable CPU, at most one per
-    block.  Each task draws one block of ``_TRUTH_BLOCK`` rows from its own
-    PCG64 generator, jumped to the block's start with ``advance``, and
-    reduces it against the bracket: the count below it, the two pivoted
-    sums, the values inside it and the block's extremes.  The main thread
-    adds these up strictly in block order, with at most one block per
-    thread plus one in flight, so the result, the WorkLimitError check and
-    the progress events do not depend on the number of threads.  The block
+    Each pass runs its blocks through ``in_order``, one thread per usable
+    CPU and at most one per block.  A task draws one block of
+    ``_TRUTH_BLOCK`` rows from its own PCG64 generator, jumped to the
+    block's start with ``advance``, and reduces it against the bracket: the
+    count below it, the two pivoted sums, the values inside it and the
+    block's extremes.  The calling thread adds these up strictly in block
+    order, so the result, the WorkLimitError check and the progress events
+    do not depend on the number of threads; it closes the iterator before
+    the pass returns or raises, so no pool thread outlives it.  The block
     size only sets the granularity: the stream is identical for any
     blocking, so v is exactly reproducible and c varies only by summation
     roundoff.
@@ -390,16 +364,13 @@ def mc_truth(
         kept = x[(t >= b_lo) & (t < b_hi)]
         return d.size, float(d.sum()), float((d * d).sum()), kept, float(x.min()), float(x.max())
 
-    def one_pass(pool: ThreadPoolExecutor, b_lo: int, b_hi: int, head=None):
+    def one_pass(b_lo: int, b_hi: int, head=None):
         """The pass over every block; ``head``, if given, is block 0's
         ``block_stats``."""
 
         def draw_block_stats(b: int):
-            return block_stats(block_losses(b), b_lo, b_hi)
+            return head if b == 0 and head is not None else block_stats(block_losses(b), b_lo, b_hi)
 
-        blocks = _in_order(pool, draw_block_stats, range(0 if head is None else 1, n_blocks), workers + 1)
-        if head is not None:
-            blocks = itertools.chain([head], blocks)
         below = 0
         s1 = 0.0
         s2 = 0.0
@@ -407,35 +378,35 @@ def mc_truth(
         pieces: List[np.ndarray] = []
         gmin = math.inf
         gmax = -math.inf
-        for i, (n_below, d_s1, d_s2, piece, xmin, xmax) in enumerate(blocks):
-            below += n_below
-            s1 += d_s1
-            s2 += d_s2
-            pieces.append(piece)
-            n_kept += piece.size
-            if n_kept > _MAX_BRACKET:
-                raise WorkLimitError(f"quantile bracket holds more values than the budget of {_MAX_BRACKET}")
-            gmin = min(gmin, xmin)
-            gmax = max(gmax, xmax)
-            if progress is not None and (i + 1) % 32 == 0:
-                progress(f"truth pass: block {i + 1}/{n_blocks}")
+        blocks = in_order(draw_block_stats, range(n_blocks), workers)
+        with contextlib.closing(blocks):
+            for i, (n_below, d_s1, d_s2, piece, xmin, xmax) in enumerate(blocks):
+                below += n_below
+                s1 += d_s1
+                s2 += d_s2
+                pieces.append(piece)
+                n_kept += piece.size
+                if n_kept > _MAX_BRACKET:
+                    raise WorkLimitError(f"quantile bracket holds more values than the budget of {_MAX_BRACKET}")
+                gmin = min(gmin, xmin)
+                gmax = max(gmax, xmax)
+                if progress is not None and (i + 1) % 32 == 0:
+                    progress(f"truth pass: block {i + 1}/{n_blocks}")
         return below, s1, s2, np.concatenate(pieces), gmin, gmax
 
     head = block_stats(pilot, b_lo, b_hi)
     del pilot
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        below, s1, s2, kept, gmin, gmax = one_pass(pool, b_lo, b_hi, head)
+    below, s1, s2, kept, gmin, gmax = one_pass(b_lo, b_hi, head)
+    j = k - below
+    if not 1 <= j <= kept.size:
+        # the quantile lies outside the bracket: replay the stream with the
+        # bracket extended to the extreme value on that side, which holds it
+        if j < 1:
+            b_lo = grid_bin(gmin)
+        else:
+            b_hi = grid_bin(gmax) + 1
+        below, s1, s2, kept, _, _ = one_pass(b_lo, b_hi)
         j = k - below
-        if not 1 <= j <= kept.size:
-            # the quantile lies outside the bracket: replay the stream with
-            # the bracket extended to the extreme value on that side, which
-            # holds it
-            if j < 1:
-                b_lo = grid_bin(gmin)
-            else:
-                b_hi = grid_bin(gmax) + 1
-            below, s1, s2, kept, _, _ = one_pass(pool, b_lo, b_hi)
-            j = k - below
     v = float(np.partition(kept, j - 1)[j - 1])
 
     # re-center the pivoted shortfall sums at v
@@ -467,8 +438,9 @@ def run_convergence(
     per replication and reuse prefixes of the losses for the smaller
     sizes; randomization and evaluation are pointwise, so each prefix is
     bit-identical to scrambling and evaluating that size directly with the
-    same seed.  ``threads`` (None for serial) must be >= 1; the pool never
-    holds more threads than replications.
+    same seed.  ``threads`` (None for serial) must be >= 1.  All samplers'
+    replications, in config order, run through one ``in_order`` call of
+    ``min(threads, R)`` workers; a sampler's rows follow its last one.
     """
     if threads is not None and threads < 1:
         raise ConfigError(f"threads: must be >= 1, got {threads}")
@@ -482,36 +454,36 @@ def run_convergence(
     rows: List[ResultRow] = []
 
     reps_of = {s: 1 if s == "qmc-sobol" else cfg.replications for s in cfg.samplers}
-    workers = min(threads or 1, max(reps_of.values()))
-    # one pool for every sampler: with a pool per sampler, the second
-    # pool's threads could start before the first pool's had exited, and
-    # glibc then gave one of them a new malloc arena, whose freed blocks
-    # stayed resident (a fourth arena and 10 MiB more peak RSS in 2 of 14
-    # processes of 20 studies each at 2^16 x 15)
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        for sampler in cfg.samplers:
+    jobs = [(sampler, r) for sampler in cfg.samplers for r in range(reps_of[sampler])]
+    # per sampler, the quantile and the shortfall estimates by replication and N
+    est = {s: np.empty((2, reps_of[s], len(grid))) for s in cfg.samplers}
+
+    def run_rep(job: Tuple[str, int]) -> None:
+        sampler, r = job
+
+        def draw(n: int) -> np.ndarray:
+            return sample_losses(model, sampler, n, cfg.master_seed, r)
+
+        losses = None if sampler == "mc" else draw(n_max)
+        for j, n in enumerate(grid):
+            batch = SampleBatch(draw(n) if losses is None else losses[:n])
+            est[sampler][:, r, j] = quantile_estimate(batch, cfg.p), shortfall_estimate(batch, cfg.p)
+
+    # one stream, so one pool: with a pool per sampler, the second pool's
+    # threads could start before the first's had exited, and glibc then gave
+    # one of them a new malloc arena, whose freed blocks stayed resident (a
+    # fourth arena and 10 MiB more peak RSS in 2 of 14 processes of 20
+    # studies each at 2^16 x 15)
+    done = in_order(run_rep, jobs, min(threads or 1, max(reps_of.values())))
+    with contextlib.closing(done):
+        for (sampler, r), _ in zip(jobs, done):
             reps = reps_of[sampler]
-            est_q = np.empty((reps, len(grid)))
-            est_c = np.empty((reps, len(grid)))
-
-            def run_rep(r: int, sampler: str = sampler, est_q=est_q, est_c=est_c) -> None:
-                def draw(n: int) -> np.ndarray:
-                    return sample_losses(model, sampler, n, cfg.master_seed, r)
-
-                losses = None if sampler == "mc" else draw(n_max)
-                for j, n in enumerate(grid):
-                    batch = SampleBatch(draw(n) if losses is None else losses[:n])
-                    est_q[r, j] = quantile_estimate(batch, cfg.p)
-                    est_c[r, j] = shortfall_estimate(batch, cfg.p)
-
-            if pool is not None and reps > 1:
-                list(pool.map(run_rep, range(reps)))
-            else:
-                for r in range(reps):
-                    run_rep(r)
+            if r < reps - 1:
+                continue
             if progress is not None:
                 progress(f"{sampler}: {reps} replication(s) done")
 
+            est_q, est_c = est[sampler]
             for j, n in enumerate(grid):
                 q = est_q[:, j]
                 c = est_c[:, j]

@@ -10,9 +10,12 @@ prefix property: the first n points of a longer run are byte-identical to
 a run of n points.  ``walk`` is the one place where the 52-bit integers
 become floats, one tile at a time, so it never holds a second N x d array;
 given a sink, which takes each float tile in turn, it holds none.
-Called from the main thread on a large enough draw, it spreads its tiles
-over a pool of one thread per usable CPU; each tile depends on its own
-indices or input rows alone, so the output is the same for any CPU count.
+``in_order`` is the package's one thread pool, for the walk, the truth
+pass and the study alike.  Called from the main thread on a large enough
+draw, ``walk`` spreads its tiles over one thread per usable CPU; from any
+other thread, such as an ``in_order`` task's, it runs inline.  Each tile
+depends on its own indices or input rows alone, so the output is the same
+for any CPU count.
 """
 
 from __future__ import annotations
@@ -20,11 +23,12 @@ from __future__ import annotations
 import math
 import os
 import threading
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -39,8 +43,8 @@ _BUNDLED_TABLE = "joe-kuo-64.txt"
 
 # Coordinates per tile of ``walk``, at most.  Every numpy call thus covers
 # about 2^16 coordinates (512 KiB).  That size is a constant, not a
-# setting, chosen for the two pools that run tiles concurrently, the
-# study's replication pool and the walk's own: smaller calls hand the GIL
+# setting, chosen for the two ``in_order`` uses that run tiles concurrently,
+# the study's replications and the walk's workers: smaller calls hand the GIL
 # back so often that the threads stop overlapping, and larger tiles leave
 # the cache.  On a 2-core host with numpy 2.4.6, two threads ran eight
 # 2^16 x 15 Owen scrambles in 0.94 s at 2^16 coordinates per tile, against
@@ -173,6 +177,35 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
+    """fn of each item in the items' order: inline for one worker, else on
+    a pool of ``workers`` threads made for this call, with at most
+    ``workers + 1`` items submitted and not yet yielded.  The pool is shut
+    down, queued items cancelled and threads joined, before the iterator
+    ends, raises or is closed; a consumer that may raise should close it."""
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    pool = ThreadPoolExecutor(workers)
+    try:
+        pending = deque()
+        for item in items:
+            pending.append(pool.submit(fn, item))
+            if len(pending) > workers:
+                yield pending.popleft().result()
+        while pending:
+            yield pending.popleft().result()
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def check_count(n: int) -> None:
+    """ConfigError unless 1 <= n <= 2^52, the generator's range; the message
+    leaves n out, since a larger n may be too long to print."""
+    if not 1 <= n <= 1 << DEFAULT_BIT_DEPTH:
+        raise ConfigError(f"count: must lie in 1..2^{DEFAULT_BIT_DEPTH}, the generator's range")
+
+
 def walk(
     n: int,
     dim: int,
@@ -196,18 +229,17 @@ def walk(
     None.  ``u`` is a view of the worker's scratch, valid until the call
     returns; ``sink`` must be safe to call from several threads at once.
 
-    Called from the main thread, the walk runs on a pool of one thread per
-    usable CPU, with at least ``_TILES_PER_WORKER`` tiles per thread.
-    Worker w takes tiles w, w + workers, ... with its own x, z and t and
-    writes their disjoint rows of the output; a worker that raises stops
-    the others before their next tile.  Called from any other thread,
-    whose pool already owns the CPUs, it runs inline.
+    Called from the main thread, the walk runs its workers through
+    ``in_order``, one per usable CPU with at least ``_TILES_PER_WORKER``
+    tiles each.  Worker w takes tiles w, w + workers, ... with its own x, z
+    and t and writes their disjoint rows of the output; a worker that
+    raises stops the others before their next tile.  Called from any other
+    thread, such as an ``in_order`` task, it runs inline.
     """
     nb = DEFAULT_BIT_DEPTH
     if points is None:
         v = _directions(dim)
-        if not 1 <= n <= 1 << nb:
-            raise ConfigError(f"point count {n} outside the generator's range 1..2^{nb}")
+        check_count(n)
     rows = min(1 << max(0, (_TILE_COORDS // dim).bit_length() - 1), 1 << (n - 1).bit_length())
     starts = range(0, n, rows)
     workers = 1
@@ -251,11 +283,7 @@ def walk(
             failed.set()
             raise
 
-    if workers == 1:
-        fill(0)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(workers)))
+    list(in_order(fill, range(workers), workers))
     return out
 
 

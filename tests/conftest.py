@@ -19,7 +19,8 @@ def fine_switching():
 
 @pytest.fixture
 def pool_widths(monkeypatch):
-    """The worker count of every pool the walk starts."""
+    """The worker count of every pool ``lowdisc.in_order`` starts: the
+    package's only pool site."""
     widths = []
 
     class RecordingPool(lowdisc.ThreadPoolExecutor):

@@ -95,6 +95,16 @@ def test_bad_counts_report_the_count_syntax(capsys, argv):
     assert "--count: expected an integer, 2^k or 1e8-style literal" in err
 
 
+@pytest.mark.parametrize("command", ["points -d 2", "estimate"])
+@pytest.mark.parametrize("count, sampler", [("2^53", "owen"), ("2^9999999", "owen"), ("2^60", "mc"), ("2^53", "sobol")])
+def test_counts_past_the_generator_range_exit_1(capsys, command, count, sampler):
+    # no draw of more than 2^52 points could be held; the range check runs
+    # before any array is made, so these fail at once
+    code, out, err = _run(capsys, *command.split(), "-n", count, "--sampler", sampler)
+    assert code == 1 and out == ""
+    assert err == "error: count: must lie in 1..2^52, the generator's range\n"
+
+
 # ---------------------------------------------------------------- verify-net
 
 
@@ -246,6 +256,27 @@ def test_converge_writes_csv_and_diagnostics(capsys, tmp_path):
     assert "truth (closed-form)" in err
 
 
+def test_converge_progress_does_not_depend_on_threads(capsys, tmp_path):
+    # one line per sampler in config order, each after that sampler's last
+    # replication, whether the replications run inline or on a pool
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(SMALL_STUDY.replace("mc, owen", "owen, sobol, mc"))
+    errs = []
+    for threads in ([], ["--threads", "1"], ["--threads", "3"]):
+        code, _, err = _run(capsys, "converge", "--config", str(cfg), *threads)
+        assert code == 0
+        errs.append(err)
+    lines = errs[0].splitlines()
+    assert lines[0].startswith("truth (closed-form): v=")
+    assert lines[1:4] == [
+        "rqmc-owen: 5 replication(s) done",
+        "qmc-sobol: 1 replication(s) done",
+        "mc: 5 replication(s) done",
+    ]
+    assert "replication" not in "".join(lines[4:])
+    assert errs[1] == errs[0] and errs[2] == errs[0]
+
+
 def test_converge_out_file_and_seed_override(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(SMALL_STUDY)
@@ -321,12 +352,18 @@ def test_unknown_subcommand_and_flags_exit_1(capsys):
 
 
 def test_console_entry_point_runs():
+    import qmcrisk
+
     exe = shutil.which("qmcrisk")
     cmd = [exe] if exe else [sys.executable, "-m", "qmcrisk.cli"]
+    # the package the tests import, also when only pytest's pythonpath finds it
+    src = os.path.dirname(os.path.dirname(qmcrisk.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     proc = subprocess.run(
         cmd + ["points", "--sampler", "sobol", "-d", "1", "-n", "2"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=60,
     )
     assert proc.returncode == 0

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from qmcrisk.bits import child_seed
-from qmcrisk.errors import ConfigError, WorkLimitError
+from qmcrisk.errors import ConfigError, PrecisionError, WorkLimitError
 from qmcrisk.estimators import SampleBatch, order_index, quantile_estimate, shortfall_estimate
 from qmcrisk.experiments import (
     CSV_HEADER,
@@ -27,7 +27,7 @@ from qmcrisk.experiments import (
     sample_losses,
     sample_points,
 )
-from qmcrisk.lowdisc import sobol_points
+from qmcrisk.lowdisc import PointSet, sobol_points
 from qmcrisk.models import ExpModel, SanModel
 from qmcrisk.randomize import digital_shift, owen_scramble
 
@@ -429,21 +429,13 @@ def test_run_convergence_is_deterministic_across_threads():
     assert csv_a == csv_b == csv_c
 
 
-def test_run_convergence_validates_and_caps_threads(monkeypatch):
+def test_run_convergence_validates_and_caps_threads(pool_widths):
     for threads in (0, -3):
         with pytest.raises(ConfigError, match="threads"):
             run_convergence(_small_cfg(replications=2), threads=threads)
-    widths = []
-
-    class RecordingPool(experiments.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            widths.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(experiments, "ThreadPoolExecutor", RecordingPool)
     serial = run_convergence(_small_cfg(replications=2)).to_csv()
     assert run_convergence(_small_cfg(replications=2), threads=3).to_csv() == serial
-    assert widths == [2]  # one pool for both samplers, no wider than R
+    assert pool_widths == [2]  # one pool for both samplers, no wider than R
 
 
 def test_run_convergence_seed_sensitivity():
@@ -573,6 +565,41 @@ def test_owen_quantile_mse_decreases_across_grid():
     rows = run_convergence(cfg).rows
     mses = [row.q_mse for row in rows]
     assert all(b < a for a, b in zip(mses, mses[1:]))
+
+
+class _FailingModel(_ConstModel):
+    def evaluate(self, u):
+        raise RuntimeError("model failure")
+
+
+def test_no_pool_thread_outlives_a_failed_call(monkeypatch, pool_widths):
+    # each count is taken while the error is handled, when its traceback
+    # still holds the failed call's frames: the pool must be gone by then,
+    # not only once those frames are freed
+    def live_threads_on(error, call):
+        try:
+            call()
+        except error:
+            return threading.active_count()
+        pytest.fail(f"no {error.__name__}")
+
+    before = threading.active_count()
+    # the truth pass's own loop raises, with blocks still on the pool
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(experiments, "_MAX_BRACKET", 1 << 12)
+    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 16)
+    assert live_threads_on(WorkLimitError, lambda: mc_truth(ExpModel(), 0.1, 10**6, seed=1)) == before
+    # a walk worker raises: 4 tiles of 4096 rows on 3 workers
+    pts = sobol_points(1 << 14, 15).points.copy()
+    pts[-1, 7] = 1.0 / 3.0
+    ps = PointSet(pts)
+    monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
+    assert live_threads_on(PrecisionError, lambda: owen_scramble(ps, 1)) == before
+    # a study's replication raises on its first evaluation
+    cfg = _small_cfg(model=_FailingModel(), truth=TruthSpec("explicit", v=7.0, c=7.0))
+    assert live_threads_on(RuntimeError, lambda: run_convergence(cfg, threads=2)) == before
+    assert pool_widths == [2, 3, 2]
 
 
 # ---------------------------------------------------------------- rate fitting
