@@ -38,7 +38,6 @@ from .models import (
 from .experiments import (
     CSV_HEADER,
     DEFAULT_GRID,
-    FULL_GRID,
     SAMPLERS,
     ExperimentConfig,
     RateFit,
@@ -88,7 +87,6 @@ __all__ = [
     "load_model",
     "CSV_HEADER",
     "DEFAULT_GRID",
-    "FULL_GRID",
     "SAMPLERS",
     "ExperimentConfig",
     "RateFit",

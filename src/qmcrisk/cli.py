@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 from .experiments import (
-    DEFAULT_GRID,
-    FULL_GRID,
     SAMPLER_TABLE,
     ExperimentConfig,
     TruthSpec,
@@ -118,7 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
     cp.add_argument("--config", default=None, help="experiment config file (default: built-in san-15 study)")
     cp.add_argument("--out", default=None, help="CSV output file (default: stdout)")
     cp.add_argument("--seed", type=int, default=None, help="override the config master seed")
-    cp.add_argument("--full-grid", action="store_true", help="extend the N grid to 2^20")
     cp.add_argument("--threads", type=int, default=None, help="worker threads for replications")
     return parser
 
@@ -190,15 +188,8 @@ def _cmd_converge(args: argparse.Namespace) -> int:
         cfg = ExperimentConfig(model=SanModel(), truth=TruthSpec("mc"))
     else:
         cfg = load_experiment(_read_text(args.config, "--config"))
-    changes = {}
-    if args.full_grid:
-        changes["n_grid"] = FULL_GRID
     if args.seed is not None:
-        changes["master_seed"] = args.seed
-    if changes:
-        from dataclasses import replace
-
-        cfg = replace(cfg, **changes)
+        cfg = replace(cfg, master_seed=args.seed)
     table = run_convergence(cfg, threads=args.threads, progress=lambda m: print(m, file=sys.stderr))
     _emit(table.to_csv(), args.out)
     # diagnostics: convergence orders; qmc-sobol rows hold squared error of

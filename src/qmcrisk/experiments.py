@@ -30,7 +30,7 @@ from . import randomize
 from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
-from .lowdisc import _usable_cpus, check_count, in_order, walk
+from .lowdisc import DEFAULT_BIT_DEPTH, _usable_cpus, check_count, in_order, walk
 from .models import Model, model_from_section, parse_sections
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
@@ -45,7 +45,6 @@ SAMPLER_TABLE: Dict[str, Tuple[str, Optional[str]]] = {
 SAMPLERS = tuple(SAMPLER_TABLE)
 
 DEFAULT_GRID: Tuple[int, ...] = tuple(2 ** i for i in range(8, 17))
-FULL_GRID: Tuple[int, ...] = tuple(2 ** i for i in range(8, 21))
 
 CSV_HEADER = "sampler,N,R,q_mean,q_bias,q_mse,es_mean,es_bias,es_mse,mse_stderr"
 
@@ -134,6 +133,8 @@ class ExperimentConfig:
         for n in grid:
             if n < 1 or n & (n - 1):
                 raise ConfigError(f"n_grid: sample sizes must be powers of 2, got {n}")
+            if n > 1 << DEFAULT_BIT_DEPTH:
+                raise ConfigError(f"n_grid: sample sizes must lie in 1..2^{DEFAULT_BIT_DEPTH}, the generator's range")
         if list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid: sample sizes must be strictly ascending")
         object.__setattr__(self, "n_grid", grid)
@@ -304,11 +305,13 @@ def mc_truth(
     counts the values below the bracket, accumulates their shortfall sums
     pivoted at its lower edge and keeps the values inside it; v is then
     the exact k-th order statistic, selected among the kept values.
-    Exactly ``n_truth`` rows are drawn and evaluated.  If the quantile
-    falls outside the bracket, the stream is replayed once with the
-    bracket extended to the extreme value on that side.  A bracket holding
-    more than ``_MAX_BRACKET`` values raises WorkLimitError.  The density
-    behind ``v_stderr`` is the count of values in v's grid bin.
+    Exactly ``n_truth`` rows are drawn and evaluated; ``n_truth`` must lie
+    in 10^6..2^52, whose upper end bounds every count in the package.  If
+    the quantile falls outside the bracket, the stream is replayed once
+    with the bracket extended to the extreme value on that side.  A
+    bracket holding more than ``_MAX_BRACKET`` values raises
+    WorkLimitError.  The density behind ``v_stderr`` is the count of values
+    in v's grid bin.
 
     Each pass runs its blocks through ``in_order``, one thread per usable
     CPU and at most one per block.  A task draws one block of
@@ -328,6 +331,7 @@ def mc_truth(
     n_truth = int(n_truth)
     if n_truth < 10 ** 6:
         raise ConfigError(f"truth_n: need at least 1e6 samples for a stable bracket, got {n_truth}")
+    check_count(n_truth)
     k = order_index(p, n_truth)
     n_blocks = (n_truth + _TRUTH_BLOCK - 1) // _TRUTH_BLOCK
     workers = min(_usable_cpus(), n_blocks)
@@ -602,7 +606,7 @@ def _parse_grid_tokens(raw: str) -> Tuple[int, ...]:
         if ".." in token:
             first, last = token.split("..", 1)
             a, b = parse_count(first, "n_grid"), parse_count(last, "n_grid")
-            if a < 1 or a & (a - 1) or b < a:
+            if a < 1 or a & (a - 1) or b < a or b > 1 << DEFAULT_BIT_DEPTH:
                 raise ConfigError(f"n_grid: bad range {token!r}")
             grid.extend(1 << k for k in range(a.bit_length() - 1, b.bit_length()))
         else:

@@ -352,16 +352,6 @@ def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
             yield (first,) + rest
 
 
-def _cell_indices(coords: np.ndarray, k: int, b: int, ints: Optional[np.ndarray]) -> np.ndarray:
-    if k == 0:
-        return np.zeros(len(coords), dtype=np.int64)
-    if ints is not None:
-        # exact for dyadic points in base 2
-        return (ints >> np.uint64(DEFAULT_BIT_DEPTH - k)).astype(np.int64)
-    cells = np.floor(coords * float(b) ** k).astype(np.int64)
-    return np.minimum(cells, b**k - 1)
-
-
 def is_net(ps: PointSet, params: NetParams) -> NetCheckResult:
     """Exhaustively verify the (t,m,d)-net property in base b.
 
@@ -369,6 +359,13 @@ def is_net(ps: PointSet, params: NetParams) -> NetCheckResult:
     in every cell of the induced partition; passes iff every cell holds
     exactly b^t points.  On failure the result carries one offending
     interval and its count.
+
+    A coordinate x falls in cell floor(x * b^k) of a part with k digits.
+    In base 2, x * 2^k and its floor are exact for every double in [0, 1).
+    In any base the cell stays below b^k: x is at most 1 - 2^-53, and for
+    an integer N below 2^53 that is not a power of two (b^k <= b^m is at
+    most WORK_LIMIT), N - N * 2^-53 lies more than half an ulp below N, so
+    the product rounds below N.
     """
     t, m, d, b = params.t, params.m, params.d, params.b
     if ps.dim != d:
@@ -384,37 +381,29 @@ def is_net(ps: PointSet, params: NetParams) -> NetCheckResult:
             f"(limit {WORK_LIMIT:.0e})"
         )
 
-    ints = None
-    if b == 2:
-        try:
-            ints = ps.as_integers()
-        except PrecisionError:
-            ints = None  # non-dyadic input: fall back to float binning
     n_cells = b ** (m - t)
     expected = b**t
+    cols = np.ascontiguousarray(ps.points.T)  # unit-stride reads per part
+    part = np.empty(ps.n)
     for shape in _compositions(m - t, d):
         cell = np.zeros(ps.n, dtype=np.int64)
         for j, k in enumerate(shape):
-            col_ints = ints[:, j] if ints is not None else None
-            cell = cell * (b**k) + _cell_indices(ps.points[:, j], k, b, col_ints)
+            if k == 0:
+                continue
+            np.multiply(cols[j], float(b**k), out=part)
+            np.floor(part, out=part)
+            cell *= b**k
+            cell += part.astype(np.int64)
         counts = np.bincount(cell, minlength=n_cells)
         bad = np.nonzero(counts != expected)[0]
         if bad.size:
             flat = int(bad[0])
-            # decode mixed-radix flat index back to per-dimension cells
-            cells = []
-            rem = flat
-            for k in reversed(shape):
-                rem, tj = divmod(rem, b**k)
-                cells.append(tj)
-            cells.reverse()
-            lower = tuple(tj / b**k for tj, k in zip(cells, shape))
-            upper = tuple((tj + 1) / b**k for tj, k in zip(cells, shape))
+            cells = tuple(int(tj) for tj in np.unravel_index(flat, [b**k for k in shape]))
             witness = IntervalWitness(
                 shape=shape,
-                cell=tuple(cells),
-                lower=lower,
-                upper=upper,
+                cell=cells,
+                lower=tuple(tj / b**k for tj, k in zip(cells, shape)),
+                upper=tuple((tj + 1) / b**k for tj, k in zip(cells, shape)),
                 count=int(counts[flat]),
                 expected=expected,
             )

@@ -10,9 +10,9 @@ Two models are provided:
 * ``ExpModel``: a one-dimensional exponential loss X = -(1/lambda) * ln(u)
   with closed-form quantile and expected shortfall, used for calibration.
 
-Coordinates are clamped to [eps, 1 - eps] before the log so that every
-point of the unit cube, including the origin emitted by unrandomized
-digital sequences, maps to a finite loss.
+Coordinates are clamped to [eps, 1 - eps], eps = ``CLAMP_EPSILON``,
+before the log so that every point of the unit cube, including the origin
+emitted by unrandomized digital sequences, maps to a finite loss.
 """
 
 from __future__ import annotations
@@ -53,13 +53,6 @@ DEFAULT_SAN_PATHS: Tuple[Tuple[int, ...], ...] = (
 DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
 ArrayLike = Union[float, np.ndarray]
-
-
-def _check_epsilon(eps: float) -> float:
-    eps = float(eps)
-    if not 0.0 < eps < 0.5:
-        raise ConfigError(f"clamp_epsilon must lie in (0, 0.5), got {eps}")
-    return eps
 
 
 def _as_point_block(u: ArrayLike, dim: int) -> Tuple[np.ndarray, bool]:
@@ -124,7 +117,6 @@ class SanModel:
     """Fixed-topology stochastic activity network with exponential edges."""
 
     rates: Tuple[float, ...] = DEFAULT_SAN_RATES
-    clamp_epsilon: float = CLAMP_EPSILON
 
     def __post_init__(self) -> None:
         rates = tuple(float(r) for r in self.rates)
@@ -133,7 +125,6 @@ class SanModel:
         if any(not r > 0.0 for r in rates):
             raise ConfigError("rates: every edge rate must be positive")
         object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "clamp_epsilon", _check_epsilon(self.clamp_epsilon))
 
     @property
     def dim(self) -> int:
@@ -152,7 +143,7 @@ class SanModel:
         block, single = _as_point_block(u, self.dim)
         n = block.shape[0]
         rows = max(1, min(n, _SAN_TILE_ROWS))
-        lo, hi = self.clamp_epsilon, 1.0 - self.clamp_epsilon
+        lo, hi = CLAMP_EPSILON, 1.0 - CLAMP_EPSILON
         neg_rates = -np.asarray(self.rates)[:, np.newaxis]
         y = np.empty((EDGE_COUNT, rows))
         a = np.empty(rows)
@@ -182,14 +173,12 @@ class ExpModel:
     """One-dimensional exponential loss X = -(1/rate) * ln(u)."""
 
     rate: float = 1.0
-    clamp_epsilon: float = CLAMP_EPSILON
 
     def __post_init__(self) -> None:
         rate = float(self.rate)
         if not rate > 0.0:
             raise ConfigError(f"lambda: rate must be positive, got {rate}")
         object.__setattr__(self, "rate", rate)
-        object.__setattr__(self, "clamp_epsilon", _check_epsilon(self.clamp_epsilon))
 
     @property
     def dim(self) -> int:
@@ -197,7 +186,7 @@ class ExpModel:
 
     def evaluate(self, u: ArrayLike) -> ArrayLike:
         block, single = _as_point_block(u, self.dim)
-        uc = np.clip(block[:, 0], self.clamp_epsilon, 1.0 - self.clamp_epsilon)
+        uc = np.clip(block[:, 0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON)
         out = -np.log(uc) / self.rate
         return float(out[0]) if single else out
 
@@ -217,8 +206,8 @@ Model = Union[SanModel, ExpModel]
 
 
 _MODEL_KEYS = {
-    "san-15": {"kind", "rates", "clamp_epsilon"},
-    "exp": {"kind", "lambda", "clamp_epsilon"},
+    "san-15": {"kind", "rates"},
+    "exp": {"kind", "lambda"},
 }
 
 
@@ -256,25 +245,18 @@ def model_from_section(section: "configparser.SectionProxy") -> Model:
         if key not in _MODEL_KEYS[kind]:
             raise ConfigError(f"{key}: unknown key for model kind {kind!r}")
 
-    eps = CLAMP_EPSILON
-    if "clamp_epsilon" in section:
-        eps = _parse_float(section, "clamp_epsilon")
-
     if kind == "exp":
         rate = _parse_float(section, "lambda") if "lambda" in section else 1.0
-        return ExpModel(rate=rate, clamp_epsilon=eps)
+        return ExpModel(rate=rate)
 
     rates: Tuple[float, ...] = DEFAULT_SAN_RATES
     if "rates" in section:
         tokens = [t for t in re.split(r"[,\s]+", section["rates"].strip()) if t]
         try:
-            parsed = tuple(float(t) for t in tokens)
+            rates = tuple(float(t) for t in tokens)
         except ValueError:
             raise ConfigError("rates: expected a list of numbers") from None
-        if len(parsed) != EDGE_COUNT:
-            raise ConfigError(f"rates: expected {EDGE_COUNT} values, got {len(parsed)}")
-        rates = parsed
-    return SanModel(rates=rates, clamp_epsilon=eps)
+    return SanModel(rates=rates)
 
 
 def load_model(text: str) -> Model:

@@ -44,7 +44,7 @@ _SHIFT_TAG = 0x73666874  # "sfht"
 # Digits deeper than this take one hash of the 20-digit prefix, a digital
 # shift per prefix cell.  The scramble stays nested-uniform while the
 # prefixes of a coordinate are distinct (Owen 2003), which holds for the
-# first 2^20 Sobol' points and so covers FULL_GRID.  sample_points
+# first 2^20 Sobol' points and so for any grid up to N = 2^20.  sample_points
 # ("rqmc-owen", 2^19, 15) took 0.42 s with 20 keyed digits and a tail
 # against 0.87 s with all 52 keyed digits (best of 5, 2-core host).
 _OWEN_DEPTH = 20

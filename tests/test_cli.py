@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import qmcrisk.cli as cli
+import qmcrisk.experiments as experiments
 from qmcrisk.cli import main
 from qmcrisk.estimators import SampleBatch, quantile_estimate, shortfall_estimate
 from qmcrisk.experiments import CSV_HEADER, sample_points
@@ -241,6 +242,17 @@ def test_truth_rejects_undersized_runs(capsys):
     assert "truth_n" in err
 
 
+def test_truth_rejects_counts_past_the_generator_range(capsys, monkeypatch):
+    # 2^53 used to start a pass of 2^34 blocks, 2^9999999 to exit 2
+    def no_draws(*args):
+        raise AssertionError("the truth pass started")
+
+    monkeypatch.setattr(experiments, "_truth_losses", no_draws)
+    for count in ("2^53", "2^9999999"):
+        code, out, err = _run(capsys, "truth", "-n", count)
+        assert code == 1 and "count" in err and out == ""
+
+
 # ---------------------------------------------------------------- converge
 
 
@@ -305,6 +317,16 @@ def test_converge_rejects_bad_thread_counts(capsys, tmp_path):
     for threads in ("0", "-3"):
         code, out, err = _run(capsys, "converge", "--config", str(cfg), "--threads", threads)
         assert code == 1 and "threads" in err
+        assert out == "" and "truth" not in err  # rejected before the study starts
+
+
+def test_converge_rejects_grid_sizes_past_the_generator_range(capsys, tmp_path):
+    # used to fail only when a replication drew, after the truth pass
+    cfg = tmp_path / "study.cfg"
+    for grid in ("2^8 2^53", "2^8..2^53"):
+        cfg.write_text(f"[experiment]\nn_grid = {grid}\ntruth = mc\ntruth_n = 1e6\n[model]\nkind = exp\n")
+        code, out, err = _run(capsys, "converge", "--config", str(cfg))
+        assert code == 1 and "n_grid" in err
         assert out == "" and "truth" not in err  # rejected before the study starts
 
 

@@ -79,6 +79,8 @@ def test_experiment_config_validation():
         ExperimentConfig(model=m, n_grid=(512, 256))
     with pytest.raises(ConfigError):
         ExperimentConfig(model=m, n_grid=())
+    with pytest.raises(ConfigError, match="n_grid"):
+        ExperimentConfig(model=m, n_grid=(256, 2**53))
     with pytest.raises(ConfigError):
         ExperimentConfig(model=m, replications=0)
     for seed in (2**64, -1):

@@ -1,4 +1,6 @@
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from qmcrisk.lowdisc import (
     DEFAULT_BIT_DEPTH,
     NetParams,
     PointSet,
+    _compositions,
     _directions,
     find_t,
     is_net,
@@ -16,6 +19,7 @@ from qmcrisk.lowdisc import (
     star_discrepancy_1d,
     van_der_corput_points,
 )
+from qmcrisk.randomize import owen_scramble
 
 # ---------------------------------------------------------------- radical inverse
 
@@ -252,11 +256,69 @@ def test_is_net_enforces_work_limit():
 
 
 def test_is_net_handles_non_dyadic_floats():
-    # thirds are not dyadic; the checker falls back to float binning
+    # thirds are not dyadic; the same cell rule bins them
     ps = PointSet.from_array([0.0, 1.0 / 3.0, 0.5, 5.0 / 6.0])
     res = is_net(ps, NetParams(t=0, m=2, d=1))
     assert res.ok  # one point per quarter: [0, 1/3), [1/3, 1/2), ...
     assert bool(res) is True
+
+
+def _reference_net_check(points, t, m, b):
+    """(ok, witness fields) by a pure-Python count: each point goes to cell
+    floor(x * b^k) per part, the shapes are walked in ``_compositions``
+    order and their cells in lexicographic order."""
+    d = len(points[0])
+    for shape in _compositions(m - t, d):
+        counts = Counter(tuple(math.floor(x * b**k) for x, k in zip(row, shape)) for row in points)
+        assert all(c < b**k for cell in counts for c, k in zip(cell, shape))
+        for cell in itertools.product(*(range(b**k) for k in shape)):
+            if counts[cell] != b**t:
+                lower = tuple(c / b**k for c, k in zip(cell, shape))
+                upper = tuple((c + 1) / b**k for c, k in zip(cell, shape))
+                return False, (shape, cell, lower, upper, counts[cell], b**t)
+    return True, None
+
+
+def _net_check_cases():
+    rng = np.random.default_rng(13)
+    for d in (1, 2, 3):
+        for m in range(1, 7):
+            sobol = sobol_points(2**m, d).points
+            moved = sobol.copy()
+            moved[rng.integers(2**m), rng.integers(d)] = rng.integers(2**10) / 2**10
+            sets = {
+                "sobol": sobol,
+                "owen": owen_scramble(sobol_points(2**m, d), int(rng.integers(2**32))).points,
+                "moved": moved,
+                "dyadic": rng.integers(0, 2**m, size=(2**m, d)) / 2**m,
+                "floats": rng.random((2**m, d)),
+            }
+            for name, pts in sets.items():
+                yield name, pts, m, 2
+        for m in (1, 2, 3):
+            floats = rng.random((3**m, d))
+            yield "base-3 floats", floats, m, 3
+            # the largest double below 1 stays in the last cell
+            floats = floats.copy()
+            floats[rng.integers(3**m, size=3)] = np.nextafter(1.0, 0.0)
+            yield "base-3 floats at the top", floats, m, 3
+
+
+def test_is_net_matches_a_brute_force_count():
+    verdicts = Counter()
+    for name, pts, m, b in _net_check_cases():
+        ps = PointSet.from_array(pts)
+        for t in range(m + 1):
+            res = is_net(ps, NetParams(t=t, m=m, d=ps.dim, b=b))
+            ok, want = _reference_net_check(pts.tolist(), t, m, b)
+            label = f"{name} d={ps.dim} m={m} t={t}"
+            assert res.ok == ok, label
+            if not ok:
+                w = res.witness
+                assert (w.shape, w.cell, w.lower, w.upper, w.count, w.expected) == want, label
+            verdicts[ok] += 1
+    # both verdicts occur, so the witnesses were compared too
+    assert verdicts[True] > 50 and verdicts[False] > 50
 
 
 def test_find_t_known_values():

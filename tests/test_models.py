@@ -25,7 +25,7 @@ def test_default_network_shape():
     san = SanModel()
     assert san.dim == EDGE_COUNT == 15
     assert san.rates == (0.5,) * 8 + (1.0,) * 7
-    assert san.clamp_epsilon == CLAMP_EPSILON == 2.0**-53
+    assert CLAMP_EPSILON == 2.0**-53
 
 
 def test_network_validation():
@@ -40,7 +40,8 @@ def test_network_validation():
         SanModel(paths=((1, 2), ()))
     with pytest.raises(TypeError):
         SanModel(paths=((1, 16),))
-    with pytest.raises(ConfigError):
+    # the clamp is the constant CLAMP_EPSILON
+    with pytest.raises(TypeError):
         SanModel(clamp_epsilon=0.5)
 
 
@@ -49,7 +50,7 @@ def test_exp_model_validation():
         ExpModel(rate=0.0)
     with pytest.raises(ConfigError):
         ExpModel(rate=-2.0)
-    with pytest.raises(ConfigError):
+    with pytest.raises(TypeError):
         ExpModel(clamp_epsilon=0.0)
 
 
@@ -215,8 +216,9 @@ def test_load_model_custom_rates():
 
 
 def test_load_model_clamp_override():
-    m = load_model("kind = exp\nclamp_epsilon = 1e-12\n")
-    assert m.clamp_epsilon == 1e-12
+    for kind in ("exp", "san-15"):
+        with pytest.raises(ConfigError, match="clamp_epsilon: unknown key"):
+            load_model(f"kind = {kind}\nclamp_epsilon = 1e-12\n")
 
 
 def test_load_model_errors_name_the_key():
@@ -248,8 +250,7 @@ def test_load_model_rejects_malformed_documents():
 
 def _per_path_reference(model, u):
     """Completion times by one gather, sum and max per listed path."""
-    eps = model.clamp_epsilon
-    durations = -np.log(np.clip(u, eps, 1.0 - eps)) / np.asarray(model.rates)
+    durations = -np.log(np.clip(u, CLAMP_EPSILON, 1.0 - CLAMP_EPSILON)) / np.asarray(model.rates)
     cols = [np.asarray(path, dtype=np.intp) - 1 for path in DEFAULT_SAN_PATHS]
     out = durations[:, cols[0]].sum(axis=1)
     for c in cols[1:]:
