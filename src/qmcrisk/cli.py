@@ -40,6 +40,10 @@ from .lowdisc import NetParams, PointSet, is_net
 from .models import SanModel, load_model
 
 _SAMPLER_CHOICES = sorted(short for short, _ in SAMPLER_TABLE.values())
+_SAMPLER_HELP = (
+    "sampler (default owen); owen is nested uniform for the first 2^20 points "
+    "and a digital shift per 20-digit prefix cell beyond that"
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("points", help="generate a point batch as CSV", parents=[])
     pp.add_argument("-d", "--dim", type=int, required=True, help="dimension of the points")
     pp.add_argument("-n", "--count", type=_parse_count, required=True, help="number of points")
-    pp.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen")
+    pp.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen", help=_SAMPLER_HELP)
     pp.add_argument("--seed", type=int, default=0, help="seed for randomized samplers and mc")
     pp.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--config", default=None, help="model config file (default: built-in san-15)")
     ep.add_argument("-n", "--count", type=_parse_count, required=True, help="sample size")
     ep.add_argument("-p", "--level", type=float, default=0.1, help="risk level (default 0.1)")
-    ep.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen")
+    ep.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen", help=_SAMPLER_HELP)
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--out", default=None)
 

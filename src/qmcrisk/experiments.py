@@ -584,12 +584,17 @@ _EXPERIMENT_KEYS = {
 
 
 def parse_count(raw: str, name: str) -> int:
-    """A sample count: a plain integer, 2^k, or a float literal like 1e8
-    with an integer value; ``name`` (the flag or key) heads the error."""
+    """A sample count: a plain integer, 2^k (k >= 0), or a float literal
+    like 1e8 with an integer value; ``name`` (the flag or key) heads the
+    error.  2^k for k > 63 reads as 2^63, past every range a count may
+    take, so no k-bit integer is ever built."""
     token = raw.strip()
     try:
         if token.startswith("2^"):
-            return 2 ** int(token[2:])
+            k = int(token[2:])
+            if k < 0:
+                raise ValueError
+            return 1 << min(k, 63)
         if any(ch in token for ch in ".eE"):
             value = float(token)
             if value != int(value):

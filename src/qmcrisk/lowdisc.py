@@ -100,6 +100,12 @@ def _directions(dim: int) -> np.ndarray:
     return v
 
 
+def frozen(a: np.ndarray) -> np.ndarray:
+    """a, made read-only: a fresh array a PointSet may keep without a copy."""
+    a.setflags(write=False)
+    return a
+
+
 def grid_integers(coords: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Coordinates times 2^52, cast into the uint64 ``out``.
 
@@ -118,7 +124,9 @@ def grid_integers(coords: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PointSet:
-    """An ordered batch of N points in [0,1)^d."""
+    """An ordered batch of N points in [0,1)^d, read-only.  It copies any
+    array but a ``frozen`` one (read-only, C-contiguous, owning its data),
+    so a caller's array stays writable and its writes do not reach the set."""
 
     points: np.ndarray  # (N, d) float64
 
@@ -129,8 +137,8 @@ class PointSet:
         # written so that NaN coordinates fail the check too
         if np.any(pts < 0.0) or not np.all(pts < 1.0):
             raise ConfigError("all coordinates must lie in [0, 1)")
-        pts = np.ascontiguousarray(pts)
-        pts.setflags(write=False)
+        if pts.flags.writeable or not (pts.flags.owndata and pts.flags.c_contiguous):
+            pts = frozen(np.array(pts, order="C"))
         object.__setattr__(self, "points", pts)
 
     @property
@@ -294,7 +302,7 @@ def sobol_points(n: int, dim: int) -> PointSet:
     i.  Dimension 1 is the van der Corput sequence (radical inverse base
     2); point 0 is the origin.  Coordinates are exact multiples of 2^-52.
     """
-    return PointSet(points=walk(n, dim))
+    return PointSet(points=frozen(walk(n, dim)))
 
 
 def van_der_corput_points(n: int) -> PointSet:

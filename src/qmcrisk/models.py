@@ -52,29 +52,12 @@ DEFAULT_SAN_PATHS: Tuple[Tuple[int, ...], ...] = (
 # mean duration 2 on edges 1..8, mean 1 on edges 9..15
 DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
-ArrayLike = Union[float, np.ndarray]
-
-
-def _as_point_block(u: ArrayLike, dim: int) -> Tuple[np.ndarray, bool]:
-    """Normalize input to an (n, dim) block; flag whether to return a scalar."""
-    arr = np.asarray(u, dtype=np.float64)
-    if arr.ndim == 0:
-        arr = arr.reshape(1, 1)
-        single = True
-    elif arr.ndim == 1:
-        if dim == 1:
-            single = arr.size == 1
-            arr = arr.reshape(-1, 1)
-        else:
-            single = True
-            arr = arr.reshape(1, -1)
-    elif arr.ndim == 2:
-        single = False
-    else:
-        raise ConfigError(f"expected a point or an (n, {dim}) block, got ndim={arr.ndim}")
-    if arr.shape[1] != dim:
-        raise ConfigError(f"model expects dimension {dim}, got {arr.shape[1]}")
-    return arr, single
+def _point_block(u: np.ndarray, dim: int) -> np.ndarray:
+    """u as float64; ConfigError unless it is an (n, dim) block, n >= 0."""
+    block = np.asarray(u, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] != dim:
+        raise ConfigError(f"model expects an (n, {dim}) block of points, got shape {block.shape}")
+    return block
 
 
 # rows per SanModel.evaluate tile: the (15, rows) float64 block is about
@@ -130,8 +113,9 @@ class SanModel:
     def dim(self) -> int:
         return EDGE_COUNT
 
-    def evaluate(self, u: ArrayLike) -> ArrayLike:
-        """Completion time: max over paths of summed edge durations.
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Completion times of the rows of an (n, 15) block: max over paths
+        of summed edge durations.
 
         Rows are evaluated in tiles of ``_SAN_TILE_ROWS``: each tile is
         copied dimension-major into one (15, rows) block, where the clamp,
@@ -140,7 +124,7 @@ class SanModel:
         recursion (``_longest_path``).  Every row is computed on its own, so
         the result does not depend on the batch size or the tiling.
         """
-        block, single = _as_point_block(u, self.dim)
+        block = _point_block(u, self.dim)
         n = block.shape[0]
         rows = max(1, min(n, _SAN_TILE_ROWS))
         lo, hi = CLAMP_EPSILON, 1.0 - CLAMP_EPSILON
@@ -156,7 +140,7 @@ class SanModel:
             np.log(ym, out=ym)
             np.divide(ym, neg_rates, out=ym)
             _longest_path(ym, out[start : start + m], a[:m], t[:m])
-        return float(out[0]) if single else out
+        return out
 
     def true_quantile(self, p: float) -> Optional[float]:
         """No closed form for the completion-time distribution."""
@@ -184,11 +168,11 @@ class ExpModel:
     def dim(self) -> int:
         return 1
 
-    def evaluate(self, u: ArrayLike) -> ArrayLike:
-        block, single = _as_point_block(u, self.dim)
+    def evaluate(self, u: np.ndarray) -> np.ndarray:
+        """Losses of the rows of an (n, 1) block."""
+        block = _point_block(u, self.dim)
         uc = np.clip(block[:, 0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON)
-        out = -np.log(uc) / self.rate
-        return float(out[0]) if single else out
+        return -np.log(uc) / self.rate
 
     def true_quantile(self, p: float) -> float:
         """v solving P(X <= v) = p; here X is Exp(rate) in distribution."""

@@ -36,7 +36,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import MIX1, MIX2, check_seed, hash64
-from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, walk
+from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, frozen, walk
 
 _OWEN_TAG = 0x6F77656E  # "owen"
 _SHIFT_TAG = 0x73666874  # "sfht"
@@ -48,10 +48,11 @@ _SHIFT_TAG = 0x73666874  # "sfht"
 # ("rqmc-owen", 2^19, 15) took 0.42 s with 20 keyed digits and a tail
 # against 0.87 s with all 52 keyed digits (best of 5, 2-core host).
 _OWEN_DEPTH = 20
-# Digits 1..12 flip by one lookup in a per-step (dim, 2^12) table, 32 KiB
-# per dimension.  With tables of 2^8, 2^10, 2^12 and 2^14 entries the same
-# call took 0.29, 0.25, 0.19 and 0.19 s; the 2^14 table took 14 ms to
-# build at d = 15 against 2 ms for 2^12.
+# Digits 1..top flip by one lookup in a per-step (dim, 2^top) table, top =
+# min(12, ceil(log2 n)) for a draw of n points: at most 32 KiB and fewer
+# than 2n entries per dimension.  For a draw of 2^19 x 15, tables of 2^8,
+# 2^10, 2^12 and 2^14 entries took 0.29, 0.25, 0.19 and 0.19 s; the 2^14
+# table took 14 ms to build at d = 15 against 2 ms for 2^12.
 _OWEN_TABLE_DIGITS = 12
 
 
@@ -99,37 +100,35 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     digital shift of its own in each prefix cell.
 
     A tile takes three passes.  The tail reads the prefix before any of its
-    digits flips; digits 13..20 take their keyed flips, deepest first; and
-    digits 1..12 take one lookup in a table holding, for each dimension and
-    each 12-digit prefix, the flips the keyed loop gives.  The factory
-    builds that table only for a draw of 2^12 points or more, where it
-    costs less than running digits 1..12 through the loop; a shorter draw
-    runs them through the loop.  Table and loop give the same bits.
+    digits flips; digits top+1..20 take their keyed flips, deepest first;
+    and digits 1..top take one lookup in a table holding, for each
+    dimension and each top-digit prefix, the flips the keyed loop gives.
+    The factory sizes the table to the draw, top = min(12, ceil(log2 n))
+    digits (at least one), so a short draw builds no more entries than its
+    points can reach, and table and loop give the same bits.
 
     The step is pure: it reads only state fixed by the factory, so several
     threads may run it at once, as the walk's pool does.
     """
     seed = check_seed(seed)
-    nb, depth, top = DEFAULT_BIT_DEPTH, _OWEN_DEPTH, _OWEN_TABLE_DIGITS
+    nb, depth = DEFAULT_BIT_DEPTH, _OWEN_DEPTH
     dim_keys = [hash64(seed, _OWEN_TAG, j + 1) for j in range(dim)]
     # keys[k - 1] is the (d, 1) column of per-dimension keys for digit k;
     # digit index 0 is free for the tail
     keys = np.array([[[hash64(key, k)] for key in dim_keys] for k in range(1, depth + 1)], dtype=np.uint64)
     tail_keys = np.array([[hash64(key, 0)] for key in dim_keys], dtype=np.uint64)
+    top = min(_OWEN_TABLE_DIGITS, max(1, (n - 1).bit_length()))
     offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
-    table = None
-    if n >= 1 << top:
-        # table[j << top | i]: flips of digits 1..top for top digits i in
-        # dimension j, built in one pass.  On the study's two threads one
-        # pass ran about 10% faster than passes of 2^10 entries, whose
-        # smaller scratch (240 KiB against 960 KiB at d = 15) saved 0.3 MiB
-        # of peak RSS
-        words = np.arange(1 << top, dtype=np.uint64) << np.uint64(nb - top)
-        table = np.tile(words, (dim, 1))
-        z, t = np.empty((2, dim, 1 << top), dtype=np.uint64)
-        _flip_digits(table, z, t, keys, 1, top)
-        table ^= words
-        table = table.reshape(-1)
+    # table[j << top | i]: flips of digits 1..top for top digits i in
+    # dimension j, built in one pass.  On the study's two threads one pass
+    # ran about 10% faster than passes of 2^10 entries, whose smaller
+    # scratch (240 KiB against 960 KiB at d = 15) saved 0.3 MiB of peak RSS
+    words = np.arange(1 << top, dtype=np.uint64) << np.uint64(nb - top)
+    table = np.tile(words, (dim, 1))
+    z, t = np.empty((2, dim, 1 << top), dtype=np.uint64)
+    _flip_digits(table, z, t, keys, 1, top)
+    table ^= words
+    table = table.reshape(-1)
 
     def scramble(x: np.ndarray, z: np.ndarray, t: np.ndarray) -> None:
         # digits 21..52: the top 32 bits of the full mix64 of the keyed
@@ -141,11 +140,8 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
         z ^= t
         z >>= np.uint64(64 - (nb - depth))
         x ^= z
-        if table is None:
-            _flip_digits(x, z, t, keys, 1, depth)
-            return
         _flip_digits(x, z, t, keys, top + 1, depth)
-        # digits 1..12: the table entry at j << 12 | the top 12 digits.  The
+        # digits 1..top: the table entry at j << top | the top digits.  The
         # index is always in range; "clip" spares the tile-sized copy of
         # ``out`` that take's default "raise" mode makes, one per worker
         np.right_shift(x, np.uint64(nb - top), out=z)
@@ -170,10 +166,10 @@ def shift_step(dim: int, seed: int, n: int) -> Callable[..., None]:
 
 def owen_scramble(ps: PointSet, seed: int) -> PointSet:
     """Nested uniform scramble of a base-2 point set (see ``owen_step``)."""
-    return PointSet(points=walk(ps.n, ps.dim, owen_step(ps.dim, seed, ps.n), ps.points))
+    return PointSet(points=frozen(walk(ps.n, ps.dim, owen_step(ps.dim, seed, ps.n), ps.points)))
 
 
 def digital_shift(ps: PointSet, seed: int) -> PointSet:
     """XOR every coordinate's 52-bit expansion with one random word per
     dimension.  Applying the same seed twice restores the input."""
-    return PointSet(points=walk(ps.n, ps.dim, shift_step(ps.dim, seed, ps.n), ps.points))
+    return PointSet(points=frozen(walk(ps.n, ps.dim, shift_step(ps.dim, seed, ps.n), ps.points)))

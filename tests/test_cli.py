@@ -88,7 +88,9 @@ def test_points_rejects_bad_arguments(capsys):
     assert code == 1
 
 
-@pytest.mark.parametrize("argv", [("points", "-d", "2", "-n", "1000000.7"), ("estimate", "-n", "2^x")])
+@pytest.mark.parametrize(
+    "argv", [("points", "-d", "2", "-n", "1000000.7"), ("estimate", "-n", "2^x"), ("points", "-d", "2", "-n", "2^-1")]
+)
 def test_bad_counts_report_the_count_syntax(capsys, argv):
     # the parser's own message, not argparse's "invalid _parse_count value"
     code, out, err = _run(capsys, *argv)
@@ -104,6 +106,19 @@ def test_counts_past_the_generator_range_exit_1(capsys, command, count, sampler)
     code, out, err = _run(capsys, *command.split(), "-n", count, "--sampler", sampler)
     assert code == 1 and out == ""
     assert err == "error: count: must lie in 1..2^52, the generator's range\n"
+
+
+def test_a_power_count_never_builds_its_integer():
+    # 2^k used to build the whole k-bit integer before any range check: a
+    # 12.5 MB one here, and about 1.25 GB for 2^10000000000
+    tracemalloc.start()
+    try:
+        count = experiments.parse_count("2^100000000", "--count")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert count.bit_length() <= 64
 
 
 # ---------------------------------------------------------------- verify-net

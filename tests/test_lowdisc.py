@@ -71,6 +71,20 @@ def test_point_set_is_immutable():
         ps.points[0, 0] = 0.25
 
 
+@pytest.mark.parametrize("make", [PointSet, PointSet.from_array], ids=["init", "from_array"])
+def test_point_set_leaves_the_callers_array_writable_and_apart(make):
+    a = np.array([[0.0, 0.5], [0.25, 0.75]])
+    ps = make(a)
+    a[0, 1] = 0.125  # used to raise: the set froze the caller's own array
+    assert ps.points[0, 1] == 0.5
+    assert not ps.points.flags.writeable
+
+
+def test_point_set_keeps_a_frozen_output_without_a_copy():
+    ps = sobol_points(16, 2)
+    assert PointSet(ps.points).points is ps.points
+
+
 def test_point_set_shape_accessors():
     ps = PointSet.from_array([[0.0, 0.5], [0.25, 0.75]])
     assert ps.n == 2

@@ -61,15 +61,16 @@ def test_san_at_equal_edge_times():
     # u_j = e^-1 makes every edge duration 1/rate: 2 on edges 1..8, 1 on
     # 9..15; the longest of the ten paths then sums to 6
     san = SanModel()
-    u = np.full(15, math.exp(-1.0))
-    assert san.evaluate(u) == pytest.approx(6.0, abs=1e-12)
-    assert san.evaluate(np.full(15, math.exp(-2.0))) == pytest.approx(12.0, abs=1e-12)
+    u = np.full((1, 15), math.exp(-1.0))
+    assert san.evaluate(u)[0] == pytest.approx(6.0, abs=1e-12)
+    assert san.evaluate(np.full((1, 15), math.exp(-2.0)))[0] == pytest.approx(12.0, abs=1e-12)
 
 
 def test_exp_model_inversion():
     m = ExpModel(rate=1.0)
-    assert m.evaluate(math.exp(-3.0)) == pytest.approx(3.0, abs=1e-12)
-    assert ExpModel(rate=3.0).evaluate(math.exp(-3.0)) == pytest.approx(1.0, abs=1e-12)
+    u = np.full((1, 1), math.exp(-3.0))
+    assert m.evaluate(u)[0] == pytest.approx(3.0, abs=1e-12)
+    assert ExpModel(rate=3.0).evaluate(u)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_evaluate_equals_brute_force_path_maximum():
@@ -83,61 +84,65 @@ def test_evaluate_equals_brute_force_path_maximum():
         assert got[i] == pytest.approx(want, rel=1e-12)
 
 
-def test_scalar_and_batch_evaluation_agree_bitwise():
+def test_single_row_and_batch_evaluation_agree_bitwise():
+    # the study's prefix reuse needs each row's loss to be the same alone
+    # as in any batch
     rng = np.random.default_rng(12)
     san = SanModel()
     u = rng.uniform(size=(128, 15))
     batch = san.evaluate(u)
     for i in range(0, 128, 7):
-        assert san.evaluate(u[i]) == batch[i]
+        assert san.evaluate(u[i : i + 1]).tobytes() == batch[i : i + 1].tobytes()
     m = ExpModel()
     x = rng.uniform(size=(32, 1))
     b = m.evaluate(x)
     for i in range(32):
-        assert m.evaluate(float(x[i, 0])) == b[i]
+        assert m.evaluate(x[i : i + 1]).tobytes() == b[i : i + 1].tobytes()
 
 
 def test_evaluate_is_nonincreasing_per_coordinate():
     rng = np.random.default_rng(13)
     san = SanModel()
     for _ in range(50):
-        u = rng.uniform(0.05, 0.95, size=15)
-        base = san.evaluate(u)
+        u = rng.uniform(0.05, 0.95, size=(1, 15))
+        base = san.evaluate(u)[0]
         j = int(rng.integers(0, 15))
         u2 = u.copy()
-        u2[j] = u[j] + rng.uniform(0.0, 1.0 - u2[j] - 1e-9)
-        assert san.evaluate(u2) <= base + 1e-12
+        u2[0, j] = u[0, j] + rng.uniform(0.0, 1.0 - u2[0, j] - 1e-9)
+        assert san.evaluate(u2)[0] <= base + 1e-12
 
 
 def test_clamping_keeps_every_cube_point_finite():
     san = SanModel()
-    assert math.isfinite(san.evaluate(np.zeros(15)))
-    assert math.isfinite(san.evaluate(np.ones(15) - 1e-17))
-    assert san.evaluate(np.ones(15) - 1e-17) >= 0.0
+    corners = np.array([[0.0] * 15, [1.0 - 1e-17] * 15])
+    losses = san.evaluate(corners)
+    assert np.all(np.isfinite(losses)) and losses[1] >= 0.0
     m = ExpModel()
-    assert math.isfinite(m.evaluate(0.0))
+    origin = m.evaluate(np.zeros((1, 1)))[0]
     # the clamp caps the origin's loss at 53 bits' worth of log
-    assert m.evaluate(0.0) == pytest.approx(53.0 * math.log(2.0), rel=1e-12)
+    assert origin == pytest.approx(53.0 * math.log(2.0), rel=1e-12)
 
 
 def test_evaluate_validates_shape():
     san = SanModel()
     with pytest.raises(ConfigError):
-        san.evaluate(np.zeros(14))
+        san.evaluate(np.zeros((1, 14)))
     with pytest.raises(ConfigError):
         san.evaluate(np.zeros((4, 4)))
-    with pytest.raises(ConfigError):
-        san.evaluate(np.zeros((2, 2, 15)))
     m = ExpModel()
     with pytest.raises(ConfigError):
         m.evaluate(np.zeros((3, 2)))
 
 
-def test_one_dim_vector_input_is_a_batch():
-    m = ExpModel()
-    out = m.evaluate(np.array([0.5, 0.25]))
-    assert out.shape == (2,)
-    assert isinstance(m.evaluate(0.5), float)
+def test_only_point_blocks_are_evaluated():
+    # a point is a (1, d) block; a scalar, a vector or a stack of blocks is
+    # no block, even where its size would fit
+    for model in (SanModel(), ExpModel()):
+        for shape in ((), (model.dim,), (2, 1, model.dim)):
+            with pytest.raises(ConfigError, match="block"):
+                model.evaluate(np.full(shape, 0.5))
+        assert model.evaluate(np.full((2, model.dim), 0.5)).shape == (2,)
+        assert model.evaluate(np.empty((0, model.dim))).shape == (0,)
 
 
 # ---------------------------------------------------------------- closed forms

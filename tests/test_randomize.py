@@ -84,7 +84,7 @@ _TILE_SHAPES = [
     (70000, 1),  # more than one 2^16-row tile
     (3 * 4369 + 7, 15),  # three full 4096-row tiles and a ragged one (13114 rows)
     (2 * 1024 + 3, 64),  # 1024-row tiles
-    (4 * 1024 + 5, 64),  # the Owen flip table is built on the fourth tile
+    (4 * 1024 + 5, 64),  # past 2^12 points: the Owen flip table's full 12 digits
 ]
 
 _SCHEMES = [owen_scramble, digital_shift]
@@ -353,24 +353,30 @@ def test_walk_sink_gets_every_row_once(monkeypatch, pool_widths, fine_switching,
     assert pool_widths == [3]
 
 
-def test_pooled_owen_step_builds_its_table_once(monkeypatch, pool_widths, fine_switching):
-    # only the table's build runs the keyed loop on digits 1..12 alone, so
-    # those calls count the table entries built
+def _count_table_builds(monkeypatch):
+    """The sizes of the Owen flip tables built from now on.  Only the
+    table's build runs the keyed loop from digit 1; a tile's loop starts
+    below the table's digits."""
     built = []
     flip_digits = randomize._flip_digits
 
     def counting_flip_digits(x, z, t, keys, first, last):
-        if last == randomize._OWEN_TABLE_DIGITS:
-            built.append(x.shape[1])
+        if first == 1:
+            built.append(x.shape)
         flip_digits(x, z, t, keys, first, last)
 
     monkeypatch.setattr(randomize, "_flip_digits", counting_flip_digits)
+    return built
+
+
+def test_pooled_owen_step_builds_its_table_once(monkeypatch, pool_widths, fine_switching):
+    built = _count_table_builds(monkeypatch)
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
     n, d = _POOL_SHAPES[1]
     for seed in range(4):
         sample_points("rqmc-owen", n, d, seed=seed)
     assert pool_widths == [3] * 4
-    assert sum(built) == 4 << randomize._OWEN_TABLE_DIGITS
+    assert built == [(d, 1 << randomize._OWEN_TABLE_DIGITS)] * 4
 
 
 def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths, fine_switching):
@@ -385,25 +391,38 @@ def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths,
     assert pool_widths == [3]
 
 
-def test_owen_factory_builds_the_table_only_for_long_draws(monkeypatch):
-    # only the table's build runs the keyed loop on digits 1..12 alone, so
-    # those calls count the table entries built
-    built = []
-    flip_digits = randomize._flip_digits
+# a draw's size and the digits of its flip table, min(12, ceil(log2 n)), at
+# least one; 2 is a cold-start probe's draw
+_TABLE_DIGITS = {1: 1, 2: 1, 3: 2, 4095: 12, 4096: 12, 4097: 12, 1 << 20: 12}
 
-    def counting_flip_digits(x, z, t, keys, first, last):
-        if last == randomize._OWEN_TABLE_DIGITS:
-            built.append(x.shape[1])
-        flip_digits(x, z, t, keys, first, last)
 
-    monkeypatch.setattr(randomize, "_flip_digits", counting_flip_digits)
-    sample_points("rqmc-owen", 2, 15, seed=0)  # a cold-start probe's draw
-    assert built == []
-    step = randomize.owen_step(15, 0, 1 << randomize._OWEN_TABLE_DIGITS)
-    assert sum(built) == 1 << randomize._OWEN_TABLE_DIGITS  # before any tile
-    x = sobol_points(1 << 12, 15).as_integers().T.copy()
-    step(x, np.empty_like(x), np.empty_like(x))
-    assert sum(built) == 1 << randomize._OWEN_TABLE_DIGITS
+def test_owen_factory_sizes_the_table_to_the_draw(monkeypatch):
+    built = _count_table_builds(monkeypatch)
+    d = 15
+    x = sobol_points(4097, d).as_integers().T
+    for n, top in _TABLE_DIGITS.items():
+        built.clear()
+        step = randomize.owen_step(d, 0, n)
+        assert built == [(d, 1 << top)], n  # d << top entries, before any tile
+        tiles = x[:, : min(n, 4097)].copy()
+        for start in range(0, tiles.shape[1], 1024):
+            tile = tiles[:, start : start + 1024]
+            step(tile, np.empty_like(tile), np.empty_like(tile))
+        assert len(built) == 1, n  # no build per tile
+
+
+@pytest.mark.parametrize("n", list(_TABLE_DIGITS))
+def test_owen_step_matches_the_keyed_loop_reference_at_every_table_size(n):
+    # n only sizes the table, so any tile, here Sobol' points and random
+    # dyadic points whose prefixes cover the whole table, gets the
+    # reference's bits, whatever the draw the step was made for
+    rng = np.random.default_rng(14)
+    words = rng.integers(0, 1 << _NB, size=(4096, 3), dtype=np.uint64)
+    ps = PointSet(np.vstack([sobol_points(4097, 3).points, words * 2.0**-_NB]))
+    for seed in (0, 7, 2**64 - 1):
+        x = ps.as_integers().T.copy()
+        randomize.owen_step(ps.dim, seed, n)(x, np.empty_like(x), np.empty_like(x))
+        assert np.array_equal(x.T * 2.0**-_NB, _reference_owen(ps, seed)), f"seed {seed}"
 
 
 def test_a_failing_tile_stops_the_other_workers(monkeypatch, pool_widths, fine_switching):
