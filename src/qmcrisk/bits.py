@@ -1,4 +1,4 @@
-"""Keyed 64-bit mixing utilities.
+"""Keyed 64-bit and 32-bit mixing utilities.
 
 Every source of randomness in this package that is not a numpy Generator
 is derived from these functions: Owen-scramble flip bits, digital-shift
@@ -51,13 +51,16 @@ def hash64(*words: int) -> int:
     return h
 
 
-def mix64_vec(z: np.ndarray) -> np.ndarray:
-    """Vectorized mix64 over a uint64 array."""
-    z = z ^ (z >> np.uint64(30))
-    z = z * np.uint64(MIX1)
-    z = z ^ (z >> np.uint64(27))
-    z = z * np.uint64(MIX2)
-    return z ^ (z >> np.uint64(31))
+def mix32(z: np.ndarray, t: np.ndarray) -> None:
+    """lowbias32 (hash-prospector) on the uint32 array z, in place, without
+    its last ``z ^ (z >> 16)`` step, which changes none of the top 16 bits;
+    t is scratch of z's shape."""
+    np.right_shift(z, np.uint32(16), out=t)
+    z ^= t
+    z *= np.uint32(0x7FEB352D)
+    np.right_shift(z, np.uint32(15), out=t)
+    z ^= t
+    z *= np.uint32(0x846CA68B)
 
 
 def child_seed(master_seed: int, replication: int) -> int:

@@ -1,6 +1,6 @@
 import numpy as np
 
-from qmcrisk.bits import MASK64, child_seed, hash64, mix64, mix64_vec
+from qmcrisk.bits import MASK64, child_seed, hash64, mix32, mix64
 
 
 def test_mix64_range_and_determinism():
@@ -18,12 +18,23 @@ def test_mix64_injective_on_sample():
     assert len(ys) == len(set(xs))
 
 
-def test_mix64_vec_matches_scalar():
+def _lowbias32(z):
+    """lowbias32 of one 32-bit word, in Python integers."""
+    z ^= z >> 16
+    z = (z * 0x7FEB352D) & 0xFFFFFFFF
+    z ^= z >> 15
+    z = (z * 0x846CA68B) & 0xFFFFFFFF
+    return z ^ (z >> 16)
+
+
+def test_mix32_is_lowbias32_but_its_last_step():
     rng = np.random.default_rng(2)
-    z = rng.integers(0, 2**64, size=1024, dtype=np.uint64)
-    got = mix64_vec(z)
-    want = np.array([mix64(int(v)) for v in z], dtype=np.uint64)
-    assert np.array_equal(got, want)
+    z = rng.integers(0, 2**32, size=1024, dtype=np.uint32)
+    want = np.array([_lowbias32(int(v)) for v in z], dtype=np.uint32)
+    got = z.copy()
+    mix32(got, np.empty_like(got))
+    assert np.array_equal(got ^ (got >> np.uint32(16)), want)
+    assert np.array_equal(got >> np.uint32(16), want >> np.uint32(16))
 
 
 def test_hash64_is_order_sensitive():

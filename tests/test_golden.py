@@ -50,12 +50,12 @@ def test_sobol_points_golden():
     [
         (
             1,
-            "85018f864c508a622e6c9919a9dc70cad3406d579412b5ea691462491a15db5a",
+            "1177950ee0a309a0298f5ef311ea57474597e01cfa6baf95c4c2635253c29027",
             "41c081e099fed9ffb78a99c243919baa5991e3b9494468c6097db0dc08dffa56",
         ),
         (
             2,
-            "961fb5068feafa547cc80c38c3deb3aafa4204f7313dab5945feffcbfc4ffa9f",
+            "a80d8abd18497c5ee9fb0905c1d2af1e5141e6bafe693329d50deb511d75569c",
             "8e33066fa27ea46dc748ed73be722c077f1779afc84658852a9e6ba851629231",
         ),
     ],
@@ -70,7 +70,7 @@ def test_converge_csv_golden(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(STUDY)
     out = _stdout(capsys, "converge", "--config", str(cfg))
-    assert _sha(out.encode()) == "c71a509461b7a1d403e491db25b12676de952687164b2775bcca15980b153121"
+    assert _sha(out.encode()) == "2e472dc8a80a99ebfddc97378dc96f12cbdc4035711409370f21aebfc637068f"
 
 
 @pytest.mark.parametrize(
@@ -90,7 +90,7 @@ def test_truth_stdout_golden(capsys, tmp_path, model, digest):
 @pytest.mark.parametrize(
     "sampler, digest",
     [
-        ("owen", "8dc6f56ad5a98d720fb3867771f785ecfa2b39ffe9e996f4e28342afb1bd8bfe"),
+        ("owen", "47d11220f73a372a2b423f0faa060a23fa0f6ca35c37bf16a5f96d7798c74653"),
         ("mc", "4be3b92419d58ac5655f7a7a0444f273d57015c2bab3c61ab5a5a3b9eb234878"),
     ],
 )

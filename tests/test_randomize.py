@@ -7,7 +7,7 @@ import pytest
 from scipy import stats
 
 from qmcrisk import lowdisc, randomize
-from qmcrisk.bits import hash64, mix64_vec
+from qmcrisk.bits import MIX1, MIX2, hash64
 from qmcrisk.errors import ConfigError, PrecisionError
 from qmcrisk.experiments import ExperimentConfig, TruthSpec, run_convergence, sample_points
 from qmcrisk.lowdisc import (
@@ -28,13 +28,37 @@ _OWEN_TAG = 0x6F77656E  # "owen"
 _SHIFT_TAG = 0x73666874  # "sfht"
 
 
+def _lowbias32(z):
+    """lowbias32 of the uint32 words z, out of place."""
+    z = z ^ (z >> np.uint32(16))
+    z = z * np.uint32(0x7FEB352D)
+    z = z ^ (z >> np.uint32(15))
+    z = z * np.uint32(0x846CA68B)
+    return z ^ (z >> np.uint32(16))
+
+
+def _mix64(z):
+    """The splitmix64 finalizer of the uint64 words z, out of place."""
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(MIX1)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(MIX2)
+    return z ^ (z >> np.uint64(31))
+
+
 def _keyed_flips(x, dim_key, depth):
     """Flip words of digits 1..depth of the words x, one full-length pass
-    per digit on the complete mix64 of the digit's keyed prefix."""
+    per digit on its keyed prefix: a digit k <= 20 takes bit 31 of the
+    lowbias32 of its prefix and the top half of hash64(dim_key, k), a
+    deeper one bit 63 of the mix64 of its prefix and hash64(dim_key, k)."""
     flips = np.zeros_like(x)
     for k in range(1, depth + 1):
         prefix = x >> np.uint64(_NB - (k - 1))
-        bit = mix64_vec(prefix ^ np.uint64(hash64(dim_key, k))) >> np.uint64(63)
+        key = hash64(dim_key, k)
+        if k <= _DEPTH:
+            bit = (_lowbias32(prefix.astype(np.uint32) ^ np.uint32(key >> 32)) >> np.uint32(31)).astype(np.uint64)
+        else:
+            bit = _mix64(prefix ^ np.uint64(key)) >> np.uint64(63)
         flips |= bit << np.uint64(_NB - k)
     return flips
 
@@ -51,15 +75,15 @@ def _full_depth_owen(ps, seed):
 
 def _reference_owen(ps, seed):
     """The scramble per column: keyed flips on digits 1..20 and, on digits
-    21..52, the top 32 bits of the mix64 of the 20-digit prefix and the
+    21..52, the lowbias32 of the 20-digit prefix and the top half of the
     tail key.  The reference the tiled loop must equal bit for bit."""
     ints = ps.as_integers()
     out = np.empty_like(ints)
     for j in range(ps.dim):
         x = ints[:, j]
         dim_key = hash64(seed, _OWEN_TAG, j + 1)
-        prefix = x >> np.uint64(_NB - _DEPTH)
-        tail = mix64_vec(prefix ^ np.uint64(hash64(dim_key, 0))) >> np.uint64(64 - (_NB - _DEPTH))
+        prefix = (x >> np.uint64(_NB - _DEPTH)).astype(np.uint32)
+        tail = _lowbias32(prefix ^ np.uint32(hash64(dim_key, 0) >> 32)).astype(np.uint64)
         out[:, j] = x ^ _keyed_flips(x, dim_key, _DEPTH) ^ tail
     return out * 2.0**-_NB
 
@@ -127,15 +151,20 @@ def test_scramble_digit_k_flip_depends_only_on_the_prefix():
     base = rng.integers(0, 1 << _NB, size=(64, 2), dtype=np.uint64)
     words = np.concatenate([base] + [base ^ np.uint64(1 << (_NB - k)) for k in range(1, _NB + 1)])
     ps = PointSet.from_array(words * 2.0**-_NB)
-    flips = _flips(ps, seed=9)
+    flips = [_flips(ps, seed) for seed in range(32)]
     for j in range(2):
         for k in range(1, _NB + 1):
             prefix = words[:, j] >> np.uint64(_NB - k + 1)
-            flip = (flips[:, j] >> np.uint64(_NB - k)) & np.uint64(1)
             _, first, group = np.unique(prefix, return_index=True, return_inverse=True)
-            assert np.array_equal(flip, flip[first][group.ravel()]), f"dim {j + 1} digit {k}"
-            if k > 1:  # nested, not a digital shift: the flip varies with the prefix
-                assert np.unique(flip).size == 2, f"dim {j + 1} digit {k}"
+            varies = False
+            for seed, f in enumerate(flips):
+                flip = (f[:, j] >> np.uint64(_NB - k)) & np.uint64(1)
+                assert np.array_equal(flip, flip[first][group.ravel()]), f"seed {seed} dim {j + 1} digit {k}"
+                varies |= np.unique(flip).size == 2
+            # nested, not a digital shift: the flip varies with the prefix.
+            # At k = 2 there are two prefixes, so one seed shows it only
+            # with odds 1/2; all 32 miss it with odds 2^-32
+            assert varies or k == 1, f"dim {j + 1} digit {k}"
 
 
 def test_scramble_flips_every_digit_position():
@@ -193,6 +222,38 @@ def test_scramble_tail_digits_are_uniform():
     origin = PointSet.from_array([[0.0]])
     words = np.array([owen_scramble(origin, seed).as_integers()[0, 0] for seed in range(1000)])
     assert _tail_chi2(words) < crit
+
+
+def test_scramble_flips_are_balanced_and_pairwise_uncorrelated():
+    # 2^12 20-digit prefixes whose digits 1..12 run through all 2^12
+    # values, so each keyed flip of digits 13..20 and each tail word hashes
+    # an input of its own, and beside them, for each digit j = 1..19, the
+    # same prefixes with digit j flipped.  Over 64 seeds the flips of each
+    # digit 13..20 and each bit of the tail word are balanced, and the
+    # flips of digit k at two prefixes differing in one digit j < k are
+    # uncorrelated, each within 4.5 sigma; every pair is counted once, from
+    # its member with digit j = 0, so no hash input enters a mean twice
+    bound = 4.5
+    rng = np.random.default_rng(15)
+    prefixes = np.arange(1 << 12, dtype=np.uint64) << np.uint64(8) | rng.integers(0, 1 << 8, size=1 << 12, dtype=np.uint64)
+    words = np.concatenate([prefixes] + [prefixes ^ np.uint64(1 << (_DEPTH - j)) for j in range(1, _DEPTH)])
+    ps = PointSet.from_array((words << np.uint64(_NB - _DEPTH)) * 2.0**-_NB)
+    # flips[s, j, i]: seed s, prefix i, with digit j flipped (j = 0: none)
+    flips = np.stack([_flips(ps, seed)[:, 0].reshape(_DEPTH, 1 << 12) for seed in range(64)])
+    for k in range(13, _DEPTH + 1):
+        digit = (flips >> np.uint64(_NB - k)) & np.uint64(1)
+        mean = digit[:, 0].mean()
+        assert abs(mean - 0.5) <= bound * 0.5 / digit[:, 0].size**0.5, f"digit {k}: mean {mean}"
+        signs = 1.0 - 2.0 * digit
+        for j in range(1, k):
+            once = (prefixes >> np.uint64(_DEPTH - j)) & np.uint64(1) == 0
+            products = signs[:, 0, once] * signs[:, j, once]
+            corr = products.mean()
+            assert abs(corr) <= bound / products.size**0.5, f"digit {k}, prefixes apart in digit {j}: {corr}"
+    tails = flips[:, 0] & _TAIL_MASK
+    for b in range(_NB - _DEPTH):
+        mean = ((tails >> np.uint64(b)) & np.uint64(1)).mean()
+        assert abs(mean - 0.5) <= bound * 0.5 / tails.size**0.5, f"tail bit {b}: mean {mean}"
 
 
 def test_scramble_is_reproducible_and_seed_sensitive():
@@ -360,10 +421,10 @@ def _count_table_builds(monkeypatch):
     built = []
     flip_digits = randomize._flip_digits
 
-    def counting_flip_digits(x, z, t, keys, first, last):
+    def counting_flip_digits(p, f, z, t, keys, first, last):
         if first == 1:
-            built.append(x.shape)
-        flip_digits(x, z, t, keys, first, last)
+            built.append(f.shape)
+        flip_digits(p, f, z, t, keys, first, last)
 
     monkeypatch.setattr(randomize, "_flip_digits", counting_flip_digits)
     return built
@@ -423,6 +484,15 @@ def test_owen_step_matches_the_keyed_loop_reference_at_every_table_size(n):
         x = ps.as_integers().T.copy()
         randomize.owen_step(ps.dim, seed, n)(x, np.empty_like(x), np.empty_like(x))
         assert np.array_equal(x.T * 2.0**-_NB, _reference_owen(ps, seed)), f"seed {seed}"
+
+
+def test_owen_draws_of_every_table_size_are_prefixes_of_a_longer_draw():
+    # the table of a short draw holds the keyed loop's flips, so a draw of
+    # n points is the first n points of a longer draw with a larger table
+    for seed in (0, 2**64 - 1):
+        long = sample_points("rqmc-owen", 1 << 13, 15, seed=seed)
+        for n in (1, 2, 3, 4095, 4096, 4097):
+            assert np.array_equal(sample_points("rqmc-owen", n, 15, seed=seed), long[:n]), f"seed {seed}, n {n}"
 
 
 def test_a_failing_tile_stops_the_other_workers(monkeypatch, pool_widths, fine_switching):
