@@ -40,23 +40,46 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+_HASH_START = 0x243F6A8885A308D3  # pi fraction, arbitrary fixed start
+
+
 def hash64(*words: int) -> int:
     """Hash a tuple of integers to one 64-bit word.
 
     Order-sensitive: hash64(a, b) != hash64(b, a) in general.
     """
-    h = 0x243F6A8885A308D3  # pi fraction, arbitrary fixed start
+    h = _HASH_START
     for w in words:
         h = mix64((h + GOLDEN64) ^ (w & MASK64))
     return h
 
 
-def mix32(z: np.ndarray, t: np.ndarray) -> None:
+def hash64_array(*words) -> np.ndarray:
+    """``hash64`` elementwise over words, ints in [0, 2^64) or uint64 arrays,
+    broadcast into an array of at least one dimension.  uint64 arrays wrap
+    as hash64's masks do; numpy scalars would warn on the wrap."""
+    shape = np.broadcast_shapes((1,), *(np.shape(w) for w in words))
+    h = np.full(shape, _HASH_START, dtype=np.uint64)
+    for w in words:
+        h += np.uint64(GOLDEN64)
+        h ^= np.asarray(w, dtype=np.uint64)
+        # mix64
+        h ^= h >> np.uint64(30)
+        h *= np.uint64(MIX1)
+        h ^= h >> np.uint64(27)
+        h *= np.uint64(MIX2)
+        h ^= h >> np.uint64(31)
+    return h
+
+
+def mix32(z: np.ndarray, t: np.ndarray, folded: bool = False) -> None:
     """lowbias32 (hash-prospector) on the uint32 array z, in place, without
     its last ``z ^ (z >> 16)`` step, which changes none of the top 16 bits;
-    t is scratch of z's shape."""
-    np.right_shift(z, np.uint32(16), out=t)
-    z ^= t
+    t is scratch of z's shape.  With ``folded``, z already holds the first
+    ``z ^ (z >> 16)``, as a caller may fold it into a key."""
+    if not folded:
+        np.right_shift(z, np.uint32(16), out=t)
+        z ^= t
     z *= np.uint32(0x7FEB352D)
     np.right_shift(z, np.uint32(15), out=t)
     z ^= t

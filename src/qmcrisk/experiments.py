@@ -236,9 +236,10 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
     replication))``, bit for bit, with no (n, dim) point array.
 
     The model's rows are independent, so each tile is evaluated as it is
-    made: the QMC samplers' walk tiles and, for "mc", (2^13, dim) tiles of
-    the same PCG64 stream, drawn as the truth pass draws its blocks.  The
-    draw holds the n losses and tile-sized blocks only.
+    made: the QMC samplers' walk tiles, which ``model.tile_losses`` works
+    in, and, for "mc", (2^13, dim) tiles of the same PCG64 stream, drawn as
+    the truth pass draws its blocks.  The draw holds the n losses and
+    tile-sized blocks only.
     """
     seed = _check_draw(sampler, n, model.dim, seed)
     if sampler == "mc":
@@ -246,7 +247,7 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
     losses = np.empty(n)
 
     def sink(start: int, u: np.ndarray) -> None:
-        losses[start : start + len(u)] = model.evaluate(u)
+        model.tile_losses(u, losses[start : start + u.shape[1]], u)
 
     walk(n, model.dim, _qmc_step(sampler, model.dim, seed, replication, n), sink=sink)
     return losses

@@ -41,30 +41,31 @@ WORK_LIMIT = 10**9
 
 _BUNDLED_TABLE = "joe-kuo-64.txt"
 
-# Coordinates per tile of ``walk``, at most.  Every numpy call thus covers
-# about 2^16 coordinates (512 KiB).  That size is a constant, not a
-# setting, chosen for the two ``in_order`` uses that run tiles concurrently,
-# the study's replications and the walk's workers: smaller calls hand the GIL
-# back so often that the threads stop overlapping, and larger tiles leave
-# the cache.  On a 2-core host with numpy 2.4.6, two threads ran eight
-# 2^16 x 15 Owen scrambles in 0.94 s at 2^16 coordinates per tile, against
-# 1.12 s at 2^17, 1.32 s at 2^15 and 2.17 s at 2^14 (slower than one
-# thread); one 2^19 x 15 scramble took 1.5-1.8 s at every size from 2^14
-# to 2^17.  One 2^19 x 15 Owen walk on two threads against one, best of 3
-# in four alternating runs, ran 0.93-1.30x as fast at 2048-row tiles,
-# 1.15-1.72x at 4096 and 1.44-1.76x at 8192, likely because each tile
-# costs about 100 numpy calls whose Python overhead holds the GIL.  So
-# every worker of the walk's pool keeps a full tile rather than a share of
-# one.  Tiling changes no output bit, since each coordinate's value
-# depends on that coordinate's index or input alone.
-_TILE_COORDS = 1 << 16
+# Coordinates per tile of ``walk``, at most, so every numpy call of a step
+# covers up to 2^17 coordinates (1 MiB of uint64, 512 KiB per uint32
+# plane).  That size is a constant, not a setting, chosen for the two
+# ``in_order`` uses that run tiles concurrently, the study's replications
+# and the walk's workers: the threads pass the GIL at every numpy call, so
+# smaller calls stop them overlapping, and larger tiles cost more scratch.
+# On a 2-core host with numpy 2.4.6, eight 2^16 x 15 Owen replications
+# (``sample_losses``) ran on two threads 1.03-1.04x as fast as on one at
+# 2^15 coordinates per tile, 1.31-1.57x at 2^16, 1.37-1.65x at 2^17 and
+# 1.59-1.66x at 2^18 (146-151 ms at 2^17 against 175-207 ms at 2^16); one
+# 2^19 x 15 Owen draw on two workers against one ran 0.98-1.29x,
+# 1.34-1.65x, 1.53-1.79x and 1.73-1.81x (best of 3, two rounds).  2^18
+# would double the scratch again for little more.  So every worker of the
+# walk's pool keeps a full tile rather than a share of one.  Tiling
+# changes no output bit, since each coordinate's value depends on that
+# coordinate's index or input alone.
+_TILE_COORDS = 1 << 17
 
 # Tiles per worker of the walk's pool, at least.  Each worker holds three
 # tiles of scratch, so the pool's scratch stays within 3/16 of the output,
-# and a 2^16 x 15 draw (16 tiles, the study's largest size) stays on one
-# thread.  With no floor, two workers took the tracemalloc peak of an Owen
-# scramble, a digital shift or an Owen draw of that size to 1.55-1.59x the
-# output, against 1.26-1.38x on one thread.
+# and a 2^16 x 15 draw (8 tiles, the study's largest size) stays on one
+# thread; at d = 15 a draw pools from 2^18 points on.  With no floor, two
+# workers took the tracemalloc peak of an Owen scramble, a digital shift or
+# an Owen draw of 2^16 x 15 to 1.77-1.80x the output, against 1.38-1.42x
+# on one thread.
 _TILES_PER_WORKER = 16
 
 
@@ -106,15 +107,18 @@ def frozen(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def grid_integers(coords: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Coordinates times 2^52, cast into the uint64 ``out``.
+def grid_integers(coords: np.ndarray, out: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Coordinates times 2^52, cast into the uint64 ``out``; ``scaled`` is
+    float64 scratch of out's shape.
 
     Raises PrecisionError if any coordinate is not exactly representable
     with 52 binary digits, i.e. if any scaled value is not an integer.
     """
-    scaled = coords * 2.0 ** DEFAULT_BIT_DEPTH
+    np.multiply(coords, 2.0 ** DEFAULT_BIT_DEPTH, out=scaled)
     np.copyto(out, scaled, casting="unsafe")
-    if not np.array_equal(out, scaled):
+    # the fraction the cast dropped: out is below 2^52, so exact as a double
+    np.subtract(scaled, out, out=scaled)
+    if np.count_nonzero(scaled):
         raise PrecisionError(
             f"coordinates are not dyadic with {DEFAULT_BIT_DEPTH} bits; "
             "only base-2 generated point sets can be used here"
@@ -159,7 +163,7 @@ class PointSet:
     def as_integers(self) -> np.ndarray:
         """Coordinates on the 2^52 dyadic grid, as uint64; PrecisionError
         if any coordinate is not exact with 52 binary digits."""
-        return grid_integers(self.points, np.empty(self.points.shape, dtype=np.uint64))
+        return grid_integers(self.points, np.empty(self.points.shape, dtype=np.uint64), np.empty(self.points.shape))
 
 
 def radical_inverse(i: int, b: int = 2) -> float:
@@ -214,6 +218,25 @@ def check_count(n: int) -> None:
         raise ConfigError(f"count: must lie in 1..2^{DEFAULT_BIT_DEPTH}, the generator's range")
 
 
+def _tile_rows(dim: int) -> int:
+    """Rows of a full ``walk`` tile in dim dimensions: the largest power of
+    two with at most ``_TILE_COORDS`` coordinates, at least one."""
+    return 1 << max(0, (_TILE_COORDS // dim).bit_length() - 1)
+
+
+@lru_cache(maxsize=8)
+def _lead(dim: int, cols: int) -> np.ndarray:
+    """The integers of the first ``cols`` Sobol' points, a power of two, as
+    a read-only (dim, cols) block shared by every walk that reads it.  It is
+    built by doubling: points h..2h-1 are points 0..h-1 XOR V_k, h = 2^k."""
+    v = _directions(dim)
+    lead = np.zeros((dim, cols), dtype=np.uint64)
+    for k in range(cols.bit_length() - 1):
+        h = 1 << k
+        np.bitwise_xor(lead[:, :h], v[:, k : k + 1], out=lead[:, h : 2 * h])
+    return frozen(lead)
+
+
 def walk(
     n: int,
     dim: int,
@@ -221,21 +244,25 @@ def walk(
     points: Optional[np.ndarray] = None,
     sink: Optional[Callable] = None,
 ) -> Optional[np.ndarray]:
-    """An (n, dim) float array filled one (dim, r) uint64 tile at a time,
-    with r = 2^floor(log2(_TILE_COORDS / dim)) or the power of two covering n.
+    """An (n, dim) float array filled one (dim, m) uint64 tile at a time,
+    with at most r = ``_tile_rows(dim)`` rows, or the power of two covering
+    n, per tile.
 
     The tiles hold the first n Sobol' points or the integers of ``points``
     (PrecisionError if one is not dyadic).  ``step(x, z, t)``, if given,
     changes the tile ``x`` in place, with scratch blocks ``z`` and ``t``;
-    it must change no state of its own, since several threads may run it
-    at once.
-    The Sobol' tile at s, a multiple of r, is the first r points XORed with
-    the XOR of V_k over the set bits k of s: s and i < r share no bits.
+    all three are C-contiguous of the tile's shape.  The step must change
+    no state of its own, since several threads may run it at once.
+    The Sobol' segment at s, a multiple of c = max(1, r / 2), is the first
+    c points, the shared ``_lead``, XORed with the XOR of V_k over the set
+    bits k of s: s and i < c share no bits.  A tile takes two segments.
 
-    With ``sink``, no output array exists: each tile's (m, dim) float rows,
-    from row ``start`` on, go to ``sink(start, u)`` and the walk returns
-    None.  ``u`` is a view of the worker's scratch, valid until the call
-    returns; ``sink`` must be safe to call from several threads at once.
+    With ``sink``, no output array exists: each tile's points, as the
+    columns of a (dim, m) float block, go to ``sink(start, u)``, where
+    ``start`` is the tile's first row, and the walk returns None.  ``u``
+    lies in the worker's step scratch; the sink may overwrite it, and it is
+    valid until the call returns.  ``sink`` must be safe to call from
+    several threads at once.
 
     Called from the main thread, the walk runs its workers through
     ``in_order``, one per usable CPU with at least ``_TILES_PER_WORKER``
@@ -248,45 +275,47 @@ def walk(
     if points is None:
         v = _directions(dim)
         check_count(n)
-    rows = min(1 << max(0, (_TILE_COORDS // dim).bit_length() - 1), 1 << (n - 1).bit_length())
+        lead = _lead(dim, max(1, _tile_rows(dim) // 2))
+    rows = min(_tile_rows(dim), 1 << (n - 1).bit_length())
     starts = range(0, n, rows)
     workers = 1
     if threading.current_thread() is threading.main_thread():
         workers = max(1, min(_usable_cpus(), len(starts) // _TILES_PER_WORKER))
-    # every worker's x, z and t (and float tile, for a sink) in one block
-    # allocated here: allocated on the workers themselves (in per-thread
-    # malloc arenas), they raised the peak RSS of a 2^19 x 15 Owen draw on
-    # two workers by 3.8-4.4 MiB over one thread, against 1.1-1.4 MiB
-    scratch = np.empty((workers, 3 if sink is None else 4, dim, rows), dtype=np.uint64)
-    if points is None:
-        # the first `rows` points, by doubling: points h..2h-1 are 0..h-1 ^ V_k
-        lead = np.zeros((dim, rows), dtype=np.uint64)
-        for k in range(rows.bit_length() - 1):
-            h = 1 << k
-            np.bitwise_xor(lead[:, :h], v[:, k : k + 1], out=lead[:, h : 2 * h])
+    # every worker's x, z and t, allocated here: allocated on the workers
+    # themselves (in per-thread malloc arenas), they raised the peak RSS of
+    # a 2^19 x 15 Owen draw on two workers by 3.8-4.4 MiB over one thread,
+    # against 1.1-1.4 MiB.  One array per tile, not one block: once glibc
+    # has freed a block it serves that size from the threads' arenas, and
+    # with 2.88 MiB blocks an arena of the two-thread 2^16 x 15 study now
+    # and then grew to 6.1 MiB, peak RSS +2.3-2.9 MiB in 11 of 29 processes
+    # of 40 studies on a 2-core host, against 1 of 21 with 0.94 MiB tiles
+    scratch = [[np.empty(dim * rows, dtype=np.uint64) for _ in range(3)] for _ in range(workers)]
     out = np.empty((n, dim)) if sink is None else None
     failed = threading.Event()
 
     def fill(w: int) -> None:
-        x, z, t = scratch[w, :3]
         try:
             for start in starts[w::workers]:
                 if failed.is_set():
                     return
                 m = min(rows, n - start)
+                # carved for this m, so that every block is C-contiguous
+                x, z, t = (a[: dim * m].reshape(dim, m) for a in scratch[w])
                 if points is None:
-                    word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if start >> k & 1]], axis=1, keepdims=True)
-                    np.bitwise_xor(lead[:, :m], word, out=x[:, :m])
+                    for s in range(0, m, lead.shape[1]):
+                        c = min(lead.shape[1], m - s)
+                        word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if (start + s) >> k & 1]], axis=1, keepdims=True)
+                        np.bitwise_xor(lead[:, :c], word, out=x[:, s : s + c])
                 else:
-                    grid_integers(points[start : start + m].T, x[:, :m])
+                    grid_integers(points[start : start + m].T, x, z.view(np.float64))
                 if step is not None:
-                    step(x[:, :m], z[:, :m], t[:, :m])
+                    step(x, z, t)
                 if sink is None:
-                    np.multiply(x[:, :m].T, 2.0 ** -nb, out=out[start : start + m])
+                    np.multiply(x.T, 2.0 ** -nb, out=out[start : start + m])
                 else:
-                    u = scratch[w, 3].view(np.float64)[:, :m]
-                    np.multiply(x[:, :m], 2.0 ** -nb, out=u)
-                    sink(start, u.T)
+                    u = z.view(np.float64)
+                    np.multiply(x, 2.0 ** -nb, out=u)
+                    sink(start, u)
         except BaseException:
             failed.set()
             raise

@@ -13,6 +13,10 @@ Two models are provided:
 Coordinates are clamped to [eps, 1 - eps], eps = ``CLAMP_EPSILON``,
 before the log so that every point of the unit cube, including the origin
 emitted by unrandomized digital sequences, maps to a finite loss.
+
+Each model has one loss kernel, ``tile_losses``, on the points that are
+the columns of a (dim, m) block; ``evaluate`` and
+``experiments.sample_losses`` both run it.
 """
 
 from __future__ import annotations
@@ -60,17 +64,33 @@ def _point_block(u: np.ndarray, dim: int) -> np.ndarray:
     return block
 
 
-# rows per SanModel.evaluate tile: the (15, rows) float64 block is about
-# 1 MiB, so every pass over it stays in cache.  On a 2-core host one
+# rows per evaluated tile: the (15, rows) float64 block of a SanModel is
+# about 1 MiB, so every pass over it stays in cache.  On a 2-core host one
 # 2^19 x 15 batch took 50 ms at 2^13 rows, 54 ms at 2^12 and 2^14, and
 # 90 ms untiled; two threads evaluating 2^16-row batches overlap fully
 # when tiled and not at all untiled.
-_SAN_TILE_ROWS = 1 << 13
+_EVAL_TILE_ROWS = 1 << 13
 
 
-def _longest_path(y: np.ndarray, out: np.ndarray, a: np.ndarray, t: np.ndarray) -> None:
+def _evaluate(model: Model, u: np.ndarray) -> np.ndarray:
+    """The losses of the rows of an (n, model.dim) block: ``tile_losses``
+    of each ``_EVAL_TILE_ROWS``-row tile's strided columns, clamped into
+    one (dim, rows) scratch block.  Every row is computed on its own, so
+    the result does not depend on the batch size or the tiling."""
+    block = _point_block(u, model.dim)
+    n = block.shape[0]
+    rows = max(1, min(n, _EVAL_TILE_ROWS))
+    y = np.empty((model.dim, rows))
+    out = np.empty(n)
+    for start in range(0, n, rows):
+        m = min(rows, n - start)
+        model.tile_losses(block[start : start + m].T, out[start : start + m], y[:, :m])
+    return out
+
+
+def _longest_path(y: np.ndarray, out: np.ndarray) -> None:
     """Write the longest of the ten path sums of the durations ``y`` (15, m)
-    to ``out``, using ``a`` and ``t`` as scratch.
+    to ``out``; rows 1, 4, 5 and 8 of y, read first, then serve as scratch.
 
     The paths are folded into the network's recursion: a = max(Y1+Y4,
     Y2+Y5, Y3+Y8), then the max of (a+Y11)+Y15, a+Y12, (Y2+Y6)+Y13,
@@ -80,11 +100,12 @@ def _longest_path(y: np.ndarray, out: np.ndarray, a: np.ndarray, t: np.ndarray) 
     path sums of ``DEFAULT_SAN_PATHS``.
     """
     y1, y2, y3, y4, y5, y6, y7, y8, y9, y10, y11, y12, y13, y14, y15 = y
+    a, t = y1, y4
     np.add(y1, y4, out=a)
-    np.add(y2, y5, out=t)
-    np.maximum(a, t, out=a)
-    np.add(y3, y8, out=t)
-    np.maximum(a, t, out=a)
+    np.add(y2, y5, out=y5)
+    np.maximum(a, y5, out=a)
+    np.add(y3, y8, out=y8)
+    np.maximum(a, y8, out=a)
     np.add(a, y11, out=out)
     out += y15
     a += y12
@@ -115,32 +136,23 @@ class SanModel:
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """Completion times of the rows of an (n, 15) block: max over paths
-        of summed edge durations.
+        of summed edge durations."""
+        return _evaluate(self, u)
 
-        Rows are evaluated in tiles of ``_SAN_TILE_ROWS``: each tile is
-        copied dimension-major into one (15, rows) block, where the clamp,
-        log and division by the negated rates run in place (x / (-r) is
-        bitwise -(x / r)), and the ten paths are folded into the network's
-        recursion (``_longest_path``).  Every row is computed on its own, so
-        the result does not depend on the batch size or the tiling.
+    def tile_losses(self, u: np.ndarray, out: np.ndarray, y: np.ndarray) -> None:
+        """Write the completion times of the m points that are the columns
+        of the (15, m) block ``u`` to ``out``; ``y`` is (15, m) float64
+        scratch and may be ``u`` itself.
+
+        The clamp writes u into y, where the log and the division by the
+        negated rates run in place (x / (-r) is bitwise -(x / r)), and the
+        ten paths are folded into the network's recursion
+        (``_longest_path``).
         """
-        block = _point_block(u, self.dim)
-        n = block.shape[0]
-        rows = max(1, min(n, _SAN_TILE_ROWS))
-        lo, hi = CLAMP_EPSILON, 1.0 - CLAMP_EPSILON
-        neg_rates = -np.asarray(self.rates)[:, np.newaxis]
-        y = np.empty((EDGE_COUNT, rows))
-        a = np.empty(rows)
-        t = np.empty(rows)
-        out = np.empty(n)
-        for start in range(0, n, rows):
-            m = min(rows, n - start)
-            ym = y[:, :m]
-            np.clip(block[start : start + m].T, lo, hi, out=ym)
-            np.log(ym, out=ym)
-            np.divide(ym, neg_rates, out=ym)
-            _longest_path(ym, out[start : start + m], a[:m], t[:m])
-        return out
+        np.clip(u, CLAMP_EPSILON, 1.0 - CLAMP_EPSILON, out=y)
+        np.log(y, out=y)
+        np.divide(y, -np.asarray(self.rates)[:, np.newaxis], out=y)
+        _longest_path(y, out)
 
     def true_quantile(self, p: float) -> Optional[float]:
         """No closed form for the completion-time distribution."""
@@ -170,9 +182,15 @@ class ExpModel:
 
     def evaluate(self, u: np.ndarray) -> np.ndarray:
         """Losses of the rows of an (n, 1) block."""
-        block = _point_block(u, self.dim)
-        uc = np.clip(block[:, 0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON)
-        return -np.log(uc) / self.rate
+        return _evaluate(self, u)
+
+    def tile_losses(self, u: np.ndarray, out: np.ndarray, y: np.ndarray) -> None:
+        """Write the losses of the m points in the (1, m) block ``u`` to
+        ``out``; ``y`` is (1, m) float64 scratch and may be ``u`` itself.
+        x / (-r) is bitwise -(x / r)."""
+        np.clip(u[0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON, out=y[0])
+        np.log(y[0], out=y[0])
+        np.divide(y[0], -self.rate, out=out)
 
     def true_quantile(self, p: float) -> float:
         """v solving P(X <= v) = p; here X is Exp(rate) in distribution."""

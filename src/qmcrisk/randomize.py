@@ -38,7 +38,7 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import check_seed, hash64, mix32
+from .bits import check_seed, hash64_array, mix32
 from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, frozen, walk
 
 _OWEN_TAG = 0x6F77656E  # "owen"
@@ -58,17 +58,21 @@ _OWEN_DEPTH = 20
 # 2^8, 2^10, 2^12 and 2^14 entries took 0.25, 0.23, 0.20 and 0.17 s; the
 # 2^14 table took 7.3 ms to build at d = 15 against 2.4 ms for 2^12.
 _OWEN_TABLE_DIGITS = 12
+# Digits whose keyed prefix, digits 1..k-1, has at most 16 bits: their keys
+# carry mix32's first xorshift, two numpy calls fewer per digit
+_FOLDED_DIGITS = 17
 
 
 def _flip_digits(p: np.ndarray, f: np.ndarray, z: np.ndarray, t: np.ndarray, keys: np.ndarray, first: int, last: int) -> None:
     """XOR into f the flips of digits first..last of the 20-digit prefix
     words p, digit k's by bit 31 of ``bits.mix32`` of digits 1..k-1 keyed
-    with ``keys[k - 1]``; z and t are uint32 scratch of f's shape."""
+    with ``keys[k - 1]``; z and t are uint32 scratch of f's shape.  The keys
+    of digits 1.._FOLDED_DIGITS come with mix32's first xorshift folded in."""
     for k in range(first, last + 1):
         # digits 1..k-1; empty (zero) for k = 1 since p < 2^20
         np.right_shift(p, np.uint32(_OWEN_DEPTH - k + 1), out=z)
         z ^= keys[k - 1]
-        mix32(z, t)
+        mix32(z, t, folded=k <= _FOLDED_DIGITS)
         z >>= np.uint32(31)
         z <<= np.uint32(_OWEN_DEPTH - k)
         f ^= z
@@ -99,15 +103,21 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     a draw of n points is the first n points of any longer draw.
 
     The step is pure: it reads only state fixed by the factory, so several
-    threads may run it at once, as the walk's pool does.
+    threads may run it at once, as the walk's pool does.  Its scratch
+    tiles z and t must be C-contiguous, as the walk's are.
     """
     seed = check_seed(seed)
     depth = _OWEN_DEPTH
-    dim_keys = [hash64(seed, _OWEN_TAG, j + 1) for j in range(dim)]
-    # keys[k - 1] is the (d, 1) column of per-dimension 32-bit keys for
-    # digit k; digit index 0 is free for the tail
-    keys = np.array([[[hash64(key, k) >> 32] for key in dim_keys] for k in range(depth + 1)], dtype=np.uint32)
+    dim_keys = hash64_array(seed, _OWEN_TAG, np.arange(1, dim + 1, dtype=np.uint64))
+    # keys[k] is the (d, 1) column of per-dimension 32-bit keys for digit k
+    # (the top word of hash64(dim key, k)); digit index 0 is free for the
+    # tail
+    digits = np.arange(depth + 1, dtype=np.uint64)[:, np.newaxis]
+    keys = (hash64_array(dim_keys, digits) >> np.uint64(32)).astype(np.uint32)[:, :, np.newaxis]
     tail_keys, keys = keys[0], keys[1:]
+    # digits 1..k-1 < 2^16 sit below the xorshift's 16, so (prefix ^ key)
+    # ^ (prefix ^ key) >> 16 is prefix ^ (key ^ key >> 16)
+    keys[:_FOLDED_DIGITS] ^= keys[:_FOLDED_DIGITS] >> np.uint32(16)
     top = min(_OWEN_TABLE_DIGITS, max(1, (n - 1).bit_length()))
     offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
     # table[j << top | i]: flips of digits 1..top for top digits i in
@@ -121,10 +131,10 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     table = table.reshape(-1)
 
     def scramble(x: np.ndarray, z: np.ndarray, t: np.ndarray) -> None:
-        # four uint32 (d, m) planes in the scratch: the prefix words, their
-        # flips and two for the hash
-        p, f = np.split(z.view(np.uint32), 2, axis=1)
-        h, s = np.split(t.view(np.uint32), 2, axis=1)
+        # four C-contiguous uint32 (d, m) planes, the halves of z and t: the
+        # prefix words, their flips and two for the hash
+        p, f = z.view(np.uint32).reshape(2, *x.shape)
+        h, s = t.view(np.uint32).reshape(2, *x.shape)
         np.right_shift(x, np.uint64(32), out=p, casting="unsafe")
         # digits 21..52, the low word: the full lowbias32 of the keyed prefix
         np.bitwise_xor(p, tail_keys, out=h)
@@ -133,8 +143,9 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
         h ^= s
         x ^= h
         # digits 1..top: the table entry at j << top | the top digits.  The
-        # index is always in range; "clip" spares the tile-sized copy of
-        # ``out`` that take's default "raise" mode makes, one per worker
+        # index is always in range.  take's default "raise" mode, like a
+        # strided ``out``, makes it write to a tile-sized copy of ``out``
+        # first; "clip" into the contiguous f writes in place
         index = t.view(np.int64)
         np.right_shift(p, np.uint32(depth - top), out=index)
         index += offsets
@@ -151,9 +162,9 @@ def shift_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     per dimension, in place; n, the draw's size, is taken to match
     ``owen_step`` and changes nothing."""
     seed = check_seed(seed)
-    mask = (1 << DEFAULT_BIT_DEPTH) - 1
+    mask = np.uint64((1 << DEFAULT_BIT_DEPTH) - 1)
     # (d, 1): one word per dimension, broadcast along the tile's rows
-    words = np.array([[hash64(seed, _SHIFT_TAG, j + 1) & mask] for j in range(dim)], dtype=np.uint64)
+    words = (hash64_array(seed, _SHIFT_TAG, np.arange(1, dim + 1, dtype=np.uint64)) & mask)[:, np.newaxis]
     return lambda x, *scratch: np.bitwise_xor(x, words, out=x)
 
 

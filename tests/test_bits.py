@@ -1,6 +1,6 @@
 import numpy as np
 
-from qmcrisk.bits import MASK64, child_seed, hash64, mix32, mix64
+from qmcrisk.bits import MASK64, child_seed, hash64, hash64_array, mix32, mix64
 
 
 def test_mix64_range_and_determinism():
@@ -35,6 +35,31 @@ def test_mix32_is_lowbias32_but_its_last_step():
     mix32(got, np.empty_like(got))
     assert np.array_equal(got ^ (got >> np.uint32(16)), want)
     assert np.array_equal(got >> np.uint32(16), want >> np.uint32(16))
+
+
+def test_mix32_folded_skips_only_the_first_xorshift():
+    # a key's first xorshift, folded in, gives mix32 of prefix ^ key for any
+    # prefix below 2^16
+    rng = np.random.default_rng(3)
+    key = rng.integers(0, 2**32, dtype=np.uint32)
+    prefix = rng.integers(0, 2**16, size=1024, dtype=np.uint32)
+    want = prefix ^ key
+    mix32(want, np.empty_like(want))
+    got = prefix ^ (key ^ (key >> np.uint32(16)))
+    mix32(got, np.empty_like(got), folded=True)
+    assert np.array_equal(got, want)
+
+
+def test_hash64_array_is_hash64_elementwise():
+    # wrapping uint64 arithmetic, broadcast words and seeds at both ends of
+    # the 64-bit range; a numpy scalar would warn on the wrap
+    words = np.array([0, 1, 2**63, MASK64], dtype=np.uint64)
+    for seed in (0, 12345, MASK64):
+        got = hash64_array(seed, 0x6F77656E, words[:, np.newaxis], np.arange(3, dtype=np.uint64))
+        want = [[hash64(seed, 0x6F77656E, int(w), k) for k in range(3)] for w in words]
+        assert got.dtype == np.uint64
+        assert got.tolist() == want
+    assert hash64_array(3, 4).tolist() == [hash64(3, 4)]
 
 
 def test_hash64_is_order_sensitive():

@@ -33,6 +33,7 @@ from qmcrisk.randomize import digital_shift, owen_scramble
 
 import qmcrisk.experiments as experiments
 import qmcrisk.lowdisc as lowdisc
+import qmcrisk.randomize as randomize
 
 
 class _ConstModel:
@@ -50,6 +51,9 @@ class _ConstModel:
         if arr.ndim == 2:
             return np.full(arr.shape[0], self.value)
         return self.value
+
+    def tile_losses(self, u, out, y):
+        out[:] = self.value
 
 
 # ---------------------------------------------------------------- config validation
@@ -139,9 +143,10 @@ def test_rqmc_samplers_match_library_composition():
 
 
 def test_rqmc_prefix_that_cuts_a_tile_equals_a_fresh_draw():
-    # 5000 rows end 904 rows into the second 4096-row tile at d = 15
-    full = sample_points("rqmc-shift", 1 << 14, 15, seed=3)
-    assert np.array_equal(full[:5000], sample_points("rqmc-shift", 5000, 15, seed=3))
+    # the prefix ends 904 rows into the second walk tile at d = 15
+    rows = lowdisc._tile_rows(15)
+    full = sample_points("rqmc-shift", 2 * rows, 15, seed=3)
+    assert np.array_equal(full[: rows + 904], sample_points("rqmc-shift", rows + 904, 15, seed=3))
 
 
 def test_sample_points_validation():
@@ -243,6 +248,11 @@ class _CountingModel:
         with self._lock:
             self.rows += len(u)
         return self.model.evaluate(u)
+
+    def tile_losses(self, u, out, y):
+        with self._lock:
+            self.rows += u.shape[1]
+        self.model.tile_losses(u, out, y)
 
 
 class _RecordingModel:
@@ -480,9 +490,9 @@ def test_run_convergence_matches_manual_composition():
 
 @pytest.mark.parametrize("sampler", ["qmc-sobol", "rqmc-owen", "rqmc-shift", "mc"])
 def test_sampled_losses_are_the_model_of_the_points(monkeypatch, fine_switching, sampler):
-    # 33 tiles of 4096 rows at d = 15, the last one ragged; on 2 CPUs the
-    # walk evaluates its tiles on two pool threads
-    n = (1 << 17) + 7
+    # 33 walk tiles at d = 15, the last one ragged; on 2 CPUs the walk
+    # evaluates its tiles on two pool threads
+    n = 32 * lowdisc._tile_rows(15) + 7
     model = _CountingModel(SanModel())
     want = model.evaluate(sample_points(sampler, n, model.dim, seed=5, replication=2))
     for cpus in (1, 2):
@@ -495,7 +505,7 @@ def test_sampled_losses_are_the_model_of_the_points(monkeypatch, fine_switching,
 
 def test_sampled_losses_never_hold_the_points():
     # the 2^16 x 15 points of one study replication are 7.5 MiB; the
-    # losses, four tiles of scratch and the model's tile read 0.53x that
+    # losses, three tiles of scratch and the Owen table read 0.48x that
     # for owen, and the losses and PCG64 tiles 0.34x for mc
     model = SanModel()
     n = 1 << 16
@@ -508,6 +518,26 @@ def test_sampled_losses_never_hold_the_points():
         finally:
             tracemalloc.stop()
         assert peak < n * model.dim * 8 * 2 / 3, sampler
+
+
+def test_owen_losses_peak_is_the_losses_plus_one_workers_scratch():
+    # beside the n losses: one worker's x, z and t, the Owen flip table and
+    # the Sobol' lead, half a tile, built here from a cold cache.  The model
+    # works in the walk's float tile, so no (15, rows) evaluation copy, a
+    # whole tile more, appears
+    model = SanModel()
+    n, d = 1 << 16, model.dim
+    tile = d * lowdisc._tile_rows(d) * 8
+    want = n * 8 + 3 * tile + d * (1 << randomize._OWEN_TABLE_DIGITS) * 4 + tile // 2
+    sample_losses(model, "rqmc-owen", n, 1, 0)  # direction numbers
+    lowdisc._lead.cache_clear()
+    tracemalloc.start()
+    try:
+        sample_losses(model, "rqmc-owen", n, 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert want <= peak < want + tile // 8
 
 
 @pytest.mark.parametrize(
@@ -573,6 +603,9 @@ class _FailingModel(_ConstModel):
     def evaluate(self, u):
         raise RuntimeError("model failure")
 
+    def tile_losses(self, u, out, y):
+        raise RuntimeError("model failure")
+
 
 def test_no_pool_thread_outlives_a_failed_call(monkeypatch, pool_widths):
     # each count is taken while the error is handled, when its traceback
@@ -591,8 +624,8 @@ def test_no_pool_thread_outlives_a_failed_call(monkeypatch, pool_widths):
     monkeypatch.setattr(experiments, "_MAX_BRACKET", 1 << 12)
     monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 16)
     assert live_threads_on(WorkLimitError, lambda: mc_truth(ExpModel(), 0.1, 10**6, seed=1)) == before
-    # a walk worker raises: 4 tiles of 4096 rows on 3 workers
-    pts = sobol_points(1 << 14, 15).points.copy()
+    # a walk worker raises: 4 walk tiles on 3 workers
+    pts = sobol_points(4 * lowdisc._tile_rows(15), 15).points.copy()
     pts[-1, 7] = 1.0 / 3.0
     ps = PointSet(pts)
     monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)

@@ -130,8 +130,9 @@ def _reference_sobol(n, dim):
     return pts
 
 
-# one-point and sub-tile sets, 4096-row tiles at d = 15 cut on both sides of
-# a boundary, ragged last tiles, one-column and 64-column sets
+# one-point and sub-tile sets, the 4096-column Sobol' lead segments of d = 15
+# cut on both sides of a boundary, ragged last tiles, one-column and
+# 64-column sets
 @pytest.mark.parametrize(
     "n, d",
     [(1, 1), (2, 1), (3, 15), (4095, 15), (4096, 15), (4097, 15), (13114, 15), (70000, 1), (2051, 64), (1 << 17, 2)],

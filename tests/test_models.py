@@ -280,3 +280,28 @@ def test_san_evaluate_matches_the_per_path_reference_bitwise(rates):
     assert got.dtype == np.float64 and got.shape == (u.shape[0],)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     assert model.evaluate(u[:0]).shape == (0,)
+
+
+_KERNEL_MODELS = [
+    SanModel(),
+    SanModel(rates=tuple(np.random.default_rng(5).uniform(0.1, 4.0, 15))),
+    ExpModel(rate=2.5),
+]
+
+
+@pytest.mark.parametrize("model", _KERNEL_MODELS, ids=["san-default", "san-random", "exp"])
+def test_tile_kernel_in_place_equals_evaluate_bitwise(model):
+    # the walk's sink runs the kernel in its own float tile; evaluate runs it
+    # from strided rows into a scratch tile
+    rng = np.random.default_rng(22)
+    u = rng.random((5000, model.dim))
+    u[rng.random(u.shape) < 0.02] = 0.0
+    u[:3] = 0.0
+    want = model.evaluate(u)
+    block = u.T.copy()  # the kernel overwrites it
+    got = np.full(len(u), np.nan)
+    model.tile_losses(block, got, block)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    if isinstance(model, ExpModel):
+        ref = -np.log(np.clip(u[:, 0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON)) / model.rate
+        assert np.array_equal(want.view(np.uint64), ref.view(np.uint64))

@@ -9,7 +9,7 @@ from scipy import stats
 from qmcrisk import lowdisc, randomize
 from qmcrisk.bits import MIX1, MIX2, hash64
 from qmcrisk.errors import ConfigError, PrecisionError
-from qmcrisk.experiments import ExperimentConfig, TruthSpec, run_convergence, sample_points
+from qmcrisk.experiments import ExperimentConfig, TruthSpec, run_convergence, sample_losses, sample_points
 from qmcrisk.lowdisc import (
     DEFAULT_BIT_DEPTH,
     NetParams,
@@ -18,7 +18,7 @@ from qmcrisk.lowdisc import (
     sobol_points,
     van_der_corput_points,
 )
-from qmcrisk.models import SanModel
+from qmcrisk.models import ExpModel, SanModel
 from qmcrisk.randomize import digital_shift, owen_scramble
 
 _NB = DEFAULT_BIT_DEPTH
@@ -101,13 +101,14 @@ def _reference_shift(ps, seed):
     return ps.as_integers() ^ np.array(words, dtype=np.uint64)[np.newaxis, :]
 
 
-# tile shapes for the tiled loop: ragged last tiles, one-row and one-column sets
+# tile shapes for the tiled loop: ragged last tiles, one-row and one-column
+# sets; the comments give the tiles of 2^17 coordinates
 _TILE_SHAPES = [
     (1, 1),
     (3, 15),
-    (70000, 1),  # more than one 2^16-row tile
-    (3 * 4369 + 7, 15),  # three full 4096-row tiles and a ragged one (13114 rows)
-    (2 * 1024 + 3, 64),  # 1024-row tiles
+    (70000, 1),  # past the 2^16 columns of one Sobol' lead segment
+    (3 * 4369 + 7, 15),  # a full 8192-row tile and a ragged one (13114 rows)
+    (2 * 1024 + 3, 64),  # a full 2048-row tile and a ragged one
     (4 * 1024 + 5, 64),  # past 2^12 points: the Owen flip table's full 12 digits
 ]
 
@@ -367,9 +368,8 @@ def test_shift_matches_the_whole_array_reference(n, d):
 # ---------------------------------------------------------------- threads
 
 
-# 49 tiles each, the last one ragged: 4096-row tiles at d = 15 and 1024-row
-# tiles at d = 64
-_POOL_SHAPES = [(3 * 16 * 4096 + 7, 15), (3 * 16 * 1024 + 5, 64)]
+# 49 walk tiles each, the last one ragged: enough for three workers
+_POOL_SHAPES = [(3 * 16 * lowdisc._tile_rows(d) + extra, d) for d, extra in ((15, 7), (64, 5))]
 
 
 @pytest.mark.parametrize("n, d", _POOL_SHAPES)
@@ -404,7 +404,7 @@ def test_walk_sink_gets_every_row_once(monkeypatch, pool_widths, fine_switching,
         lock = threading.Lock()
 
         def sink(start, u):
-            got[start : start + len(u)] = u
+            got[start : start + u.shape[1]] = u.T
             with lock:
                 starts.append(start)
 
@@ -412,6 +412,31 @@ def test_walk_sink_gets_every_row_once(monkeypatch, pool_widths, fine_switching,
         assert len(starts) == len(set(starts)) == 49, cpus
         assert got.tobytes() == want.tobytes(), cpus
     assert pool_widths == [3]
+
+
+def test_draws_do_not_depend_on_the_tile_size(monkeypatch):
+    # the reproducibility contract names block size: tiles of 2^15, 2^16
+    # and 2^17 coordinates cut these draws, and the Sobol' lead's segments,
+    # at different rows, and each has a ragged last tile
+    shapes = [(3 * 8192 + 11, 15), (5003, 64), (70001, 1)]
+    models = [SanModel(), ExpModel()]
+    digests = []
+    for coords in (1 << 15, 1 << 16, 1 << 17):
+        monkeypatch.setattr(lowdisc, "_TILE_COORDS", coords)
+        digest = {}
+        for n, d in shapes:
+            ps = sobol_points(n, d)
+            for sampler in ("qmc-sobol", "rqmc-owen", "rqmc-shift"):
+                digest[sampler, n, d] = hashlib.sha256(sample_points(sampler, n, d, seed=4)).hexdigest()
+            digest["owen_scramble", n, d] = hashlib.sha256(owen_scramble(ps, 4).points).hexdigest()
+            digest["digital_shift", n, d] = hashlib.sha256(digital_shift(ps, 4).points).hexdigest()
+        for model in models:
+            for sampler in ("qmc-sobol", "rqmc-owen", "rqmc-shift"):
+                losses = sample_losses(model, sampler, shapes[0][0], 4)
+                digest["sample_losses", sampler, model.dim] = hashlib.sha256(losses).hexdigest()
+        digests.append(digest)
+    assert digests[1] == digests[0]
+    assert digests[2] == digests[0]
 
 
 def _count_table_builds(monkeypatch):
@@ -510,12 +535,12 @@ def test_a_failing_tile_stops_the_other_workers(monkeypatch, pool_widths, fine_s
     all_started = threading.Barrier(3, timeout=60)
     grid_integers = lowdisc.grid_integers
 
-    def counting_grid_integers(coords, out):
+    def counting_grid_integers(coords, out, scaled):
         converted.append(coords.shape)
         if threading.get_ident() not in started:
             started.add(threading.get_ident())
             all_started.wait()
-        return grid_integers(coords, out)
+        return grid_integers(coords, out, scaled)
 
     monkeypatch.setattr(lowdisc, "grid_integers", counting_grid_integers)
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
@@ -527,6 +552,7 @@ def test_a_failing_tile_stops_the_other_workers(monkeypatch, pool_widths, fine_s
 
 def test_walk_starts_no_pool_where_none_belongs(monkeypatch, pool_widths):
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
+    rows = lowdisc._tile_rows(15)
     sample_points("rqmc-owen", 2, 15, seed=0)  # a cold-start probe's draw
     sample_points("rqmc-owen", 1 << 16, 15, seed=0)  # the study's largest N
     # a thread other than the main one belongs to a pool that owns the CPUs
@@ -537,7 +563,7 @@ def test_walk_starts_no_pool_where_none_belongs(monkeypatch, pool_widths):
     assert not thread.is_alive()
     assert shapes == [(1 << 19, 15)]
     assert pool_widths == []
-    sample_points("rqmc-owen", 1 << 17, 15, seed=0)  # 32 tiles: two workers
+    sample_points("rqmc-owen", 32 * rows, 15, seed=0)  # 32 tiles: two workers
     assert pool_widths == [2]
 
 
@@ -603,6 +629,7 @@ def test_pooled_draw_peak_memory_is_the_output_plus_scratch(monkeypatch, pool_wi
     # 64 tiles on four workers: 12 tiles of scratch, 3/16 of the output,
     # besides the Sobol' lead tile and the Owen table
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
-    n, d = 1 << 18, 15
+    d = 15
+    n = 64 * lowdisc._tile_rows(d)
     assert _traced_peak(lambda: sample_points(sampler, n, d, seed=1)) < 1.35 * n * d * 8
     assert pool_widths == [4]
