@@ -9,8 +9,9 @@ values, or from a large pseudorandom run (``mc_truth``).
 Reproducibility contract: a given ``ExperimentConfig`` yields a
 byte-identical ``ResultTable`` regardless of thread count.  MC replications
 draw from a PCG64 stream keyed by the ``SeedSequence`` (master_seed, stream
-tag, N, replication); randomized QMC replication r uses a scramble seed
-derived from (master_seed, r).
+tag, replication); randomized QMC replication r uses a scramble seed
+derived from (master_seed, r).  No key holds N: every sampler's draw is a
+prefix of any longer draw, so a study draws a replication once.
 
 Threads come from ``lowdisc.in_order`` alone: one call runs a study's
 replications on ``min(threads, R)`` workers, one per truth pass its blocks
@@ -26,21 +27,21 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import randomize
 from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
 from .lowdisc import DEFAULT_BIT_DEPTH, _usable_cpus, check_count, in_order, walk
 from .models import Model, model_from_section, parse_sections
+from .randomize import owen_step, shift_step
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
 # step factory applied to the Sobol' tiles, if any); plain MC draws no
 # Sobol' points
-SAMPLER_TABLE: Dict[str, Tuple[str, Optional[str]]] = {
+SAMPLER_TABLE: Dict[str, Tuple[str, Optional[Callable]]] = {
     "mc": ("mc", None),
     "qmc-sobol": ("sobol", None),
-    "rqmc-owen": ("owen", "owen_step"),
-    "rqmc-shift": ("shift", "shift_step"),
+    "rqmc-owen": ("owen", owen_step),
+    "rqmc-shift": ("shift", shift_step),
 }
 SAMPLERS = tuple(SAMPLER_TABLE)
 
@@ -178,8 +179,8 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def mc_stream_seed(master_seed: int, n: int, replication: int) -> np.random.SeedSequence:
-    return np.random.SeedSequence([master_seed, _MC_STREAM_TAG, n, replication])
+def mc_stream_seed(master_seed: int, replication: int) -> np.random.SeedSequence:
+    return np.random.SeedSequence([master_seed, _MC_STREAM_TAG, replication])
 
 
 def sampler_name(token: str) -> str:
@@ -212,13 +213,14 @@ def sample_points(
 ) -> np.ndarray:
     """Generate an (n, dim) batch in [0,1) for the named sampler.
 
-    "mc" draws from a PCG64 stream keyed by (seed, N, replication); the
-    QMC samplers take the first n points of the digital sequence,
-    randomized per the sampler name tile by tile.
+    "mc" takes the first n rows of a PCG64 stream keyed by (seed,
+    replication); the QMC samplers take the first n points of the digital
+    sequence, randomized per the sampler name tile by tile.  So for every
+    sampler a draw of n points is the first n points of any longer draw.
     """
     seed = _check_draw(sampler, n, dim, seed)
     if sampler == "mc":
-        gen = np.random.Generator(np.random.PCG64(mc_stream_seed(seed, n, replication)))
+        gen = np.random.Generator(np.random.PCG64(mc_stream_seed(seed, replication)))
         return gen.random((n, dim))
     return walk(n, dim, _qmc_step(sampler, dim, seed, replication, n))
 
@@ -227,8 +229,7 @@ def _qmc_step(sampler: str, dim: int, seed: int, replication: int, n: int) -> Op
     """The ``walk`` step of a QMC sampler's replication of n points, None
     for qmc-sobol."""
     factory = SAMPLER_TABLE[sampler][1]
-    # looked up per call, so a patched module attribute takes effect
-    return None if factory is None else getattr(randomize, factory)(dim, child_seed(seed, replication), n)
+    return None if factory is None else factory(dim, child_seed(seed, replication), n)
 
 
 def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication: int = 0) -> np.ndarray:
@@ -239,11 +240,12 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
     made: the QMC samplers' walk tiles, which ``model.tile_losses`` works
     in, and, for "mc", (2^13, dim) tiles of the same PCG64 stream, drawn as
     the truth pass draws its blocks.  The draw holds the n losses and
-    tile-sized blocks only.
+    tile-sized blocks only; like the points, the losses of n points are
+    the first n losses of any longer draw.
     """
     seed = _check_draw(sampler, n, model.dim, seed)
     if sampler == "mc":
-        return _truth_losses(model, mc_stream_seed(seed, n, replication), 0, n)
+        return _truth_losses(model, mc_stream_seed(seed, replication), 0, n)
     losses = np.empty(n)
 
     def sink(start: int, u: np.ndarray) -> None:
@@ -439,11 +441,12 @@ def run_convergence(
 ) -> ResultTable:
     """Run the replicated study and aggregate bias/MSE per (sampler, N).
 
-    Randomized samplers scramble and evaluate the largest grid size once
-    per replication and reuse prefixes of the losses for the smaller
-    sizes; randomization and evaluation are pointwise, so each prefix is
-    bit-identical to scrambling and evaluating that size directly with the
-    same seed.  ``threads`` (None for serial) must be >= 1.  All samplers'
+    All samplers draw and evaluate the largest grid size once per
+    replication and reuse prefixes of the losses for the smaller sizes; a
+    draw is a prefix of any longer draw and evaluation is pointwise, so
+    each prefix is bit-identical to drawing and evaluating that size
+    directly, but one sampler's rows are not independent across N.
+    ``threads`` (None for serial) must be >= 1.  All samplers'
     replications, in config order, run through one ``in_order`` call of
     ``min(threads, R)`` workers; a sampler's rows follow its last one.
     """
@@ -465,13 +468,9 @@ def run_convergence(
 
     def run_rep(job: Tuple[str, int]) -> None:
         sampler, r = job
-
-        def draw(n: int) -> np.ndarray:
-            return sample_losses(model, sampler, n, cfg.master_seed, r)
-
-        losses = None if sampler == "mc" else draw(n_max)
+        losses = sample_losses(model, sampler, n_max, cfg.master_seed, r)
         for j, n in enumerate(grid):
-            batch = SampleBatch(draw(n) if losses is None else losses[:n])
+            batch = SampleBatch(losses[:n])
             est[sampler][:, r, j] = quantile_estimate(batch, cfg.p), shortfall_estimate(batch, cfg.p)
 
     # one stream, so one pool: with a pool per sampler, the second pool's
@@ -570,18 +569,9 @@ def rate_summary(table: ResultTable, metric: str = "q_mse") -> Dict[str, RateFit
     return fits
 
 
-_EXPERIMENT_KEYS = {
-    "p",
-    "samplers",
-    "n_grid",
-    "replications",
-    "master_seed",
-    "truth",
-    "truth_n",
-    "truth_seed",
-    "truth_v",
-    "truth_c",
-}
+# the truth keys, each read by one truth kind only
+_TRUTH_KEY_KINDS = {"truth_v": "explicit", "truth_c": "explicit", "truth_n": "mc", "truth_seed": "mc"}
+_EXPERIMENT_KEYS = {"p", "samplers", "n_grid", "replications", "master_seed", "truth", *_TRUTH_KEY_KINDS}
 
 
 def parse_count(raw: str, name: str) -> int:
@@ -664,5 +654,8 @@ def load_experiment(text: str) -> ExperimentConfig:
             truth_kw["kind"] = section["truth"].strip().lower()
         elif "v" in truth_kw or "c" in truth_kw:
             truth_kw["kind"] = "explicit"
-    kwargs["truth"] = TruthSpec(**truth_kw)
+    truth = kwargs["truth"] = TruthSpec(**truth_kw)
+    for key, kind in _TRUTH_KEY_KINDS.items():
+        if parser.has_option("experiment", key) and truth.kind != kind:
+            raise ConfigError(f"{key}: only truth = {kind} reads it, not truth = {truth.kind}")
     return ExperimentConfig(model=model, **kwargs)

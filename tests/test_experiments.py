@@ -11,6 +11,7 @@ from qmcrisk.estimators import SampleBatch, order_index, quantile_estimate, shor
 from qmcrisk.experiments import (
     CSV_HEADER,
     DEFAULT_GRID,
+    SAMPLERS,
     ExperimentConfig,
     RateFit,
     ResultRow,
@@ -110,22 +111,22 @@ def test_mc_points_are_reproducible_and_keyed():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, sample_points("mc", 256, 2, seed=5, replication=4))
     assert not np.array_equal(a, sample_points("mc", 256, 2, seed=6, replication=3))
-    # streams are keyed by N too: a shorter run is not a prefix of a longer one
-    assert not np.array_equal(a, sample_points("mc", 512, 2, seed=5, replication=3)[:256])
+    # streams are not keyed by N: a shorter run is a prefix of a longer one
+    assert np.array_equal(a, sample_points("mc", 512, 2, seed=5, replication=3)[:256])
     assert a.shape == (256, 2)
     assert np.all((a >= 0.0) & (a < 1.0))
 
 
 def test_mc_stream_seed_entropy():
-    ss = mc_stream_seed(9, 1024, 7)
-    assert list(ss.entropy) == [9, 0x6D63, 1024, 7]
+    ss = mc_stream_seed(9, 7)
+    assert list(ss.entropy) == [9, 0x6D63, 7]
 
 
 def test_mc_stream_canary():
     # numpy's PCG64 stream itself: if an upgrade changes it, this fails by
     # name before every mc and truth golden hash does
-    want = [0.18835515375664047, 0.2873490725265614, 0.7833445415668789, 0.5925225791487951]
-    gen = np.random.Generator(np.random.PCG64(mc_stream_seed(0, 1024, 0)))
+    want = [0.9855593636558915, 0.7260565280290027, 0.06040863216301162, 0.5877692063228765]
+    gen = np.random.Generator(np.random.PCG64(mc_stream_seed(0, 0)))
     assert gen.random(4).tolist() == want
     assert sample_points("mc", 1024, 1)[:4, 0].tolist() == want
 
@@ -142,11 +143,16 @@ def test_rqmc_samplers_match_library_composition():
         assert np.array_equal(got, want), name
 
 
-def test_rqmc_prefix_that_cuts_a_tile_equals_a_fresh_draw():
-    # the prefix ends 904 rows into the second walk tile at d = 15
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_prefix_that_cuts_a_tile_equals_a_fresh_draw(sampler):
+    # the prefix ends 904 rows into the second walk tile at d = 15, and
+    # inside the second mc tile of ``_TRUTH_TILE`` rows
     rows = lowdisc._tile_rows(15)
-    full = sample_points("rqmc-shift", 2 * rows, 15, seed=3)
-    assert np.array_equal(full[: rows + 904], sample_points("rqmc-shift", rows + 904, 15, seed=3))
+    assert experiments._TRUTH_TILE < rows + 904 < 2 * experiments._TRUTH_TILE
+    full = sample_points(sampler, 2 * rows, 15, seed=3, replication=2)
+    assert np.array_equal(full[: rows + 904], sample_points(sampler, rows + 904, 15, seed=3, replication=2))
+    losses = sample_losses(SanModel(), sampler, 2 * rows, 3, 2)
+    assert losses[: rows + 904].tobytes() == sample_losses(SanModel(), sampler, rows + 904, 3, 2).tobytes()
 
 
 def test_sample_points_validation():
@@ -460,19 +466,16 @@ def test_run_convergence_matches_manual_composition():
     # the harness evaluates each replication once and slices the losses;
     # here every prefix is evaluated on its own
     for truth_spec, m in ((TruthSpec("auto"), ExpModel()), (TruthSpec("explicit", v=5.683, c=4.845), SanModel())):
-        cfg = _small_cfg(model=m, truth=truth_spec, n_grid=(256, 1024), replications=3, master_seed=9)
+        cfg = _small_cfg(model=m, truth=truth_spec, samplers=SAMPLERS, n_grid=(256, 1024), replications=3, master_seed=9)
         table = run_convergence(cfg)
         truth = resolve_truth(m, 0.1, truth_spec)
         for sampler in cfg.samplers:
-            est_q = np.empty((3, 2))
-            est_c = np.empty((3, 2))
-            for r in range(3):
-                full = sample_points(sampler, 1024, m.dim, seed=9, replication=r)
+            reps = 1 if sampler == "qmc-sobol" else 3
+            est_q = np.empty((reps, 2))
+            est_c = np.empty((reps, 2))
+            for r in range(reps):
                 for j, n in enumerate((256, 1024)):
-                    if sampler == "mc":
-                        pts = sample_points("mc", n, m.dim, seed=9, replication=r)
-                    else:
-                        pts = full[:n]  # randomization is pointwise: prefixes agree
+                    pts = sample_points(sampler, n, m.dim, seed=9, replication=r)
                     batch = SampleBatch(m.evaluate(pts))
                     est_q[r, j] = quantile_estimate(batch, 0.1)
                     est_c[r, j] = shortfall_estimate(batch, 0.1)
@@ -484,8 +487,22 @@ def test_run_convergence_matches_manual_composition():
                 assert row.q_mse == float(((q - truth.v) ** 2).mean())
                 assert row.es_mean == float(c.mean())
                 assert row.es_mse == float(((c - truth.c) ** 2).mean())
-                want_stderr = float(((q - truth.v) ** 2).std(ddof=1) / math.sqrt(3))
+                want_stderr = float(((q - truth.v) ** 2).std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
                 assert row.mse_stderr == want_stderr
+
+
+def test_a_study_evaluates_each_replication_once_at_the_largest_n():
+    # R = 3 for mc, owen and shift, one run of qmc-sobol
+    model = _CountingModel(SanModel())
+    cfg = ExperimentConfig(
+        model=model,
+        samplers=SAMPLERS,
+        n_grid=(256, 512, 1024),
+        replications=3,
+        truth=TruthSpec("explicit", v=5.683, c=4.845),
+    )
+    run_convergence(cfg)
+    assert model.rows == (3 + 1 + 3 + 3) * 1024
 
 
 @pytest.mark.parametrize("sampler", ["qmc-sobol", "rqmc-owen", "rqmc-shift", "mc"])
@@ -780,6 +797,23 @@ def test_load_experiment_explicit_truth_values_imply_kind():
     cfg = load_experiment(text)
     assert cfg.truth.kind == "explicit"
     assert (cfg.truth.v, cfg.truth.c) == (2.5, 2.1)
+
+
+@pytest.mark.parametrize(
+    "keys, bad",
+    [
+        ("truth = mc\ntruth_v = 2.5\ntruth_c = 2.1", "truth_v"),
+        ("truth = auto\ntruth_c = 2.1", "truth_c"),
+        ("truth = auto\ntruth_n = 5", "truth_n"),
+        ("truth_seed = 3", "truth_seed"),
+        ("truth = explicit\ntruth_v = 2.5\ntruth_c = 2.1\ntruth_n = 1e6", "truth_n"),
+        ("truth_v = 2.5\ntruth_c = 2.1\ntruth_seed = 3", "truth_seed"),
+    ],
+    ids=["v-mc", "c-auto", "n-auto", "seed-auto", "n-explicit", "seed-implied-explicit"],
+)
+def test_load_experiment_rejects_truth_keys_the_kind_never_reads(keys, bad):
+    with pytest.raises(ConfigError, match=f"^{bad}: "):
+        load_experiment(f"[experiment]\n{keys}\n[model]\nkind = san-15\n")
 
 
 def test_load_experiment_errors():

@@ -70,7 +70,7 @@ def test_converge_csv_golden(capsys, tmp_path):
     cfg = tmp_path / "study.cfg"
     cfg.write_text(STUDY)
     out = _stdout(capsys, "converge", "--config", str(cfg))
-    assert _sha(out.encode()) == "2e472dc8a80a99ebfddc97378dc96f12cbdc4035711409370f21aebfc637068f"
+    assert _sha(out.encode()) == "a149f3bc4c5d2beec4c4417a632523719732c16b1295bc541650f3e15da9c8db"
 
 
 @pytest.mark.parametrize(
@@ -91,7 +91,7 @@ def test_truth_stdout_golden(capsys, tmp_path, model, digest):
     "sampler, digest",
     [
         ("owen", "47d11220f73a372a2b423f0faa060a23fa0f6ca35c37bf16a5f96d7798c74653"),
-        ("mc", "4be3b92419d58ac5655f7a7a0444f273d57015c2bab3c61ab5a5a3b9eb234878"),
+        ("mc", "6ecd15a652966d75e65b6f4b36187045743da1ec3aad21766af00991725bcb83"),
     ],
 )
 def test_estimate_stdout_golden(capsys, sampler, digest):
