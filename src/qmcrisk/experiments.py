@@ -30,8 +30,8 @@ import numpy as np
 from .bits import check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
-from .lowdisc import DEFAULT_BIT_DEPTH, _usable_cpus, check_count, in_order, walk
-from .models import Model, model_from_section, parse_sections
+from .lowdisc import DEFAULT_BIT_DEPTH, _tile_rows, _usable_cpus, check_count, in_order, walk
+from .models import Model, model_from_section, parse_sections, row_losses
 from .randomize import owen_step, shift_step
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
@@ -57,10 +57,6 @@ _TRUTH_STREAM_TAG = 0x74727574
 # its own PCG64 stream to draw b * _TRUTH_BLOCK * dim with ``advance``,
 # which counts draws, so any block size works.
 _TRUTH_BLOCK = 1 << 19
-# rows per drawn and evaluated tile of a truth block or an MC replication
-# (``sample_losses``): a (2^13, 15) float64 tile is about 1 MiB, the size
-# of the SanModel.evaluate tile
-_TRUTH_TILE = 1 << 13
 _MAX_BRACKET = 1 << 24
 # mc_truth: bins of the grid over the pilot's range, and the half-width of
 # the quantile bracket in standard deviations of the pilot's quantile rank
@@ -139,8 +135,8 @@ class ExperimentConfig:
         if list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid: sample sizes must be strictly ascending")
         object.__setattr__(self, "n_grid", grid)
-        if int(self.replications) < 1:
-            raise ConfigError(f"replications: must be >= 1, got {self.replications}")
+        if int(self.replications) != self.replications or self.replications < 1:
+            raise ConfigError(f"replications: must be an integer >= 1, got {self.replications}")
         object.__setattr__(self, "replications", int(self.replications))
         object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master_seed"))
 
@@ -192,13 +188,14 @@ def sampler_name(token: str) -> str:
     raise ConfigError(f"samplers: unknown sampler {token!r}")
 
 
-def _check_draw(sampler: str, n: int, dim: int, seed: int) -> int:
+def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> int:
     """The seed of a valid draw; ConfigError for a bad count, dimension,
-    seed or sampler."""
+    seed, replication or sampler."""
     check_count(n)
     if dim < 1:
         raise ConfigError(f"dim: must be >= 1, got {dim}")
     seed = check_seed(seed)
+    check_seed(replication, "replication")
     if sampler not in SAMPLER_TABLE:
         raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
     return seed
@@ -218,7 +215,7 @@ def sample_points(
     sequence, randomized per the sampler name tile by tile.  So for every
     sampler a draw of n points is the first n points of any longer draw.
     """
-    seed = _check_draw(sampler, n, dim, seed)
+    seed = _check_draw(sampler, n, dim, seed, replication)
     if sampler == "mc":
         gen = np.random.Generator(np.random.PCG64(mc_stream_seed(seed, replication)))
         return gen.random((n, dim))
@@ -238,12 +235,12 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
 
     The model's rows are independent, so each tile is evaluated as it is
     made: the QMC samplers' walk tiles, which ``model.tile_losses`` works
-    in, and, for "mc", (2^13, dim) tiles of the same PCG64 stream, drawn as
-    the truth pass draws its blocks.  The draw holds the n losses and
-    tile-sized blocks only; like the points, the losses of n points are
-    the first n losses of any longer draw.
+    in, and, for "mc", tiles of as many rows of the same PCG64 stream,
+    drawn as the truth pass draws its blocks.  The draw holds the n losses
+    and tile-sized blocks only; like the points, the losses of n points
+    are the first n losses of any longer draw.
     """
-    seed = _check_draw(sampler, n, model.dim, seed)
+    seed = _check_draw(sampler, n, model.dim, seed, replication)
     if sampler == "mc":
         return _truth_losses(model, mc_stream_seed(seed, replication), 0, n)
     losses = np.empty(n)
@@ -276,19 +273,14 @@ def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int)
 
     ``random`` takes one draw per double and ``PCG64.advance`` counts
     draws, so advancing a fresh generator by start * dim starts it at row
-    ``start``.  The rows are drawn and evaluated in tiles of
-    ``_TRUTH_TILE``.
+    ``start``.  ``row_losses`` evaluates the rows tile by tile, each drawn
+    into one block of a walk tile's rows.
     """
     bitgen = np.random.PCG64(seq)
     bitgen.advance(start * model.dim)
     gen = np.random.Generator(bitgen)
-    tile = np.empty((min(_TRUTH_TILE, m), model.dim))
-    losses = np.empty(m)
-    for s in range(0, m, _TRUTH_TILE):
-        u = tile[: min(_TRUTH_TILE, m - s)]
-        gen.random(out=u)
-        losses[s : s + len(u)] = model.evaluate(u)
-    return losses
+    tile = np.empty((min(_tile_rows(model.dim), m), model.dim))
+    return row_losses(model, m, lambda _, k: gen.random(out=tile[:k]))
 
 
 def mc_truth(

@@ -41,12 +41,16 @@ WORK_LIMIT = 10**9
 
 _BUNDLED_TABLE = "joe-kuo-64.txt"
 
-# Coordinates per tile of ``walk``, at most, so every numpy call of a step
-# covers up to 2^17 coordinates (1 MiB of uint64, 512 KiB per uint32
-# plane).  That size is a constant, not a setting, chosen for the two
-# ``in_order`` uses that run tiles concurrently, the study's replications
-# and the walk's workers: the threads pass the GIL at every numpy call, so
-# smaller calls stop them overlapping, and larger tiles cost more scratch.
+# Coordinates per tile, at most, in rows by ``_tile_rows``, of the three
+# tiled loops: ``walk``, and ``models.row_losses`` on ``evaluate``'s blocks
+# and on the MC and truth draws.  So every numpy call of a step covers up
+# to 2^17 coordinates (1 MiB of uint64, 512 KiB per uint32 plane); a
+# (15, 8192) evaluated tile stays in cache, and on a 2-core host one
+# 2^19 x 15 evaluate took 50 ms tiled and 90 ms untiled.  That size is a
+# constant, not a setting, chosen for the two ``in_order`` uses that run
+# tiles concurrently, the study's replications and the walk's workers: the
+# threads pass the GIL at every numpy call, so smaller calls stop them
+# overlapping, and larger tiles cost more scratch.
 # On a 2-core host with numpy 2.4.6, eight 2^16 x 15 Owen replications
 # (``sample_losses``) ran on two threads 1.03-1.04x as fast as on one at
 # 2^15 coordinates per tile, 1.31-1.57x at 2^16, 1.37-1.65x at 2^17 and

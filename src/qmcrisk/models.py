@@ -15,8 +15,9 @@ before the log so that every point of the unit cube, including the origin
 emitted by unrandomized digital sequences, maps to a finite loss.
 
 Each model has one loss kernel, ``tile_losses``, on the points that are
-the columns of a (dim, m) block; ``evaluate`` and
-``experiments.sample_losses`` both run it.
+the columns of a (dim, m) block, run by ``row_losses`` and on the QMC
+walk's tiles; so the package needs only ``dim`` and ``tile_losses`` from a
+model, plus the closed forms for ``truth = auto``.
 """
 
 from __future__ import annotations
@@ -25,12 +26,13 @@ import configparser
 import math
 import re
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
 from .errors import ConfigError
 from .estimators import check_level
+from .lowdisc import _tile_rows
 
 # largest double below 1 is 1 - 2^-53, so the clamp window is as wide as
 # float64 permits
@@ -56,36 +58,28 @@ DEFAULT_SAN_PATHS: Tuple[Tuple[int, ...], ...] = (
 # mean duration 2 on edges 1..8, mean 1 on edges 9..15
 DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
-def _point_block(u: np.ndarray, dim: int) -> np.ndarray:
-    """u as float64; ConfigError unless it is an (n, dim) block, n >= 0."""
-    block = np.asarray(u, dtype=np.float64)
-    if block.ndim != 2 or block.shape[1] != dim:
-        raise ConfigError(f"model expects an (n, {dim}) block of points, got shape {block.shape}")
-    return block
-
-
-# rows per evaluated tile: the (15, rows) float64 block of a SanModel is
-# about 1 MiB, so every pass over it stays in cache.  On a 2-core host one
-# 2^19 x 15 batch took 50 ms at 2^13 rows, 54 ms at 2^12 and 2^14, and
-# 90 ms untiled; two threads evaluating 2^16-row batches overlap fully
-# when tiled and not at all untiled.
-_EVAL_TILE_ROWS = 1 << 13
+def row_losses(model: Model, n: int, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
+    """The losses of n rows, ``rows(start, m)`` being the (m, model.dim)
+    block of rows start..start + m - 1, asked for in order: ``tile_losses``
+    of each ``_tile_rows(model.dim)``-row tile's strided columns, clamped
+    into one (dim, rows) scratch block.  Every row is computed on its own,
+    so the result does not depend on the tiling."""
+    out = np.empty(n)
+    tile = max(1, min(n, _tile_rows(model.dim)))
+    y = np.empty((model.dim, tile))
+    for start in range(0, n, tile):
+        m = min(tile, n - start)
+        model.tile_losses(rows(start, m).T, out[start : start + m], y[:, :m])
+    return out
 
 
 def _evaluate(model: Model, u: np.ndarray) -> np.ndarray:
-    """The losses of the rows of an (n, model.dim) block: ``tile_losses``
-    of each ``_EVAL_TILE_ROWS``-row tile's strided columns, clamped into
-    one (dim, rows) scratch block.  Every row is computed on its own, so
-    the result does not depend on the batch size or the tiling."""
-    block = _point_block(u, model.dim)
-    n = block.shape[0]
-    rows = max(1, min(n, _EVAL_TILE_ROWS))
-    y = np.empty((model.dim, rows))
-    out = np.empty(n)
-    for start in range(0, n, rows):
-        m = min(rows, n - start)
-        model.tile_losses(block[start : start + m].T, out[start : start + m], y[:, :m])
-    return out
+    """The losses of the rows of u, by ``row_losses``; ConfigError unless u
+    is an (n, model.dim) block, n >= 0."""
+    block = np.asarray(u, dtype=np.float64)
+    if block.ndim != 2 or block.shape[1] != model.dim:
+        raise ConfigError(f"model expects an (n, {model.dim}) block of points, got shape {block.shape}")
+    return row_losses(model, block.shape[0], lambda start, m: block[start : start + m])
 
 
 def _longest_path(y: np.ndarray, out: np.ndarray) -> None:

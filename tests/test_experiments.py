@@ -88,6 +88,9 @@ def test_experiment_config_validation():
         ExperimentConfig(model=m, n_grid=(256, 2**53))
     with pytest.raises(ConfigError):
         ExperimentConfig(model=m, replications=0)
+    # a fractional count would run its floor
+    with pytest.raises(ConfigError, match="replications"):
+        ExperimentConfig(model=m, replications=2.7)
     for seed in (2**64, -1):
         with pytest.raises(ConfigError, match="master_seed"):
             ExperimentConfig(model=m, master_seed=seed)
@@ -145,10 +148,10 @@ def test_rqmc_samplers_match_library_composition():
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_prefix_that_cuts_a_tile_equals_a_fresh_draw(sampler):
-    # the prefix ends 904 rows into the second walk tile at d = 15, and
-    # inside the second mc tile of ``_TRUTH_TILE`` rows
+    # the prefix ends 904 rows into the second tile at d = 15, of the walk
+    # and of the mc draw alike
     rows = lowdisc._tile_rows(15)
-    assert experiments._TRUTH_TILE < rows + 904 < 2 * experiments._TRUTH_TILE
+    assert 904 < rows
     full = sample_points(sampler, 2 * rows, 15, seed=3, replication=2)
     assert np.array_equal(full[: rows + 904], sample_points(sampler, rows + 904, 15, seed=3, replication=2))
     losses = sample_losses(SanModel(), sampler, 2 * rows, 3, 2)
@@ -169,6 +172,19 @@ def test_sample_points_validation():
         for seed in (-1, 2**64):
             with pytest.raises(ConfigError, match="seed"):
                 sample_points(sampler, 16, 2, seed=seed)
+
+
+def test_draws_check_the_replication_index():
+    # MC streams would fail in numpy, Owen and shift seeds would alias
+    # modulo 2^64
+    for sampler in SAMPLERS:
+        for replication in (-1, 2**64):
+            with pytest.raises(ConfigError, match="replication"):
+                sample_points(sampler, 16, 2, replication=replication)
+            with pytest.raises(ConfigError, match="replication"):
+                sample_losses(ExpModel(), sampler, 16, 0, replication)
+        assert sample_points(sampler, 16, 2, replication=2**64 - 1).shape == (16, 2)
+        assert sample_losses(ExpModel(), sampler, 16, 0, 2**64 - 1).shape == (16,)
 
 
 def test_mc_truth_rejects_seeds_outside_64_bits():
@@ -262,7 +278,8 @@ class _CountingModel:
 
 
 class _RecordingModel:
-    """Wraps a model and keeps a copy of every point tile it evaluates."""
+    """Wraps a model and keeps a copy of every tile it evaluates, as an
+    (m, dim) block of rows."""
 
     def __init__(self, model) -> None:
         self.model = model
@@ -272,9 +289,9 @@ class _RecordingModel:
     def dim(self) -> int:
         return self.model.dim
 
-    def evaluate(self, u):
-        self.tiles.append(np.array(u))
-        return self.model.evaluate(u)
+    def tile_losses(self, u, out, y):
+        self.tiles.append(u.T.copy())
+        self.model.tile_losses(u, out, y)
 
 
 @pytest.mark.parametrize("model", [ExpModel(), SanModel()], ids=["exp", "san"])
@@ -349,15 +366,15 @@ def test_mc_truth_emits_progress(monkeypatch):
         pytest.param(ExpModel(), 1 << 12, 1 << 9, id="exp"),
         pytest.param(SanModel(), 1 << 12, 1 << 9, id="san"),
         # blocks of 1001 rows start at draws that are not multiples of 4
-        pytest.param(ExpModel(), 1001, 300, id="exp-any-row"),
-        pytest.param(SanModel(), 1001, 300, id="san-any-row"),
+        pytest.param(ExpModel(), 1001, 1 << 8, id="exp-any-row"),
+        pytest.param(SanModel(), 1001, 1 << 8, id="san-any-row"),
     ],
 )
 def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model, block, tile):
     # every block jumps a fresh generator to its first draw; together the
     # blocks and their tiles must read one stream front to back
     monkeypatch.setattr(experiments, "_TRUTH_BLOCK", block)
-    monkeypatch.setattr(experiments, "_TRUTH_TILE", tile)
+    monkeypatch.setattr(lowdisc, "_TILE_COORDS", tile * model.dim)
     n, seed = 3 * block + 1000, 7  # a ragged last block, with a ragged last tile
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
     stream = gen.random((n, model.dim))
@@ -366,9 +383,38 @@ def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model, block, tile):
         recording = _RecordingModel(model)
         losses = experiments._truth_losses(recording, seq, start, min(block, n - start))
         want = stream[start : start + block]
-        assert max(len(u) for u in recording.tiles) <= tile
+        assert max(len(u) for u in recording.tiles) == tile
         assert np.array_equal(np.concatenate(recording.tiles), want), f"block {b}"
         assert np.array_equal(losses, model.evaluate(want)), f"block {b}"
+
+
+@pytest.mark.parametrize("model", [ExpModel(), SanModel()], ids=["exp", "san"])
+def test_every_loss_loop_tiles_by_the_walk_rule(monkeypatch, model):
+    # evaluate, every sampler's draw and the truth blocks evaluate tiles
+    # of exactly ``_tile_rows(dim)`` rows, whatever that rule says
+    monkeypatch.setattr(lowdisc, "_TILE_COORDS", 1 << 14)
+    widths = []
+    kernel = type(model).tile_losses
+
+    def tile_losses(self, u, out, y):
+        widths.append(u.shape[1])
+        kernel(self, u, out, y)
+
+    monkeypatch.setattr(type(model), "tile_losses", tile_losses)
+    rows = lowdisc._tile_rows(model.dim)
+    n = 3 * rows + 5
+    seq = np.random.SeedSequence([2, experiments._TRUTH_STREAM_TAG])
+    draws = {
+        "evaluate": lambda: model.evaluate(np.full((n, model.dim), 0.5)),
+        "_truth_losses": lambda: experiments._truth_losses(model, seq, 3, n),
+    }
+    for sampler in SAMPLERS:
+        draws[sampler] = lambda sampler=sampler: sample_losses(model, sampler, n, 1, 2)
+    for name, draw in draws.items():
+        widths.clear()
+        draw()
+        assert max(widths) == rows, name
+        assert sum(widths) == n, name
 
 
 @pytest.mark.parametrize("sigmas", [8.0, 0.0], ids=["one-pass", "replay"])

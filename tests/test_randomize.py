@@ -9,7 +9,15 @@ from scipy import stats
 from qmcrisk import lowdisc, randomize
 from qmcrisk.bits import MIX1, MIX2, hash64
 from qmcrisk.errors import ConfigError, PrecisionError
-from qmcrisk.experiments import ExperimentConfig, TruthSpec, run_convergence, sample_losses, sample_points
+from qmcrisk.experiments import (
+    SAMPLERS,
+    ExperimentConfig,
+    TruthSpec,
+    _truth_losses,
+    run_convergence,
+    sample_losses,
+    sample_points,
+)
 from qmcrisk.lowdisc import (
     DEFAULT_BIT_DEPTH,
     NetParams,
@@ -419,7 +427,8 @@ def test_draws_do_not_depend_on_the_tile_size(monkeypatch):
     # and 2^17 coordinates cut these draws, and the Sobol' lead's segments,
     # at different rows, and each has a ragged last tile
     shapes = [(3 * 8192 + 11, 15), (5003, 64), (70001, 1)]
-    models = [SanModel(), ExpModel()]
+    models = [(SanModel(), shapes[0][0]), (ExpModel(), shapes[2][0])]
+    blocks = {model.dim: np.random.default_rng(4).random((n, model.dim)) for model, n in models}
     digests = []
     for coords in (1 << 15, 1 << 16, 1 << 17):
         monkeypatch.setattr(lowdisc, "_TILE_COORDS", coords)
@@ -430,10 +439,13 @@ def test_draws_do_not_depend_on_the_tile_size(monkeypatch):
                 digest[sampler, n, d] = hashlib.sha256(sample_points(sampler, n, d, seed=4)).hexdigest()
             digest["owen_scramble", n, d] = hashlib.sha256(owen_scramble(ps, 4).points).hexdigest()
             digest["digital_shift", n, d] = hashlib.sha256(digital_shift(ps, 4).points).hexdigest()
-        for model in models:
-            for sampler in ("qmc-sobol", "rqmc-owen", "rqmc-shift"):
-                losses = sample_losses(model, sampler, shapes[0][0], 4)
+        for model, n in models:
+            for sampler in SAMPLERS:
+                losses = sample_losses(model, sampler, n, 4)
                 digest["sample_losses", sampler, model.dim] = hashlib.sha256(losses).hexdigest()
+            digest["evaluate", model.dim] = hashlib.sha256(model.evaluate(blocks[model.dim])).hexdigest()
+            truth = _truth_losses(model, np.random.SeedSequence(4), 5, n)
+            digest["_truth_losses", model.dim] = hashlib.sha256(truth).hexdigest()
         digests.append(digest)
     assert digests[1] == digests[0]
     assert digests[2] == digests[0]
