@@ -21,15 +21,20 @@ MIX2 = 0x94D049BB133111EB
 
 
 def check_seed(seed: int, name: str = "seed") -> int:
-    """The seed as an int; ConfigError unless 0 <= seed < 2^64.
+    """The seed as an int; ConfigError unless it is an integer with
+    0 <= seed < 2^64.
 
     Owen and shift seeds enter a 64-bit hash and MC seeds a SeedSequence,
-    so a seed outside this range would alias another seed or fail late.
+    so a seed outside this range, or a fraction truncated to an integer,
+    would alias another seed or fail late.
     """
-    seed = int(seed)
-    if not 0 <= seed < 2 ** 64:
+    try:
+        value = int(seed)
+    except (ValueError, OverflowError):  # NaN, infinities
+        value = None
+    if value is None or value != seed or not 0 <= value < 2 ** 64:
         raise ConfigError(f"{name}: must be an integer in [0, 2^64), got {seed}")
-    return seed
+    return value
 
 
 def mix64(z: int) -> int:

@@ -15,7 +15,9 @@ prefix of any longer draw, so a study draws a replication once.
 
 Threads come from ``lowdisc.in_order`` alone: one call runs a study's
 replications on ``min(threads, R)`` workers, one per truth pass its blocks
-on a thread per usable CPU; a walk inside a study's task runs inline.
+on a thread per usable CPU, and ``lowdisc.run_tiles`` spreads a tiled loop
+called from the main thread (a walk, an ``evaluate``, an MC draw, the
+truth pilot) over the usable CPUs; a tiled loop inside a task runs inline.
 """
 
 from __future__ import annotations
@@ -188,17 +190,17 @@ def sampler_name(token: str) -> str:
     raise ConfigError(f"samplers: unknown sampler {token!r}")
 
 
-def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> int:
-    """The seed of a valid draw; ConfigError for a bad count, dimension,
-    seed, replication or sampler."""
+def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> Tuple[int, int]:
+    """The seed and replication of a valid draw, as ints; ConfigError for a
+    bad count, dimension, seed, replication or sampler."""
     check_count(n)
     if dim < 1:
         raise ConfigError(f"dim: must be >= 1, got {dim}")
     seed = check_seed(seed)
-    check_seed(replication, "replication")
+    replication = check_seed(replication, "replication")
     if sampler not in SAMPLER_TABLE:
         raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
-    return seed
+    return seed, replication
 
 
 def sample_points(
@@ -215,7 +217,7 @@ def sample_points(
     sequence, randomized per the sampler name tile by tile.  So for every
     sampler a draw of n points is the first n points of any longer draw.
     """
-    seed = _check_draw(sampler, n, dim, seed, replication)
+    seed, replication = _check_draw(sampler, n, dim, seed, replication)
     if sampler == "mc":
         gen = np.random.Generator(np.random.PCG64(mc_stream_seed(seed, replication)))
         return gen.random((n, dim))
@@ -236,11 +238,13 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
     The model's rows are independent, so each tile is evaluated as it is
     made: the QMC samplers' walk tiles, which ``model.tile_losses`` works
     in, and, for "mc", tiles of as many rows of the same PCG64 stream,
-    drawn as the truth pass draws its blocks.  The draw holds the n losses
-    and tile-sized blocks only; like the points, the losses of n points
-    are the first n losses of any longer draw.
+    each worker jumping its own generator to its tiles, as the truth pass
+    draws its blocks.  Both loops run their tiles by ``lowdisc.run_tiles``,
+    so from the main thread on all usable CPUs, with the same bits.  The
+    draw holds the n losses and tile-sized blocks only; like the points,
+    the losses of n points are the first n losses of any longer draw.
     """
-    seed = _check_draw(sampler, n, model.dim, seed, replication)
+    seed, replication = _check_draw(sampler, n, model.dim, seed, replication)
     if sampler == "mc":
         return _truth_losses(model, mc_stream_seed(seed, replication), 0, n)
     losses = np.empty(n)
@@ -272,15 +276,30 @@ def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int)
     ``Generator(PCG64(seq)).random((rows, model.dim))``.
 
     ``random`` takes one draw per double and ``PCG64.advance`` counts
-    draws, so advancing a fresh generator by start * dim starts it at row
-    ``start``.  ``row_losses`` evaluates the rows tile by tile, each drawn
-    into one block of a walk tile's rows.
+    draws, so a generator standing at row ``at`` of the stream reaches row
+    r by advancing (r - at) * dim.  ``row_losses`` evaluates the rows tile
+    by tile; each of its workers has its own generator, jumped to each of
+    its tiles in turn, and one block of a tile's rows to draw them into.
+    So the rows are those of the one stream for any worker count.
     """
-    bitgen = np.random.PCG64(seq)
-    bitgen.advance(start * model.dim)
-    gen = np.random.Generator(bitgen)
-    tile = np.empty((min(_tile_rows(model.dim), m), model.dim))
-    return row_losses(model, m, lambda _, k: gen.random(out=tile[:k]))
+    dim = model.dim
+    rows = min(_tile_rows(dim), m)
+
+    def reader() -> Callable[[int, int], np.ndarray]:
+        bitgen = np.random.PCG64(seq)
+        gen = np.random.Generator(bitgen)
+        tile = np.empty((rows, dim))
+        at = 0
+
+        def draw(s: int, k: int) -> np.ndarray:
+            nonlocal at
+            bitgen.advance((start + s - at) * dim)
+            at = start + s + k
+            return gen.random(out=tile[:k])
+
+        return draw
+
+    return row_losses(model, m, reader)
 
 
 def mc_truth(
@@ -308,8 +327,10 @@ def mc_truth(
     WorkLimitError.  The density behind ``v_stderr`` is the count of values
     in v's grid bin.
 
-    Each pass runs its blocks through ``in_order``, one thread per usable
-    CPU and at most one per block.  A task draws one block of
+    The pilot is drawn on the calling thread, so from the main thread its
+    tiles run on every usable CPU (``lowdisc.run_tiles``).  Each pass runs
+    its blocks through ``in_order``, one thread per usable CPU and at most
+    one per block, each block's tiles inline.  A task draws one block of
     ``_TRUTH_BLOCK`` rows from its own PCG64 generator, jumped to the
     block's start with ``advance``, and reduces it against the bracket: the
     count below it, the two pivoted sums, the values inside it and the

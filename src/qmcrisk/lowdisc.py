@@ -10,12 +10,13 @@ prefix property: the first n points of a longer run are byte-identical to
 a run of n points.  ``walk`` is the one place where the 52-bit integers
 become floats, one tile at a time, so it never holds a second N x d array;
 given a sink, which takes each float tile in turn, it holds none.
-``in_order`` is the package's one thread pool, for the walk, the truth
-pass and the study alike.  Called from the main thread on a large enough
-draw, ``walk`` spreads its tiles over one thread per usable CPU; from any
-other thread, such as an ``in_order`` task's, it runs inline.  Each tile
-depends on its own indices or input rows alone, so the output is the same
-for any CPU count.
+``in_order`` is the package's one thread pool, for the tiled loops, the
+truth pass and the study alike.  ``run_tiles`` schedules every tiled loop,
+the walk and ``models.row_losses`` (``evaluate`` and the MC and truth
+draws): called from the main thread on enough tiles, it spreads them over
+one thread per usable CPU; from any other thread, such as an ``in_order``
+task's, it runs them inline.  Each tile depends on its own indices or
+input rows alone, so the output is the same for any CPU count.
 """
 
 from __future__ import annotations
@@ -46,30 +47,33 @@ _BUNDLED_TABLE = "joe-kuo-64.txt"
 # and on the MC and truth draws.  So every numpy call of a step covers up
 # to 2^17 coordinates (1 MiB of uint64, 512 KiB per uint32 plane); a
 # (15, 8192) evaluated tile stays in cache, and on a 2-core host one
-# 2^19 x 15 evaluate took 50 ms tiled and 90 ms untiled.  That size is a
-# constant, not a setting, chosen for the two ``in_order`` uses that run
-# tiles concurrently, the study's replications and the walk's workers: the
-# threads pass the GIL at every numpy call, so smaller calls stop them
-# overlapping, and larger tiles cost more scratch.
+# 2^19 x 15 evaluate took 50 ms tiled and 90 ms untiled, on one thread.
+# That size is a constant, not a setting, chosen for the two ``in_order``
+# uses that run tiles concurrently, the study's replications and the
+# workers of ``run_tiles``: the threads pass the GIL at every numpy call,
+# so smaller calls stop them overlapping, and larger tiles cost more
+# scratch.
 # On a 2-core host with numpy 2.4.6, eight 2^16 x 15 Owen replications
 # (``sample_losses``) ran on two threads 1.03-1.04x as fast as on one at
 # 2^15 coordinates per tile, 1.31-1.57x at 2^16, 1.37-1.65x at 2^17 and
 # 1.59-1.66x at 2^18 (146-151 ms at 2^17 against 175-207 ms at 2^16); one
 # 2^19 x 15 Owen draw on two workers against one ran 0.98-1.29x,
 # 1.34-1.65x, 1.53-1.79x and 1.73-1.81x (best of 3, two rounds).  2^18
-# would double the scratch again for little more.  So every worker of the
-# walk's pool keeps a full tile rather than a share of one.  Tiling
+# would double the scratch again for little more.  So every worker of a
+# tiled loop keeps a full tile rather than a share of one.  Tiling
 # changes no output bit, since each coordinate's value depends on that
 # coordinate's index or input alone.
 _TILE_COORDS = 1 << 17
 
-# Tiles per worker of the walk's pool, at least.  Each worker holds three
-# tiles of scratch, so the pool's scratch stays within 3/16 of the output,
-# and a 2^16 x 15 draw (8 tiles, the study's largest size) stays on one
-# thread; at d = 15 a draw pools from 2^18 points on.  With no floor, two
-# workers took the tracemalloc peak of an Owen scramble, a digital shift or
-# an Owen draw of 2^16 x 15 to 1.77-1.80x the output, against 1.38-1.42x
-# on one thread.
+# Tiles per worker of ``run_tiles``'s pool, at least.  A walk worker holds
+# three tiles of scratch, so the pool's scratch stays within 3/16 of the
+# output, and a 2^16 x 15 draw (8 tiles, the study's largest size) stays
+# on one thread; at d = 15 a draw or an evaluation pools from 2^18 points
+# on.  A loss-loop worker holds one tile of evaluation scratch, two for
+# the MC draws, against an output of a dim-th of the points.  With no
+# floor, two workers took the tracemalloc peak of an Owen scramble, a
+# digital shift or an Owen draw of 2^16 x 15 to 1.77-1.80x the output,
+# against 1.38-1.42x on one thread.
 _TILES_PER_WORKER = 16
 
 
@@ -241,6 +245,44 @@ def _lead(dim: int, cols: int) -> np.ndarray:
     return frozen(lead)
 
 
+def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]]) -> None:
+    """``tile(start, m)`` for each tile of n rows: rows start..start + m - 1,
+    m = ``rows`` but in a ragged last tile.  ``worker()`` makes one
+    worker's ``tile``, with its own scratch and state, on the calling
+    thread; each ``tile`` runs on one thread, in row order.
+
+    Called from the main thread, the tiles run through ``in_order``, one
+    worker per usable CPU with at least ``_TILES_PER_WORKER`` tiles each;
+    from any other thread, such as an ``in_order`` task's, one worker runs
+    them inline.  Worker w takes tiles w, w + workers, ...; a worker that
+    raises stops the others before their next tile.  So a loop whose tiles
+    each depend on their own rows alone gives the same output for any CPU
+    count.
+    """
+    starts = range(0, n, rows)
+    workers = 1
+    if threading.current_thread() is threading.main_thread():
+        workers = max(1, min(_usable_cpus(), len(starts) // _TILES_PER_WORKER))
+    # every worker's scratch, allocated here: allocated on the workers
+    # themselves (in per-thread malloc arenas), it raised the peak RSS of
+    # a 2^19 x 15 Owen draw on two workers by 3.8-4.4 MiB over one thread,
+    # against 1.1-1.4 MiB
+    tiles = [worker() for _ in range(workers)]
+    failed = threading.Event()
+
+    def run(w: int) -> None:
+        try:
+            for start in starts[w::workers]:
+                if failed.is_set():
+                    return
+                tiles[w](start, min(rows, n - start))
+        except BaseException:
+            failed.set()
+            raise
+
+    list(in_order(run, range(workers), workers))
+
+
 def walk(
     n: int,
     dim: int,
@@ -268,12 +310,8 @@ def walk(
     valid until the call returns.  ``sink`` must be safe to call from
     several threads at once.
 
-    Called from the main thread, the walk runs its workers through
-    ``in_order``, one per usable CPU with at least ``_TILES_PER_WORKER``
-    tiles each.  Worker w takes tiles w, w + workers, ... with its own x, z
-    and t and writes their disjoint rows of the output; a worker that
-    raises stops the others before their next tile.  Called from any other
-    thread, such as an ``in_order`` task, it runs inline.
+    The tiles run through ``run_tiles``, each worker with its own x, z and
+    t, writing their disjoint rows of the output.
     """
     nb = DEFAULT_BIT_DEPTH
     if points is None:
@@ -281,50 +319,38 @@ def walk(
         check_count(n)
         lead = _lead(dim, max(1, _tile_rows(dim) // 2))
     rows = min(_tile_rows(dim), 1 << (n - 1).bit_length())
-    starts = range(0, n, rows)
-    workers = 1
-    if threading.current_thread() is threading.main_thread():
-        workers = max(1, min(_usable_cpus(), len(starts) // _TILES_PER_WORKER))
-    # every worker's x, z and t, allocated here: allocated on the workers
-    # themselves (in per-thread malloc arenas), they raised the peak RSS of
-    # a 2^19 x 15 Owen draw on two workers by 3.8-4.4 MiB over one thread,
-    # against 1.1-1.4 MiB.  One array per tile, not one block: once glibc
-    # has freed a block it serves that size from the threads' arenas, and
-    # with 2.88 MiB blocks an arena of the two-thread 2^16 x 15 study now
-    # and then grew to 6.1 MiB, peak RSS +2.3-2.9 MiB in 11 of 29 processes
-    # of 40 studies on a 2-core host, against 1 of 21 with 0.94 MiB tiles
-    scratch = [[np.empty(dim * rows, dtype=np.uint64) for _ in range(3)] for _ in range(workers)]
     out = np.empty((n, dim)) if sink is None else None
-    failed = threading.Event()
 
-    def fill(w: int) -> None:
-        try:
-            for start in starts[w::workers]:
-                if failed.is_set():
-                    return
-                m = min(rows, n - start)
-                # carved for this m, so that every block is C-contiguous
-                x, z, t = (a[: dim * m].reshape(dim, m) for a in scratch[w])
-                if points is None:
-                    for s in range(0, m, lead.shape[1]):
-                        c = min(lead.shape[1], m - s)
-                        word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if (start + s) >> k & 1]], axis=1, keepdims=True)
-                        np.bitwise_xor(lead[:, :c], word, out=x[:, s : s + c])
-                else:
-                    grid_integers(points[start : start + m].T, x, z.view(np.float64))
-                if step is not None:
-                    step(x, z, t)
-                if sink is None:
-                    np.multiply(x.T, 2.0 ** -nb, out=out[start : start + m])
-                else:
-                    u = z.view(np.float64)
-                    np.multiply(x, 2.0 ** -nb, out=u)
-                    sink(start, u)
-        except BaseException:
-            failed.set()
-            raise
+    def worker() -> Callable[[int, int], None]:
+        # one array per tile, not one block: once glibc has freed a block
+        # it serves that size from the threads' arenas, and with 2.88 MiB
+        # blocks an arena of the two-thread 2^16 x 15 study now and then
+        # grew to 6.1 MiB, peak RSS +2.3-2.9 MiB in 11 of 29 processes of
+        # 40 studies on a 2-core host, against 1 of 21 with 0.94 MiB tiles
+        scratch = [np.empty(dim * rows, dtype=np.uint64) for _ in range(3)]
 
-    list(in_order(fill, range(workers), workers))
+        def tile(start: int, m: int) -> None:
+            # carved for this m, so that every block is C-contiguous
+            x, z, t = (a[: dim * m].reshape(dim, m) for a in scratch)
+            if points is None:
+                for s in range(0, m, lead.shape[1]):
+                    c = min(lead.shape[1], m - s)
+                    word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if (start + s) >> k & 1]], axis=1, keepdims=True)
+                    np.bitwise_xor(lead[:, :c], word, out=x[:, s : s + c])
+            else:
+                grid_integers(points[start : start + m].T, x, z.view(np.float64))
+            if step is not None:
+                step(x, z, t)
+            if sink is None:
+                np.multiply(x.T, 2.0 ** -nb, out=out[start : start + m])
+            else:
+                u = z.view(np.float64)
+                np.multiply(x, 2.0 ** -nb, out=u)
+                sink(start, u)
+
+        return tile
+
+    run_tiles(n, rows, worker)
     return out
 
 

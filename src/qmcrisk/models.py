@@ -32,7 +32,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import check_level
-from .lowdisc import _tile_rows
+from .lowdisc import _tile_rows, run_tiles
 
 # largest double below 1 is 1 - 2^-53, so the clamp window is as wide as
 # float64 permits
@@ -58,28 +58,38 @@ DEFAULT_SAN_PATHS: Tuple[Tuple[int, ...], ...] = (
 # mean duration 2 on edges 1..8, mean 1 on edges 9..15
 DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
-def row_losses(model: Model, n: int, rows: Callable[[int, int], np.ndarray]) -> np.ndarray:
-    """The losses of n rows, ``rows(start, m)`` being the (m, model.dim)
-    block of rows start..start + m - 1, asked for in order: ``tile_losses``
-    of each ``_tile_rows(model.dim)``-row tile's strided columns, clamped
-    into one (dim, rows) scratch block.  Every row is computed on its own,
-    so the result does not depend on the tiling."""
+def row_losses(model: Model, n: int, reader: Callable[[], Callable[[int, int], np.ndarray]]) -> np.ndarray:
+    """The losses of n rows, by ``tile_losses`` on the strided columns of
+    each tile of r = ``_tile_rows(model.dim)`` rows, clamped into its
+    worker's (dim, r) scratch block; ``lowdisc.run_tiles`` runs the tiles.
+    ``reader()``, called on the calling thread once per worker, gives that
+    worker's ``rows(start, m)``, the (m, model.dim) block of rows
+    start..start + m - 1, asked for in row order.  Every row is computed
+    on its own, so the result depends on neither the tiling nor the
+    worker count."""
     out = np.empty(n)
     tile = max(1, min(n, _tile_rows(model.dim)))
-    y = np.empty((model.dim, tile))
-    for start in range(0, n, tile):
-        m = min(tile, n - start)
-        model.tile_losses(rows(start, m).T, out[start : start + m], y[:, :m])
+
+    def worker() -> Callable[[int, int], None]:
+        rows = reader()
+        y = np.empty((model.dim, tile))
+
+        def losses(start: int, m: int) -> None:
+            model.tile_losses(rows(start, m).T, out[start : start + m], y[:, :m])
+
+        return losses
+
+    run_tiles(n, tile, worker)
     return out
 
 
 def _evaluate(model: Model, u: np.ndarray) -> np.ndarray:
-    """The losses of the rows of u, by ``row_losses``; ConfigError unless u
-    is an (n, model.dim) block, n >= 0."""
+    """The losses of the rows of u, by ``row_losses``, each worker reading
+    its slices of u; ConfigError unless u is an (n, model.dim) block, n >= 0."""
     block = np.asarray(u, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] != model.dim:
         raise ConfigError(f"model expects an (n, {model.dim}) block of points, got shape {block.shape}")
-    return row_losses(model, block.shape[0], lambda start, m: block[start : start + m])
+    return row_losses(model, block.shape[0], lambda: lambda start, m: block[start : start + m])
 
 
 def _longest_path(y: np.ndarray, out: np.ndarray) -> None:

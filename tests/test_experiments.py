@@ -34,6 +34,7 @@ from qmcrisk.randomize import digital_shift, owen_scramble
 
 import qmcrisk.experiments as experiments
 import qmcrisk.lowdisc as lowdisc
+import qmcrisk.models as models
 import qmcrisk.randomize as randomize
 
 
@@ -91,7 +92,8 @@ def test_experiment_config_validation():
     # a fractional count would run its floor
     with pytest.raises(ConfigError, match="replications"):
         ExperimentConfig(model=m, replications=2.7)
-    for seed in (2**64, -1):
+    # a fractional seed would run its floor's study
+    for seed in (2**64, -1, 1.5):
         with pytest.raises(ConfigError, match="master_seed"):
             ExperimentConfig(model=m, master_seed=seed)
     assert ExperimentConfig(model=m, master_seed=2**64 - 1).master_seed == 2**64 - 1
@@ -176,9 +178,9 @@ def test_sample_points_validation():
 
 def test_draws_check_the_replication_index():
     # MC streams would fail in numpy, Owen and shift seeds would alias
-    # modulo 2^64
+    # modulo 2^64, and a fraction would fail in numpy or in the hash
     for sampler in SAMPLERS:
-        for replication in (-1, 2**64):
+        for replication in (-1, 2**64, 2.5):
             with pytest.raises(ConfigError, match="replication"):
                 sample_points(sampler, 16, 2, replication=replication)
             with pytest.raises(ConfigError, match="replication"):
@@ -603,6 +605,30 @@ def test_owen_losses_peak_is_the_losses_plus_one_workers_scratch():
     assert want <= peak < want + tile // 8
 
 
+@pytest.mark.parametrize("loop", ["evaluate", "mc"])
+def test_pooled_loss_loop_peak_is_the_losses_plus_each_workers_scratch(monkeypatch, pool_widths, loop):
+    # 64 tiles on four workers.  Beside the n losses each worker holds its
+    # (15, rows) evaluation scratch and, for mc, its drawn tile as well; no
+    # worker holds a second tile or a block of more than a tile's rows
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
+    model = SanModel()
+    n, d = 1 << 19, model.dim
+    tile = d * lowdisc._tile_rows(d) * 8
+    if loop == "evaluate":
+        block = np.random.default_rng(1).random((n, d))
+        call, want = lambda: model.evaluate(block), n * 8 + 4 * tile
+    else:
+        call, want = lambda: sample_losses(model, "mc", n, 1, 0), n * 8 + 4 * 2 * tile
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pool_widths == [4]
+    assert want <= peak < want + tile // 8
+
+
 @pytest.mark.parametrize(
     "n, sampler, seed",
     [(0, "rqmc-owen", 0), (16, "sobol", 0), (16, "mc", -1), (16, "rqmc-owen", 2**64)],
@@ -694,10 +720,13 @@ def test_no_pool_thread_outlives_a_failed_call(monkeypatch, pool_widths):
     monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
     assert live_threads_on(PrecisionError, lambda: owen_scramble(ps, 1)) == before
+    # a loss-loop worker raises: 4 tiles of an evaluate on 3 workers
+    block = np.zeros((4 * lowdisc._tile_rows(2), 2))
+    assert live_threads_on(RuntimeError, lambda: models._evaluate(_FailingModel(), block)) == before
     # a study's replication raises on its first evaluation
     cfg = _small_cfg(model=_FailingModel(), truth=TruthSpec("explicit", v=7.0, c=7.0))
     assert live_threads_on(RuntimeError, lambda: run_convergence(cfg, threads=2)) == before
-    assert pool_widths == [2, 3, 2]
+    assert pool_widths == [2, 3, 3, 2]
 
 
 # ---------------------------------------------------------------- rate fitting

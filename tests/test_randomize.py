@@ -128,9 +128,10 @@ _SCHEMES = [owen_scramble, digital_shift]
 
 @pytest.mark.parametrize("scheme", _SCHEMES, ids=["owen", "digital_shift"])
 def test_scramble_spec_rejects_seeds_outside_64_bits(scheme):
-    # -1 and 2^64 would alias 2^64 - 1 and 0 in the 64-bit hash
+    # -1 and 2^64 would alias 2^64 - 1 and 0 in the 64-bit hash, 2.5 would
+    # alias 2, and NaN and infinity have no integer value
     ps = sobol_points(8, 2)
-    for seed in (-1, 2**64):
+    for seed in (-1, 2**64, 2.5, float("nan"), float("inf")):
         with pytest.raises(ConfigError, match="seed"):
             scheme(ps, seed)
     assert scheme(ps, 2**64 - 1).n == 8
@@ -392,6 +393,13 @@ def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, fine
         "owen_scramble": lambda: owen_scramble(ps, 1).points,
         "digital_shift": lambda: digital_shift(ps, 1).points,
     }
+    if d == SanModel().dim:
+        # the loss loops: a caller's block, mc draws and a truth block
+        # jumped to an offset start, each of 49 tiles too
+        model, block = SanModel(), np.random.default_rng(1).random((n, d))
+        draws["evaluate"] = lambda: model.evaluate(block)
+        draws["sample_losses-mc"] = lambda: sample_losses(model, "mc", n, 1, 2)
+        draws["_truth_losses"] = lambda: _truth_losses(model, np.random.SeedSequence(4), 5, n)
     digests = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -563,20 +571,31 @@ def test_a_failing_tile_stops_the_other_workers(monkeypatch, pool_widths, fine_s
 
 
 def test_walk_starts_no_pool_where_none_belongs(monkeypatch, pool_widths):
+    # the walk and the loss loops, evaluate and the mc draws, share one rule
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
-    rows = lowdisc._tile_rows(15)
+    model = SanModel()
+    rows = lowdisc._tile_rows(model.dim)
+    block = np.full((32 * rows, model.dim), 0.5)
+    loops = [
+        lambda n: sample_points("rqmc-owen", n, model.dim, seed=0),
+        lambda n: model.evaluate(block[:n]),
+        lambda n: sample_losses(model, "mc", n),
+    ]
     sample_points("rqmc-owen", 2, 15, seed=0)  # a cold-start probe's draw
     sample_points("rqmc-owen", 1 << 16, 15, seed=0)  # the study's largest N
+    for loop in loops:
+        loop(31 * rows)  # 31 tiles: too few for a second worker
     # a thread other than the main one belongs to a pool that owns the CPUs
-    shapes = []
-    thread = threading.Thread(target=lambda: shapes.append(sample_points("rqmc-owen", 1 << 19, 15, seed=0).shape))
+    sizes = []
+    thread = threading.Thread(target=lambda: sizes.extend(loop(32 * rows).shape[0] for loop in loops))
     thread.start()
     thread.join(timeout=60)
     assert not thread.is_alive()
-    assert shapes == [(1 << 19, 15)]
+    assert sizes == [32 * rows] * len(loops)
     assert pool_widths == []
-    sample_points("rqmc-owen", 32 * rows, 15, seed=0)  # 32 tiles: two workers
-    assert pool_widths == [2]
+    for loop in loops:
+        loop(32 * rows)  # 32 tiles: two workers
+    assert pool_widths == [2] * len(loops)
 
 
 # ---------------------------------------------------------------- memory
