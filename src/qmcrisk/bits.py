@@ -9,6 +9,8 @@ multiple threads.
 
 from __future__ import annotations
 
+from typing import Optional
+
 import numpy as np
 
 from .errors import ConfigError
@@ -20,21 +22,33 @@ MIX1 = 0xBF58476D1CE4E5B9
 MIX2 = 0x94D049BB133111EB
 
 
-def check_seed(seed: int, name: str = "seed") -> int:
-    """The seed as an int; ConfigError unless it is an integer with
-    0 <= seed < 2^64.
+def _bound(x: int) -> str:
+    """x as text; past 2^32, a 2^k or 2^k - 1 as such."""
+    k = x.bit_length()
+    if x < 1 << 32 or (x & (x - 1) and x & (x + 1)):
+        return str(x)
+    return f"2^{k - 1}" if x & (x - 1) == 0 else f"2^{k} - 1"
 
-    Owen and shift seeds enter a 64-bit hash and MC seeds a SeedSequence,
-    so a seed outside this range, or a fraction truncated to an integer,
-    would alias another seed or fail late.
-    """
+
+def check_int(value, name: str, lo: int, hi: Optional[int] = None, why: str = "") -> int:
+    """value as an int; ConfigError unless it is an integer (an int, a numpy
+    integer or an integer-valued float) with lo <= value and, if given,
+    value <= hi.  The message names the input, its range and then ``why``,
+    not the value, which may be too long to print."""
     try:
-        value = int(seed)
-    except (ValueError, OverflowError):  # NaN, infinities
-        value = None
-    if value is None or value != seed or not 0 <= value < 2 ** 64:
-        raise ConfigError(f"{name}: must be an integer in [0, 2^64), got {seed}")
-    return value
+        n = int(value)
+        if n == value and lo <= n and (hi is None or n <= hi):
+            return n
+    except (TypeError, ValueError, OverflowError):  # non-numbers, NaN, infinities
+        pass
+    span = f"lie in {lo}..{_bound(hi)}" if hi is not None else f"be an integer >= {lo}"
+    raise ConfigError(f"{name}: must {span}" + (f", {why}" if why else ""))
+
+
+def check_seed(seed: int, name: str = "seed") -> int:
+    """The seed as an int in 0..2^64 - 1: Owen and shift seeds enter a 64-bit
+    hash and MC seeds a SeedSequence, where another would alias or fail late."""
+    return check_int(seed, name, 0, MASK64)
 
 
 def mix64(z: int) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
-from typing import List, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 

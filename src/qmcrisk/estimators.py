@@ -19,6 +19,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from .bits import check_int
 from .errors import ConfigError
 
 
@@ -46,10 +47,13 @@ class SampleBatch:
 
 
 def check_level(p: float) -> float:
-    """The risk level p as a float; ConfigError unless 0 < p < 1."""
-    if not 0.0 < float(p) < 1.0:
-        raise ConfigError(f"p: risk level must lie in (0, 1), got {p}")
-    return float(p)
+    """The risk level p as a float; ConfigError unless it is a number in (0, 1)."""
+    try:
+        if 0.0 < float(p) < 1.0:
+            return float(p)
+    except (TypeError, ValueError):  # None, "x"
+        pass
+    raise ConfigError(f"p: risk level must lie in (0, 1), got {p}")
 
 
 def order_index(p: float, n: int) -> int:
@@ -60,7 +64,7 @@ def order_index(p: float, n: int) -> int:
     whenever rounding pushes an exact product just above an integer
     (e.g. p = 0.1, N = 10^7).
     """
-    check_level(p)
+    p, n = check_level(p), check_int(n, "n", 1)
     pn = p * n
     q = round(pn)
     if abs(pn - q) <= np.spacing(pn):

@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bits import check_seed, child_seed
+from .bits import check_int, check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
 from .lowdisc import DEFAULT_BIT_DEPTH, _tile_rows, _usable_cpus, check_count, in_order, walk
@@ -118,28 +118,22 @@ class ExperimentConfig:
         samplers = tuple(self.samplers)
         if not samplers:
             raise ConfigError("samplers: need at least one sampler")
-        seen = set()
-        for s in samplers:
-            if s not in SAMPLERS:
-                raise ConfigError(f"samplers: unknown sampler {s!r} (expected one of: {', '.join(SAMPLERS)})")
-            if s in seen:
+        for i, s in enumerate(samplers):
+            if s not in SAMPLER_TABLE:
+                raise _unknown_sampler("samplers", s)
+            if s in samplers[:i]:
                 raise ConfigError(f"samplers: duplicate sampler {s!r}")
-            seen.add(s)
         object.__setattr__(self, "samplers", samplers)
-        grid = tuple(int(n) for n in self.n_grid)
+        grid = tuple(check_count(n, "n_grid") for n in self.n_grid)
         if not grid:
             raise ConfigError("n_grid: need at least one sample size")
         for n in grid:
-            if n < 1 or n & (n - 1):
+            if n & (n - 1):
                 raise ConfigError(f"n_grid: sample sizes must be powers of 2, got {n}")
-            if n > 1 << DEFAULT_BIT_DEPTH:
-                raise ConfigError(f"n_grid: sample sizes must lie in 1..2^{DEFAULT_BIT_DEPTH}, the generator's range")
         if list(grid) != sorted(set(grid)):
             raise ConfigError("n_grid: sample sizes must be strictly ascending")
         object.__setattr__(self, "n_grid", grid)
-        if int(self.replications) != self.replications or self.replications < 1:
-            raise ConfigError(f"replications: must be an integer >= 1, got {self.replications}")
-        object.__setattr__(self, "replications", int(self.replications))
+        object.__setattr__(self, "replications", check_int(self.replications, "replications", 1))
         object.__setattr__(self, "master_seed", check_seed(self.master_seed, "master_seed"))
 
 
@@ -181,26 +175,24 @@ def mc_stream_seed(master_seed: int, replication: int) -> np.random.SeedSequence
     return np.random.SeedSequence([master_seed, _MC_STREAM_TAG, replication])
 
 
+def _unknown_sampler(key: str, sampler) -> ConfigError:
+    return ConfigError(f"{key}: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
+
+
 def sampler_name(token: str) -> str:
     """The sampler a full or short name refers to, ignoring case."""
     name = token.strip().lower()
     for full, (short, _) in SAMPLER_TABLE.items():
         if name in (full, short):
             return full
-    raise ConfigError(f"samplers: unknown sampler {token!r}")
+    raise _unknown_sampler("samplers", token)
 
 
-def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> Tuple[int, int]:
-    """The seed and replication of a valid draw, as ints; ConfigError for a
-    bad count, dimension, seed, replication or sampler."""
-    check_count(n)
-    if dim < 1:
-        raise ConfigError(f"dim: must be >= 1, got {dim}")
-    seed = check_seed(seed)
-    replication = check_seed(replication, "replication")
+def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> Tuple[int, int, int, int]:
+    """n, dim, seed and replication as ints; ConfigError for a bad sampler or a bad one of them."""
     if sampler not in SAMPLER_TABLE:
-        raise ConfigError(f"sampler: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
-    return seed, replication
+        raise _unknown_sampler("sampler", sampler)
+    return check_count(n), check_int(dim, "dim", 1), check_seed(seed), check_seed(replication, "replication")
 
 
 def sample_points(
@@ -217,7 +209,7 @@ def sample_points(
     sequence, randomized per the sampler name tile by tile.  So for every
     sampler a draw of n points is the first n points of any longer draw.
     """
-    seed, replication = _check_draw(sampler, n, dim, seed, replication)
+    n, dim, seed, replication = _check_draw(sampler, n, dim, seed, replication)
     if sampler == "mc":
         gen = np.random.Generator(np.random.PCG64(mc_stream_seed(seed, replication)))
         return gen.random((n, dim))
@@ -244,7 +236,7 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
     draw holds the n losses and tile-sized blocks only; like the points,
     the losses of n points are the first n losses of any longer draw.
     """
-    seed, replication = _check_draw(sampler, n, model.dim, seed, replication)
+    n, _, seed, replication = _check_draw(sampler, n, model.dim, seed, replication)
     if sampler == "mc":
         return _truth_losses(model, mc_stream_seed(seed, replication), 0, n)
     losses = np.empty(n)
@@ -344,10 +336,7 @@ def mc_truth(
     """
     p = check_level(p)
     seed = check_seed(seed)
-    n_truth = int(n_truth)
-    if n_truth < 10 ** 6:
-        raise ConfigError(f"truth_n: need at least 1e6 samples for a stable bracket, got {n_truth}")
-    check_count(n_truth)
+    n_truth = check_count(check_int(n_truth, "truth_n", 10 ** 6, why="for a stable bracket"))
     k = order_index(p, n_truth)
     n_blocks = (n_truth + _TRUTH_BLOCK - 1) // _TRUTH_BLOCK
     workers = min(_usable_cpus(), n_blocks)
@@ -463,8 +452,8 @@ def run_convergence(
     replications, in config order, run through one ``in_order`` call of
     ``min(threads, R)`` workers; a sampler's rows follow its last one.
     """
-    if threads is not None and threads < 1:
-        raise ConfigError(f"threads: must be >= 1, got {threads}")
+    if threads is not None:
+        threads = check_int(threads, "threads", 1)
     model = cfg.model
     truth = resolve_truth(model, cfg.p, cfg.truth, progress=progress)
     if progress is not None:
@@ -558,11 +547,7 @@ def rate_summary(table: ResultTable, metric: str = "q_mse") -> Dict[str, RateFit
     if metric not in ("q_mse", "es_mse"):
         raise ConfigError(f"metric: expected q_mse or es_mse, got {metric!r}")
     fits: Dict[str, RateFit] = {}
-    seen: List[str] = []
-    for row in table.rows:
-        if row.sampler not in seen:
-            seen.append(row.sampler)
-    for sampler in seen:
+    for sampler in dict.fromkeys(row.sampler for row in table.rows):
         rows = table.for_sampler(sampler)
         cut = 0
         while cut < len(rows) - 3 and rows[cut].r * rows[cut].n < RATE_FIT_MIN_DRAWS:

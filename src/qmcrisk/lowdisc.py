@@ -33,6 +33,7 @@ from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
+from .bits import check_int
 from .errors import ConfigError, PrecisionError, WorkLimitError
 
 DEFAULT_BIT_DEPTH = 52
@@ -90,8 +91,7 @@ def _directions(dim: int) -> np.ndarray:
     nb = DEFAULT_BIT_DEPTH
     text = resources.files("qmcrisk.data").joinpath(_BUNDLED_TABLE).read_text()
     lines = text.splitlines()[1:]
-    if not 1 <= dim <= len(lines) + 1:
-        raise ConfigError(f"dimension {dim} outside the direction-number table's range 1..{len(lines) + 1}")
+    dim = check_int(dim, "dim", 1, len(lines) + 1, why="the direction-number table's range")
     v = np.empty((dim, nb), dtype=np.uint64)
     v[0] = [1 << (nb - k) for k in range(1, nb + 1)]
     for j, line in enumerate(lines[: dim - 1], start=1):
@@ -176,10 +176,7 @@ class PointSet:
 
 def radical_inverse(i: int, b: int = 2) -> float:
     """Base-b digit reversal of a nonnegative integer, in [0,1)."""
-    if i < 0:
-        raise ConfigError("index must be nonnegative")
-    if b < 2:
-        raise ConfigError("base must be >= 2")
+    i, b = check_int(i, "i", 0), check_int(b, "b", 2)
     r = 0.0
     f = 1.0 / b
     while i > 0:
@@ -219,11 +216,9 @@ def in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
         pool.shutdown(cancel_futures=True)
 
 
-def check_count(n: int) -> None:
-    """ConfigError unless 1 <= n <= 2^52, the generator's range; the message
-    leaves n out, since a larger n may be too long to print."""
-    if not 1 <= n <= 1 << DEFAULT_BIT_DEPTH:
-        raise ConfigError(f"count: must lie in 1..2^{DEFAULT_BIT_DEPTH}, the generator's range")
+def check_count(n: int, name: str = "count") -> int:
+    """n as an int; ConfigError unless it is an integer in 1..2^52, the generator's range."""
+    return check_int(n, name, 1, 1 << DEFAULT_BIT_DEPTH, why="the generator's range")
 
 
 def _tile_rows(dim: int) -> int:
@@ -315,8 +310,8 @@ def walk(
     """
     nb = DEFAULT_BIT_DEPTH
     if points is None:
-        v = _directions(dim)
-        check_count(n)
+        v = _directions(dim)  # checks dim
+        n, dim = check_count(n), v.shape[0]
         lead = _lead(dim, max(1, _tile_rows(dim) // 2))
     rows = min(_tile_rows(dim), 1 << (n - 1).bit_length())
     out = np.empty((n, dim)) if sink is None else None
@@ -379,12 +374,10 @@ class NetParams:
     b: int = 2
 
     def __post_init__(self) -> None:
-        if self.t < 0 or self.m < 0 or self.t > self.m:
-            raise ConfigError(f"need 0 <= t <= m, got t={self.t}, m={self.m}")
-        if self.d < 1:
-            raise ConfigError("d must be positive")
-        if self.b < 2:
-            raise ConfigError("base must be >= 2")
+        m = check_int(self.m, "m", 0)
+        for name, lo, hi in (("t", 0, m), ("d", 1, None), ("b", 2, None)):
+            object.__setattr__(self, name, check_int(getattr(self, name), name, lo, hi))
+        object.__setattr__(self, "m", m)
 
 
 @dataclass(frozen=True)
@@ -484,6 +477,7 @@ def find_t(ps: PointSet, m: int, d: int, b: int = 2) -> int:
     Terminates because t = m always passes (the whole cube is the only
     elementary interval of volume 1).
     """
+    m = check_int(m, "m", 0)
     for t in range(m + 1):
         if is_net(ps, NetParams(t=t, m=m, d=d, b=b)).ok:
             return t

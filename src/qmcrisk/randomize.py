@@ -38,8 +38,8 @@ from typing import Callable
 
 import numpy as np
 
-from .bits import check_seed, hash64_array, mix32
-from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, frozen, walk
+from .bits import check_int, check_seed, hash64_array, mix32
+from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, check_count, frozen, walk
 
 _OWEN_TAG = 0x6F77656E  # "owen"
 _SHIFT_TAG = 0x73666874  # "sfht"
@@ -47,16 +47,18 @@ _SHIFT_TAG = 0x73666874  # "sfht"
 # Digits deeper than this take one hash of the 20-digit prefix, a digital
 # shift per prefix cell.  The scramble stays nested-uniform while the
 # prefixes of a coordinate are distinct (Owen 2003), which holds for the
-# first 2^20 Sobol' points and so for any grid up to N = 2^20.  sample_points
-# ("rqmc-owen", 2^19, 15) took 0.42 s with 20 keyed digits and a tail
-# against 0.87 s with all 52 keyed digits, both hashed in 64-bit words, and
-# takes 0.20 s on 32-bit prefix words (best of 5, two threads, 2-core host).
+# first 2^20 Sobol' points and so for any grid up to N = 2^20.  Keying all
+# 52 digits would take 32 more keyed hashes per coordinate, on prefixes too
+# long for the 32-bit words every hash reads; sample_points("rqmc-owen",
+# 2^19, 15) takes 91-159 ms (best of 5, two threads, 2-core host).
 _OWEN_DEPTH = 20
 # Digits 1..top flip by one lookup in a per-step (dim, 2^top) uint32 table,
 # top = min(12, ceil(log2 n)) for a draw of n points: at most 16 KiB and
 # fewer than 2n entries per dimension.  For a draw of 2^19 x 15, tables of
-# 2^8, 2^10, 2^12 and 2^14 entries took 0.25, 0.23, 0.20 and 0.17 s; the
-# 2^14 table took 7.3 ms to build at d = 15 against 2.4 ms for 2^12.
+# 2^8, 2^10, 2^12 and 2^14 entries took 128-140, 104-123, 92-122 and
+# 98-120 ms (best of 5, three processes), alike within noise from 2^10 on,
+# but every replication builds its table: 1.2-1.3 ms at 2^12 against
+# 4.8-6.1 ms at 2^14 (d = 15).
 _OWEN_TABLE_DIGITS = 12
 # Digits whose keyed prefix, digits 1..k-1, has at most 16 bits: their keys
 # carry mix32's first xorshift, two numpy calls fewer per digit
@@ -106,7 +108,7 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     threads may run it at once, as the walk's pool does.  Its scratch
     tiles z and t must be C-contiguous, as the walk's are.
     """
-    seed = check_seed(seed)
+    dim, seed, n = check_int(dim, "dim", 1), check_seed(seed), check_count(n)
     depth = _OWEN_DEPTH
     dim_keys = hash64_array(seed, _OWEN_TAG, np.arange(1, dim + 1, dtype=np.uint64))
     # keys[k] is the (d, 1) column of per-dimension 32-bit keys for digit k
@@ -121,9 +123,9 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     top = min(_OWEN_TABLE_DIGITS, max(1, (n - 1).bit_length()))
     offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
     # table[j << top | i]: flips of digits 1..top for top digits i in
-    # dimension j, built in one pass (480 KiB of scratch at d = 15).  In
-    # 64-bit words, one pass ran about 10% faster on the study's two threads
-    # than passes of 2^10 entries, which saved 0.3 MiB of peak RSS
+    # dimension j, built in one pass (480 KiB of scratch at d = 15): passes
+    # of 2^10 entries would need a quarter of that but took 1.7-2.4 ms
+    # against 1.1-1.4 ms
     words = np.arange(1 << top, dtype=np.uint32) << np.uint32(depth - top)
     table = np.zeros((dim, 1 << top), dtype=np.uint32)
     z, t = np.empty((2, dim, 1 << top), dtype=np.uint32)
@@ -161,7 +163,7 @@ def shift_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     """The XOR of a (dim, rows) integer tile with one random 52-bit word
     per dimension, in place; n, the draw's size, is taken to match
     ``owen_step`` and changes nothing."""
-    seed = check_seed(seed)
+    dim, seed = check_int(dim, "dim", 1), check_seed(seed)
     mask = np.uint64((1 << DEFAULT_BIT_DEPTH) - 1)
     # (d, 1): one word per dimension, broadcast along the tile's rows
     words = (hash64_array(seed, _SHIFT_TAG, np.arange(1, dim + 1, dtype=np.uint64)) & mask)[:, np.newaxis]

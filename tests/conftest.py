@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qmcrisk import lowdisc
+from qmcrisk import experiments, lowdisc, models
 
 
 @pytest.fixture
@@ -30,3 +30,23 @@ def pool_widths(monkeypatch):
 
     monkeypatch.setattr(lowdisc, "ThreadPoolExecutor", RecordingPool)
     return widths
+
+
+@pytest.fixture
+def no_draws(monkeypatch):
+    """Fail the test if it draws or evaluates a point or starts a pool:
+    every tiled loop runs through ``run_tiles``, an MC point draw keys its
+    stream first, the truth pass draws through ``_truth_losses``, and every
+    pool is a ``lowdisc.ThreadPoolExecutor``."""
+
+    def drawn(*args, **kwargs):
+        raise AssertionError("reached a draw")
+
+    for module, name in (
+        (lowdisc, "run_tiles"),
+        (models, "run_tiles"),
+        (experiments, "mc_stream_seed"),
+        (experiments, "_truth_losses"),
+        (lowdisc, "ThreadPoolExecutor"),
+    ):
+        monkeypatch.setattr(module, name, drawn)

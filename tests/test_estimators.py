@@ -6,6 +6,7 @@ import pytest
 from qmcrisk.errors import ConfigError
 from qmcrisk.estimators import (
     SampleBatch,
+    check_level,
     empirical_cdf,
     k_hat,
     order_index,
@@ -64,6 +65,20 @@ def test_order_index_rejects_bad_level():
         order_index(0.0, 4)
     with pytest.raises(ConfigError):
         order_index(1.0, 4)
+    # a level that is no number used to fail in float() with a bare error
+    for p in (None, "x", [0.1, 0.2]):
+        with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
+            order_index(p, 4)
+        with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
+            check_level(p)
+
+
+def test_order_index_rejects_bad_counts():
+    # order_index(0.1, 2.5) used to give 1
+    for n in (2.5, "4", None, 0):
+        with pytest.raises(ConfigError, match="^n: must be an integer >= 1$"):
+            order_index(0.1, n)
+    assert order_index(0.5, 4.0) == order_index(0.5, np.int64(4)) == 2
 
 
 # ---------------------------------------------------------------- empirical CDF
@@ -161,6 +176,11 @@ def test_shortfall_rejects_bad_level():
         shortfall_estimate(b, 0.0)
     with pytest.raises(ConfigError):
         shortfall_estimate(b, 1.5)
+    for p in (None, "x"):
+        with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
+            quantile_estimate(b, p)
+        with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
+            shortfall_estimate(b, p)
 
 
 # ---------------------------------------------------------------- lower partial moment

@@ -97,6 +97,21 @@ def test_experiment_config_validation():
         with pytest.raises(ConfigError, match="master_seed"):
             ExperimentConfig(model=m, master_seed=seed)
     assert ExperimentConfig(model=m, master_seed=2**64 - 1).master_seed == 2**64 - 1
+    # a fractional size would run its floor, a string its parse
+    for grid in ((16.5, 32), ("16", 32), (None, 32), (16, float("inf"))):
+        with pytest.raises(ConfigError, match="^n_grid: must lie in 1..2\\^52"):
+            ExperimentConfig(model=m, n_grid=grid)
+    for replications in ("8", None):
+        with pytest.raises(ConfigError, match="^replications: "):
+            ExperimentConfig(model=m, replications=replications)
+    # a level that is no number fails as a bad level, not in float()
+    for p in (None, "x", [0.1, 0.2]):
+        with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
+            ExperimentConfig(model=m, p=p)
+    # integer-valued floats and numpy integers run as their ints
+    cfg = ExperimentConfig(model=m, n_grid=(16.0, np.int64(32)), replications=np.float64(4), master_seed=np.uint64(7))
+    assert (cfg.n_grid, cfg.replications, cfg.master_seed) == ((16, 32), 4, 7)
+    assert all(type(x) is int for x in (*cfg.n_grid, cfg.replications, cfg.master_seed))
 
 
 def test_truth_spec_validation():
@@ -160,11 +175,22 @@ def test_prefix_that_cuts_a_tile_equals_a_fresh_draw(sampler):
     assert losses[: rows + 904].tobytes() == sample_losses(SanModel(), sampler, rows + 904, 3, 2).tobytes()
 
 
-def test_sample_points_validation():
+def test_sample_points_validation(no_draws):
     with pytest.raises(ConfigError):
         sample_points("mc", 0, 2)
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=r"^sampler: unknown sampler 'halton' \(expected one of: mc, qmc-sobol, rqmc-owen, rqmc-shift\)$"):
         sample_points("halton", 16, 2)
+    # a fractional count or dimension would run its floor or fail inside
+    # numpy (a bare TypeError or AttributeError); both fail before a draw
+    for sampler in SAMPLERS:
+        for n in (8.5, "8", None, float("nan"), 2.0**53):
+            with pytest.raises(ConfigError, match="^count: must lie in 1..2\\^52"):
+                sample_points(sampler, n, 2)
+            with pytest.raises(ConfigError, match="^count: must lie in 1..2\\^52"):
+                sample_losses(SanModel(), sampler, n)
+        for dim in (2.5, "2", None):
+            with pytest.raises(ConfigError, match="^dim: must be an integer >= 1"):
+                sample_points(sampler, 8, dim)
     for sampler in ("mc", "qmc-sobol", "rqmc-owen", "rqmc-shift"):
         for dim in (0, -1):
             with pytest.raises(ConfigError, match="dim"):
@@ -187,6 +213,28 @@ def test_draws_check_the_replication_index():
                 sample_losses(ExpModel(), sampler, 16, 0, replication)
         assert sample_points(sampler, 16, 2, replication=2**64 - 1).shape == (16, 2)
         assert sample_losses(ExpModel(), sampler, 16, 0, 2**64 - 1).shape == (16,)
+
+
+def test_integer_valued_floats_and_numpy_ints_run_as_their_ints():
+    # n, dim, seed and replication checked as ints are what flows on: a
+    # float used to reach the walk or numpy and fail there
+    for sampler in SAMPLERS:
+        points = sample_points(sampler, 8, 2, 5, 3).tobytes()
+        losses = sample_losses(SanModel(), sampler, 8, 5, 3).tobytes()
+        for kind in (float, np.float64, np.int64, np.uint32):
+            assert sample_points(sampler, kind(8), kind(2), kind(5), kind(3)).tobytes() == points, (sampler, kind)
+            assert sample_losses(SanModel(), sampler, kind(8), kind(5), kind(3)).tobytes() == losses, (sampler, kind)
+    assert sobol_points(4.0, np.int64(2)).points.tobytes() == sobol_points(4, 2).points.tobytes()
+    truth = mc_truth(ExpModel(), 0.1, 10**6, seed=2)
+    assert mc_truth(ExpModel(), 0.1, 1e6, seed=2.0) == truth
+    assert mc_truth(ExpModel(), 0.1, np.int64(10**6), seed=np.uint8(2)) == truth
+
+
+def test_mc_truth_rejects_fractional_and_non_numeric_counts(no_draws):
+    # 1500000.5 used to run 1500000 rows, "1e7" to fail in int()
+    for n in (1500000.5, "1e7", None, 999999):
+        with pytest.raises(ConfigError, match="^truth_n: must be an integer >= 1000000, for a stable bracket$"):
+            mc_truth(ExpModel(), 0.1, n)
 
 
 def test_mc_truth_rejects_seeds_outside_64_bits():
@@ -496,9 +544,11 @@ def test_run_convergence_is_deterministic_across_threads():
 
 
 def test_run_convergence_validates_and_caps_threads(pool_widths):
-    for threads in (0, -3):
-        with pytest.raises(ConfigError, match="threads"):
+    # 2.5 used to start a pool of three worker threads; no bad value starts one
+    for threads in (0, -3, 2.5, "2"):
+        with pytest.raises(ConfigError, match="^threads: must be an integer >= 1$"):
             run_convergence(_small_cfg(replications=2), threads=threads)
+    assert pool_widths == []
     serial = run_convergence(_small_cfg(replications=2)).to_csv()
     assert run_convergence(_small_cfg(replications=2), threads=3).to_csv() == serial
     assert pool_widths == [2]  # one pool for both samplers, no wider than R
@@ -896,7 +946,8 @@ def test_load_experiment_errors():
         load_experiment("[experiment]\np = 0.1\n")
     with pytest.raises(ConfigError, match="budget"):
         load_experiment("[experiment]\nbudget = 5\n[model]\nkind = exp\n")
-    with pytest.raises(ConfigError, match="samplers"):
+    # the same message as ExperimentConfig's, with the names it accepts
+    with pytest.raises(ConfigError, match=r"^samplers: unknown sampler 'halton' \(expected one of: mc, qmc-sobol, "):
         load_experiment("[experiment]\nsamplers = halton\n[model]\nkind = exp\n")
     with pytest.raises(ConfigError, match="n_grid"):
         load_experiment("[experiment]\nn_grid = 2^10..2^8\n[model]\nkind = exp\n")

@@ -1,6 +1,7 @@
 import itertools
 import math
 from collections import Counter
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from qmcrisk.lowdisc import (
     van_der_corput_points,
 )
 from qmcrisk.randomize import owen_scramble
+
+import qmcrisk.lowdisc as lowdisc
 
 # ---------------------------------------------------------------- radical inverse
 
@@ -49,6 +52,14 @@ def test_radical_inverse_rejects_bad_args():
         radical_inverse(-1, 2)
     with pytest.raises(ConfigError):
         radical_inverse(3, 1)
+    # fractions used to run: radical_inverse(2.5) gave 0.5, base 2.5 gave 0.32
+    for i in (2.5, "3", None):
+        with pytest.raises(ConfigError, match="^i: must be an integer >= 0$"):
+            radical_inverse(i)
+    for b in (2.5, "3", None):
+        with pytest.raises(ConfigError, match="^b: must be an integer >= 2$"):
+            radical_inverse(5, b)
+    assert radical_inverse(6.0, np.int64(2)) == radical_inverse(6, 2) == 0.375
 
 
 # ---------------------------------------------------------------- point sets
@@ -199,7 +210,14 @@ def test_sobol_index_addressing_is_stable():
     assert np.array_equal(a, b)
 
 
-def test_sobol_validates_arguments():
+def test_sobol_validates_arguments(no_draws):
+    # a fraction used to fail in the walk with a bare TypeError
+    for dim in (2.5, "2", None):
+        with pytest.raises(ConfigError, match="^dim: must lie in 1..64, the direction-number table's range$"):
+            sobol_points(4, dim)
+    for n in (4.5, "4", None):
+        with pytest.raises(ConfigError, match="^count: must lie in 1..2\\^52, the generator's range$"):
+            sobol_points(n, 2)
     with pytest.raises(ConfigError):
         sobol_points(0, 2)
     with pytest.raises(ConfigError):
@@ -262,6 +280,19 @@ def test_is_net_validates_shape():
         NetParams(t=0, m=2, d=0)
     with pytest.raises(ConfigError):
         NetParams(t=0, m=2, d=1, b=1)
+    # a fraction used to fail inside is_net (t) or be accepted (d)
+    for kwargs, name in (
+        (dict(t=0.5, m=2, d=1), "t"),
+        (dict(t=0, m=2.5, d=1), "m"),
+        (dict(t=0, m=2, d=1.5), "d"),
+        (dict(t=0, m=2, d=1, b=2.5), "b"),
+        (dict(t="0", m=2, d=1), "t"),
+        (dict(t=0, m=None, d=1), "m"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{name}: must "):
+            NetParams(**kwargs)
+    params = NetParams(t=np.int64(0), m=2.0, d=np.float64(1), b=np.uint8(2))
+    assert astuple(params) == (0, 2, 1, 2) and all(type(x) is int for x in astuple(params))
 
 
 def test_is_net_enforces_work_limit():
@@ -336,8 +367,20 @@ def test_is_net_matches_a_brute_force_count():
     assert verdicts[True] > 50 and verdicts[False] > 50
 
 
+def test_find_t_rejects_a_fractional_m_before_any_check(monkeypatch):
+    # find_t(ps, 2.5, 1) used to fail in range() with a bare TypeError
+    def checked(*args):
+        raise AssertionError("is_net ran")
+
+    monkeypatch.setattr(lowdisc, "is_net", checked)
+    for m in (2.5, "2", None, -1):
+        with pytest.raises(ConfigError, match="^m: must be an integer >= 0$"):
+            find_t(van_der_corput_points(4), m, 1)
+
+
 def test_find_t_known_values():
     assert find_t(sobol_points(64, 2), m=6, d=2) == 0
+    assert find_t(sobol_points(64, 2), m=6.0, d=np.int64(2)) == 0
     assert find_t(sobol_points(64, 3), m=6, d=3) == 1
     assert find_t(van_der_corput_points(64), m=6, d=1) == 0
 

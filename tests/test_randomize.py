@@ -137,6 +137,24 @@ def test_scramble_spec_rejects_seeds_outside_64_bits(scheme):
     assert scheme(ps, 2**64 - 1).n == 8
 
 
+def test_step_factories_take_integers_only():
+    # owen_step(2.5, ...) used to fail in numpy and owen_step(..., 8.0) in
+    # bit_length; shift_step(2.5, ...) built three dimensions' words
+    for factory in (randomize.owen_step, randomize.shift_step):
+        for dim in (2.5, "2", None, 0):
+            with pytest.raises(ConfigError, match="^dim: must be an integer >= 1$"):
+                factory(dim, 1, 8)
+    for n in (8.5, "8", None, 0):
+        with pytest.raises(ConfigError, match="^count: must lie in 1..2\\^52"):
+            randomize.owen_step(2, 1, n)
+    x = sobol_points(8, 2).as_integers().T.copy()
+    for factory in (randomize.owen_step, randomize.shift_step):
+        want, got = x.copy(), x.copy()
+        factory(2, 1, 8)(want, np.empty_like(x), np.empty_like(x))
+        factory(np.int64(2), 1.0, 8.0)(got, np.empty_like(x), np.empty_like(x))
+        assert got.tobytes() == want.tobytes()
+
+
 def test_non_dyadic_input_is_rejected():
     ps = PointSet.from_array([1.0 / 3.0])
     with pytest.raises(PrecisionError):
