@@ -35,7 +35,7 @@ from .experiments import (
     sample_points,
     sampler_name,
 )
-from .estimators import SampleBatch, check_level, quantile_estimate, shortfall_estimate
+from .estimators import check_finite, check_level, risk_estimates
 from .lowdisc import NetParams, PointSet, is_net
 from .models import SanModel, load_model
 
@@ -158,9 +158,8 @@ def _cmd_verify_net(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     check_level(args.level)
     model = _load_model_arg(args.config)
-    batch = SampleBatch(sample_losses(model, sampler_name(args.sampler), args.count, seed=args.seed))
-    v = quantile_estimate(batch, args.level)
-    c = shortfall_estimate(batch, args.level)
+    losses = check_finite(sample_losses(model, sampler_name(args.sampler), args.count, seed=args.seed))
+    v, c = risk_estimates(losses, args.level)
     _emit(
         f"sampler = {args.sampler}\nN = {args.count}\np = {args.level:g}\n"
         f"quantile = {v:.9g}\nshortfall = {c:.9g}\n",

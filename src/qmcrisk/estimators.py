@@ -15,7 +15,8 @@ All functions are pure; a batch is immutable after construction.
 from __future__ import annotations
 
 import math
-from typing import Sequence, Union
+import numbers
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
@@ -33,11 +34,7 @@ class SampleBatch:
     __slots__ = ("values",)
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]) -> None:
-        arr = np.array(values, dtype=np.float64, copy=True).ravel()
-        if arr.size < 1:
-            raise ConfigError("batch must hold at least one value")
-        if not np.all(np.isfinite(arr)):
-            raise ConfigError("batch values must all be finite")
+        arr = check_finite(np.array(values, dtype=np.float64, copy=True).ravel())
         arr.setflags(write=False)
         self.values = arr
 
@@ -46,14 +43,20 @@ class SampleBatch:
         return self.values.size
 
 
+def check_finite(values: np.ndarray) -> np.ndarray:
+    """values; ConfigError unless they are at least one and all finite."""
+    if values.size < 1:
+        raise ConfigError("batch must hold at least one value")
+    if not np.all(np.isfinite(values)):
+        raise ConfigError("batch values must all be finite")
+    return values
+
+
 def check_level(p: float) -> float:
-    """The risk level p as a float; ConfigError unless it is a number in (0, 1)."""
-    try:
-        if 0.0 < float(p) < 1.0:
-            return float(p)
-    except (TypeError, ValueError):  # None, "x"
-        pass
-    raise ConfigError(f"p: risk level must lie in (0, 1), got {p}")
+    """The risk level p as a float; ConfigError unless it is a real number in (0, 1)."""
+    if isinstance(p, numbers.Real) and 0.0 < p < 1.0:
+        return float(p)
+    raise ConfigError(f"p: risk level must lie in (0, 1), got {p!r}")
 
 
 def order_index(p: float, n: int) -> int:
@@ -79,19 +82,30 @@ def empirical_cdf(batch: SampleBatch, x: float) -> float:
     return int(np.count_nonzero(batch.values <= x)) / batch.n
 
 
+def _order_statistic(values: np.ndarray, p: float) -> float:
+    k = order_index(p, values.size)
+    # expected-linear-time selection, on a copy
+    return float(np.partition(values, k - 1)[k - 1])
+
+
+def risk_estimates(values: np.ndarray, p: float) -> Tuple[float, float]:
+    """(v, c): the ceil(pN)-th order statistic of the N finite ``values``
+    and the shortfall estimate v - (1/(pN)) * sum_i (v - X_i)^+, from one
+    selection; the sum runs over the values in their given order."""
+    p = check_level(p)
+    v = _order_statistic(values, p)
+    s = float(np.sum(np.maximum(v - values, 0.0)))
+    return v, v - s / (p * values.size)
+
+
 def quantile_estimate(batch: SampleBatch, p: float) -> float:
     """The ceil(pN)-th order statistic of the batch."""
-    k = order_index(p, batch.n)
-    # expected-linear-time selection
-    return float(np.partition(batch.values, k - 1)[k - 1])
+    return _order_statistic(batch.values, p)
 
 
 def shortfall_estimate(batch: SampleBatch, p: float) -> float:
     """Expected-shortfall estimate v - (1/(pN)) * sum_i (v - X_i)^+."""
-    p = check_level(p)
-    v = quantile_estimate(batch, p)
-    s = float(np.sum(np.maximum(v - batch.values, 0.0)))
-    return v - s / (p * batch.n)
+    return risk_estimates(batch.values, p)[1]
 
 
 def k_hat(batch: SampleBatch, x: float) -> float:

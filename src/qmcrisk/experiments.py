@@ -13,27 +13,29 @@ tag, replication); randomized QMC replication r uses a scramble seed
 derived from (master_seed, r).  No key holds N: every sampler's draw is a
 prefix of any longer draw, so a study draws a replication once.
 
-Threads come from ``lowdisc.in_order`` alone: one call runs a study's
-replications on ``min(threads, R)`` workers, one per truth pass its blocks
-on a thread per usable CPU, and ``lowdisc.run_tiles`` spreads a tiled loop
-called from the main thread (a walk, an ``evaluate``, an MC draw, the
-truth pilot) over the usable CPUs; a tiled loop inside a task runs inline.
+Threads come from ``lowdisc.in_order`` alone, which has two uses: one call
+runs a study's replications on ``min(threads, R)`` workers, and
+``lowdisc.run_tiles`` spreads a tiled loop called from the main thread (a
+walk, an ``evaluate``, an MC draw, the truth pilot and passes) over the
+usable CPUs; a tiled loop inside a task runs inline.
 """
 
 from __future__ import annotations
 
 import contextlib
 import math
+import threading
 from dataclasses import astuple, dataclass
+from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bits import check_int, check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
-from .estimators import SampleBatch, check_level, order_index, quantile_estimate, shortfall_estimate
-from .lowdisc import DEFAULT_BIT_DEPTH, _tile_rows, _usable_cpus, check_count, in_order, walk
-from .models import Model, model_from_section, parse_sections, row_losses
+from .estimators import check_finite, check_level, order_index, risk_estimates
+from .lowdisc import DEFAULT_BIT_DEPTH, check_count, in_order, walk
+from .models import Model, model_from_section, parse_key, parse_sections, row_losses
 from .randomize import owen_step, shift_step
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
@@ -55,10 +57,10 @@ CSV_HEADER = "sampler,N,R,q_mean,q_bias,q_mse,es_mean,es_bias,es_mse,mse_stderr"
 _MC_STREAM_TAG = 0x6D63
 _TRUTH_STREAM_TAG = 0x74727574
 
-# rows per truth block, the unit of work of the truth pool.  Block b jumps
-# its own PCG64 stream to draw b * _TRUTH_BLOCK * dim with ``advance``,
-# which counts draws, so any block size works.
-_TRUTH_BLOCK = 1 << 19
+# mc_truth: rows of the pilot, which sets the bracket; rows between
+# progress lines; and the most values the bracket may hold
+_TRUTH_PILOT = 1 << 19
+_PROGRESS_ROWS = 1 << 24
 _MAX_BRACKET = 1 << 24
 # mc_truth: bins of the grid over the pilot's range, and the half-width of
 # the quantile bracket in standard deviations of the pilot's quantile rank
@@ -231,7 +233,7 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
     made: the QMC samplers' walk tiles, which ``model.tile_losses`` works
     in, and, for "mc", tiles of as many rows of the same PCG64 stream,
     each worker jumping its own generator to its tiles, as the truth pass
-    draws its blocks.  Both loops run their tiles by ``lowdisc.run_tiles``,
+    draws its own.  Both loops run their tiles by ``lowdisc.run_tiles``,
     so from the main thread on all usable CPUs, with the same bits.  The
     draw holds the n losses and tile-sized blocks only; like the points,
     the losses of n points are the first n losses of any longer draw.
@@ -263,9 +265,10 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
     return TruthResult(float(v), float(c), 0.0, 0.0, "closed-form", 0)
 
 
-def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int) -> np.ndarray:
+def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int, sink=None) -> Optional[np.ndarray]:
     """The losses of rows start..start + m - 1 of the stream
-    ``Generator(PCG64(seq)).random((rows, model.dim))``.
+    ``Generator(PCG64(seq)).random((rows, model.dim))``, or with ``sink``
+    each tile's, as ``row_losses`` gives them, s counted from ``start``.
 
     ``random`` takes one draw per double and ``PCG64.advance`` counts
     draws, so a generator standing at row ``at`` of the stream reaches row
@@ -275,9 +278,8 @@ def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int)
     So the rows are those of the one stream for any worker count.
     """
     dim = model.dim
-    rows = min(_tile_rows(dim), m)
 
-    def reader() -> Callable[[int, int], np.ndarray]:
+    def reader(rows: int) -> Callable[[int, int], np.ndarray]:
         bitgen = np.random.PCG64(seq)
         gen = np.random.Generator(bitgen)
         tile = np.empty((rows, dim))
@@ -291,62 +293,48 @@ def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int)
 
         return draw
 
-    return row_losses(model, m, reader)
+    return row_losses(model, m, reader, sink)
 
 
-def mc_truth(
-    model: Model,
-    p: float,
-    n_truth: int,
-    seed: int = 1,
-    progress: ProgressFn = None,
-) -> TruthResult:
+def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: ProgressFn = None) -> TruthResult:
     """Large-sample pseudorandom reference values for (v, c).
 
-    One streaming pass over a PCG64 stream.  Its first block, of m rows,
-    is the pilot: a grid of ``_TRUTH_BINS`` bins spans the pilot's
-    range (5% margin each side), and the pilot's order statistics at ranks
-    k0 +- ``_BRACKET_SIGMAS`` * sqrt(m p (1 - p)), with k0 = ceil(p m),
-    widened to the edges of their bins, bracket the p-quantile.  The pass
-    counts the values below the bracket, accumulates their shortfall sums
-    pivoted at its lower edge and keeps the values inside it; v is then
-    the exact k-th order statistic, selected among the kept values.
-    Exactly ``n_truth`` rows are drawn and evaluated; ``n_truth`` must lie
-    in 10^6..2^52, whose upper end bounds every count in the package.  If
-    the quantile falls outside the bracket, the stream is replayed once
-    with the bracket extended to the extreme value on that side.  A
-    bracket holding more than ``_MAX_BRACKET`` values raises
-    WorkLimitError.  The density behind ``v_stderr`` is the count of values
-    in v's grid bin.
+    One streaming pass over a PCG64 stream.  Its first ``_TRUTH_PILOT``
+    rows, m of them, are the pilot: a grid of ``_TRUTH_BINS`` bins spans
+    the pilot's range (5% margin each side), and the pilot's order
+    statistics at ranks k0 +- ``_BRACKET_SIGMAS`` * sqrt(m p (1 - p)), with
+    k0 = ceil(p m), widened to the edges of their bins, bracket the
+    p-quantile.  The pass counts the values below the bracket, accumulates
+    their shortfall sums pivoted at its lower edge and keeps the values
+    inside it; v is then the exact k-th order statistic, selected among
+    the kept values.  Exactly ``n_truth`` rows are drawn and evaluated;
+    ``n_truth`` must lie in 10^6..2^52, whose upper end bounds every count
+    in the package.  If the quantile falls outside the bracket, the stream
+    is replayed once from row 0 with the bracket extended to the extreme
+    value on that side.  A bracket holding more than ``_MAX_BRACKET``
+    values raises WorkLimitError.  The density behind ``v_stderr`` is the
+    count of values in v's grid bin.
 
-    The pilot is drawn on the calling thread, so from the main thread its
-    tiles run on every usable CPU (``lowdisc.run_tiles``).  Each pass runs
-    its blocks through ``in_order``, one thread per usable CPU and at most
-    one per block, each block's tiles inline.  A task draws one block of
-    ``_TRUTH_BLOCK`` rows from its own PCG64 generator, jumped to the
-    block's start with ``advance``, and reduces it against the bracket: the
-    count below it, the two pivoted sums, the values inside it and the
-    block's extremes.  The calling thread adds these up strictly in block
-    order, so the result, the WorkLimitError check and the progress events
-    do not depend on the number of threads; it closes the iterator before
-    the pass returns or raises, so no pool thread outlives it.  The block
-    size only sets the granularity: the stream is identical for any
-    blocking, so v is exactly reproducible and c varies only by summation
-    roundoff.
+    The pilot and each pass are one ``_truth_losses`` call, whose tiles
+    ``lowdisc.run_tiles`` runs on every usable CPU from the main thread;
+    called off the main thread, the truth pass now runs inline, like every
+    tiled loop.  A pass reduces each tile where it is drawn into that
+    tile's slot: the count below the bracket, the two pivoted sums, the
+    values inside it and the tile's extremes; the calling thread adds the
+    slots up in row order.  A lock-guarded tally of kept values and
+    finished rows raises the WorkLimitError, whose total is fixed, and
+    sends a progress line at each multiple of ``_PROGRESS_ROWS`` rows.  So
+    the result, the error and the progress lines do not depend on the
+    worker count, and the tiling moves c by summation roundoff alone.
     """
     p = check_level(p)
     seed = check_seed(seed)
+    # at least 10^6 rows, so the pilot is never the whole stream
     n_truth = check_count(check_int(n_truth, "truth_n", 10 ** 6, why="for a stable bracket"))
     k = order_index(p, n_truth)
-    n_blocks = (n_truth + _TRUTH_BLOCK - 1) // _TRUTH_BLOCK
-    workers = min(_usable_cpus(), n_blocks)
     seq = np.random.SeedSequence([seed, _TRUTH_STREAM_TAG])
 
-    def block_losses(b: int) -> np.ndarray:
-        start = b * _TRUTH_BLOCK
-        return _truth_losses(model, seq, start, min(_TRUTH_BLOCK, n_truth - start))
-
-    pilot = block_losses(0)
+    pilot = _truth_losses(model, seq, 0, _TRUTH_PILOT)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     span = pmax - pmin
     if span <= 0.0:
@@ -373,39 +361,33 @@ def mc_truth(
         kept = x[(t >= b_lo) & (t < b_hi)]
         return d.size, float(d.sum()), float((d * d).sum()), kept, float(x.min()), float(x.max())
 
-    def one_pass(b_lo: int, b_hi: int, head=None):
-        """The pass over every block; ``head``, if given, is block 0's
-        ``block_stats``."""
+    def one_pass(b_lo: int, b_hi: int, start: int, slots: dict):
+        """The ``block_stats`` in ``slots`` and of the tiles of rows start..n_truth - 1
+        added up: the sums exactly rounded, the kept values in row order."""
+        lock = threading.Lock()
+        n_kept = sum(stats[3].size for stats in slots.values())
+        done = start
 
-        def draw_block_stats(b: int):
-            return head if b == 0 and head is not None else block_stats(block_losses(b), b_lo, b_hi)
-
-        below = 0
-        s1 = 0.0
-        s2 = 0.0
-        n_kept = 0
-        pieces: List[np.ndarray] = []
-        gmin = math.inf
-        gmax = -math.inf
-        blocks = in_order(draw_block_stats, range(n_blocks), workers)
-        with contextlib.closing(blocks):
-            for i, (n_below, d_s1, d_s2, piece, xmin, xmax) in enumerate(blocks):
-                below += n_below
-                s1 += d_s1
-                s2 += d_s2
-                pieces.append(piece)
-                n_kept += piece.size
+        def sink(s: int, x: np.ndarray) -> None:
+            nonlocal n_kept, done
+            stats = block_stats(x, b_lo, b_hi)
+            with lock:
+                slots[s] = stats
+                n_kept += stats[3].size
                 if n_kept > _MAX_BRACKET:
                     raise WorkLimitError(f"quantile bracket holds more values than the budget of {_MAX_BRACKET}")
-                gmin = min(gmin, xmin)
-                gmax = max(gmax, xmax)
-                if progress is not None and (i + 1) % 32 == 0:
-                    progress(f"truth pass: block {i + 1}/{n_blocks}")
-        return below, s1, s2, np.concatenate(pieces), gmin, gmax
+                done += x.size
+                for mark in range((done - x.size) // _PROGRESS_ROWS + 1, done // _PROGRESS_ROWS + 1):
+                    if progress is not None:
+                        progress(f"truth pass: {mark * _PROGRESS_ROWS}/{n_truth} rows")
+
+        _truth_losses(model, seq, start, n_truth - start, sink)
+        below, s1, s2, kept, mins, maxs = zip(*(slots[s] for s in sorted(slots)))
+        return sum(below), math.fsum(s1), math.fsum(s2), np.concatenate(kept), min(mins), max(maxs)
 
     head = block_stats(pilot, b_lo, b_hi)
     del pilot
-    below, s1, s2, kept, gmin, gmax = one_pass(b_lo, b_hi, head)
+    below, s1, s2, kept, gmin, gmax = one_pass(b_lo, b_hi, m, {-1: head})
     j = k - below
     if not 1 <= j <= kept.size:
         # the quantile lies outside the bracket: replay the stream with the
@@ -414,7 +396,7 @@ def mc_truth(
             b_lo = grid_bin(gmin)
         else:
             b_hi = grid_bin(gmax) + 1
-        below, s1, s2, kept, _, _ = one_pass(b_lo, b_hi)
+        below, s1, s2, kept, _, _ = one_pass(b_lo, b_hi, 0, {})
         j = k - below
     v = float(np.partition(kept, j - 1)[j - 1])
 
@@ -436,11 +418,7 @@ def mc_truth(
     return TruthResult(v, c, v_stderr, c_stderr, "mc", n_truth)
 
 
-def run_convergence(
-    cfg: ExperimentConfig,
-    threads: Optional[int] = None,
-    progress: ProgressFn = None,
-) -> ResultTable:
+def run_convergence(cfg: ExperimentConfig, threads: Optional[int] = None, progress: ProgressFn = None) -> ResultTable:
     """Run the replicated study and aggregate bias/MSE per (sampler, N).
 
     All samplers draw and evaluate the largest grid size once per
@@ -470,10 +448,9 @@ def run_convergence(
 
     def run_rep(job: Tuple[str, int]) -> None:
         sampler, r = job
-        losses = sample_losses(model, sampler, n_max, cfg.master_seed, r)
+        losses = check_finite(sample_losses(model, sampler, n_max, cfg.master_seed, r))
         for j, n in enumerate(grid):
-            batch = SampleBatch(losses[:n])
-            est[sampler][:, r, j] = quantile_estimate(batch, cfg.p), shortfall_estimate(batch, cfg.p)
+            est[sampler][:, r, j] = risk_estimates(losses[:n], cfg.p)
 
     # one stream, so one pool: with a pool per sampler, the second pool's
     # threads could start before the first's had exited, and glibc then gave
@@ -626,23 +603,20 @@ def load_experiment(text: str) -> ExperimentConfig:
         for key in section:
             if key not in _EXPERIMENT_KEYS:
                 raise ConfigError(f"{key}: unknown key in [experiment]")
-        try:
-            if "p" in section:
-                kwargs["p"] = float(section["p"])
-            if "replications" in section:
-                kwargs["replications"] = int(section["replications"])
-            if "master_seed" in section:
-                kwargs["master_seed"] = int(section["master_seed"], 0)
-            if "truth_n" in section:
-                truth_kw["n"] = parse_count(section["truth_n"], "truth_n")
-            if "truth_seed" in section:
-                truth_kw["seed"] = int(section["truth_seed"], 0)
-            if "truth_v" in section:
-                truth_kw["v"] = float(section["truth_v"])
-            if "truth_c" in section:
-                truth_kw["c"] = float(section["truth_c"])
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"[experiment]: {exc}") from None
+        seed = partial(int, base=0)  # 0x10 reads as 16
+        if "p" in section:
+            kwargs["p"] = parse_key(section, "p")
+        if "replications" in section:
+            kwargs["replications"] = parse_count(section["replications"], "replications")
+        if "master_seed" in section:
+            kwargs["master_seed"] = parse_key(section, "master_seed", seed, "an integer")
+        if "truth_n" in section:
+            truth_kw["n"] = parse_count(section["truth_n"], "truth_n")
+        if "truth_seed" in section:
+            truth_kw["seed"] = parse_key(section, "truth_seed", seed, "an integer")
+        for key, field in (("truth_v", "v"), ("truth_c", "c")):
+            if key in section:
+                truth_kw[field] = parse_key(section, key)
         if "samplers" in section:
             tokens = section["samplers"].replace(",", " ").split()
             kwargs["samplers"] = tuple(sampler_name(token) for token in tokens)

@@ -10,13 +10,14 @@ prefix property: the first n points of a longer run are byte-identical to
 a run of n points.  ``walk`` is the one place where the 52-bit integers
 become floats, one tile at a time, so it never holds a second N x d array;
 given a sink, which takes each float tile in turn, it holds none.
-``in_order`` is the package's one thread pool, for the tiled loops, the
-truth pass and the study alike.  ``run_tiles`` schedules every tiled loop,
-the walk and ``models.row_losses`` (``evaluate`` and the MC and truth
-draws): called from the main thread on enough tiles, it spreads them over
-one thread per usable CPU; from any other thread, such as an ``in_order``
-task's, it runs them inline.  Each tile depends on its own indices or
-input rows alone, so the output is the same for any CPU count.
+``in_order`` is the package's one thread pool, with two uses: the study's
+replications and ``run_tiles``, which schedules every tiled loop, the walk
+and ``models.row_losses`` (``evaluate``, the MC draws and the truth pilot
+and passes).  Called from the main thread on enough tiles, ``run_tiles``
+spreads them over one thread per usable CPU; from any other thread, such
+as an ``in_order`` task's, it runs them inline.  Each tile depends on its
+own indices or input rows alone, so the output is the same for any CPU
+count.
 """
 
 from __future__ import annotations
@@ -45,15 +46,15 @@ _BUNDLED_TABLE = "joe-kuo-64.txt"
 
 # Coordinates per tile, at most, in rows by ``_tile_rows``, of the three
 # tiled loops: ``walk``, and ``models.row_losses`` on ``evaluate``'s blocks
-# and on the MC and truth draws.  So every numpy call of a step covers up
-# to 2^17 coordinates (1 MiB of uint64, 512 KiB per uint32 plane); a
-# (15, 8192) evaluated tile stays in cache, and on a 2-core host one
-# 2^19 x 15 evaluate took 50 ms tiled and 90 ms untiled, on one thread.
-# That size is a constant, not a setting, chosen for the two ``in_order``
-# uses that run tiles concurrently, the study's replications and the
-# workers of ``run_tiles``: the threads pass the GIL at every numpy call,
-# so smaller calls stop them overlapping, and larger tiles cost more
-# scratch.
+# and on the MC and truth draws, whose tiles are also the unit the truth
+# pass reduces.  So every numpy call of a step covers up to 2^17
+# coordinates (1 MiB of uint64, 512 KiB per uint32 plane); a (15, 8192)
+# evaluated tile stays in cache, and on a 2-core host one 2^19 x 15
+# evaluate took 50 ms tiled and 90 ms untiled, on one thread.  That size
+# is a constant, not a setting, chosen for the two ``in_order`` uses, the
+# study's replications and the workers of ``run_tiles``, which run tiles
+# concurrently: the threads pass the GIL at every numpy call, so smaller
+# calls stop them overlapping, and larger tiles cost more scratch.
 # On a 2-core host with numpy 2.4.6, eight 2^16 x 15 Owen replications
 # (``sample_losses``) ran on two threads 1.03-1.04x as fast as on one at
 # 2^15 coordinates per tile, 1.31-1.57x at 2^16, 1.37-1.65x at 2^17 and
@@ -194,12 +195,13 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
+def in_order(fn: Callable, items: Iterable, workers: int, stop: Optional[threading.Event] = None) -> Iterator:
     """fn of each item in the items' order: inline for one worker, else on
     a pool of ``workers`` threads made for this call, with at most
     ``workers + 1`` items submitted and not yet yielded.  The pool is shut
     down, queued items cancelled and threads joined, before the iterator
-    ends, raises or is closed; a consumer that may raise should close it."""
+    ends, raises or is closed, after setting ``stop``, if given, for running
+    items to poll; a consumer that may raise should close it."""
     if workers == 1:
         yield from map(fn, items)
         return
@@ -213,6 +215,8 @@ def in_order(fn: Callable, items: Iterable, workers: int) -> Iterator:
         while pending:
             yield pending.popleft().result()
     finally:
+        if stop is not None:
+            stop.set()
         pool.shutdown(cancel_futures=True)
 
 
@@ -250,9 +254,9 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
     worker per usable CPU with at least ``_TILES_PER_WORKER`` tiles each;
     from any other thread, such as an ``in_order`` task's, one worker runs
     them inline.  Worker w takes tiles w, w + workers, ...; a worker that
-    raises stops the others before their next tile.  So a loop whose tiles
-    each depend on their own rows alone gives the same output for any CPU
-    count.
+    raises, or an interrupted caller, stops them all before their next
+    tile.  So a loop whose tiles each depend on their own rows alone gives
+    the same output for any CPU count.
     """
     starts = range(0, n, rows)
     workers = 1
@@ -263,19 +267,19 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
     # a 2^19 x 15 Owen draw on two workers by 3.8-4.4 MiB over one thread,
     # against 1.1-1.4 MiB
     tiles = [worker() for _ in range(workers)]
-    failed = threading.Event()
+    stop = threading.Event()
 
     def run(w: int) -> None:
         try:
             for start in starts[w::workers]:
-                if failed.is_set():
+                if stop.is_set():
                     return
                 tiles[w](start, min(rows, n - start))
         except BaseException:
-            failed.set()
+            stop.set()
             raise
 
-    list(in_order(run, range(workers), workers))
+    list(in_order(run, range(workers), workers, stop))
 
 
 def walk(

@@ -58,24 +58,31 @@ DEFAULT_SAN_PATHS: Tuple[Tuple[int, ...], ...] = (
 # mean duration 2 on edges 1..8, mean 1 on edges 9..15
 DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
-def row_losses(model: Model, n: int, reader: Callable[[], Callable[[int, int], np.ndarray]]) -> np.ndarray:
+def row_losses(model: Model, n: int, reader: Callable[[int], Callable], sink=None) -> Optional[np.ndarray]:
     """The losses of n rows, by ``tile_losses`` on the strided columns of
     each tile of r = ``_tile_rows(model.dim)`` rows, clamped into its
     worker's (dim, r) scratch block; ``lowdisc.run_tiles`` runs the tiles.
-    ``reader()``, called on the calling thread once per worker, gives that
-    worker's ``rows(start, m)``, the (m, model.dim) block of rows
-    start..start + m - 1, asked for in row order.  Every row is computed
-    on its own, so the result depends on neither the tiling nor the
-    worker count."""
-    out = np.empty(n)
+    ``reader(r)``, called on the calling thread once per worker, gives
+    that worker's ``rows(start, m)``, the (m, model.dim) block of rows
+    start..start + m - 1, m <= r, asked for in row order.  Every row is
+    computed on its own, so the result depends on neither the tiling nor
+    the worker count.
+
+    With ``sink``, as with ``walk``'s, each tile's losses go to
+    ``sink(start, losses)``, valid until it returns, and no output exists."""
+    out = np.empty(n) if sink is None else None
     tile = max(1, min(n, _tile_rows(model.dim)))
 
     def worker() -> Callable[[int, int], None]:
-        rows = reader()
+        rows = reader(tile)
         y = np.empty((model.dim, tile))
+        held = np.empty(tile) if sink is not None else None
 
         def losses(start: int, m: int) -> None:
-            model.tile_losses(rows(start, m).T, out[start : start + m], y[:, :m])
+            dest = out[start : start + m] if sink is None else held[:m]
+            model.tile_losses(rows(start, m).T, dest, y[:, :m])
+            if sink is not None:
+                sink(start, dest)
 
         return losses
 
@@ -89,7 +96,7 @@ def _evaluate(model: Model, u: np.ndarray) -> np.ndarray:
     block = np.asarray(u, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] != model.dim:
         raise ConfigError(f"model expects an (n, {model.dim}) block of points, got shape {block.shape}")
-    return row_losses(model, block.shape[0], lambda: lambda start, m: block[start : start + m])
+    return row_losses(model, block.shape[0], lambda _: lambda start, m: block[start : start + m])
 
 
 def _longest_path(y: np.ndarray, out: np.ndarray) -> None:
@@ -217,12 +224,13 @@ _MODEL_KEYS = {
 }
 
 
-def _parse_float(section: "configparser.SectionProxy", key: str) -> float:
+def parse_key(section: "configparser.SectionProxy", key: str, parse: Callable = float, expected: str = "a number"):
+    """``parse`` of the key's raw text; ConfigError naming the key if it raises ValueError."""
     raw = section[key]
     try:
-        return float(raw)
+        return parse(raw)
     except ValueError:
-        raise ConfigError(f"{key}: expected a number, got {raw!r}") from None
+        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
 
 
 def parse_sections(text: str) -> configparser.ConfigParser:
@@ -252,7 +260,7 @@ def model_from_section(section: "configparser.SectionProxy") -> Model:
             raise ConfigError(f"{key}: unknown key for model kind {kind!r}")
 
     if kind == "exp":
-        rate = _parse_float(section, "lambda") if "lambda" in section else 1.0
+        rate = parse_key(section, "lambda") if "lambda" in section else 1.0
         return ExpModel(rate=rate)
 
     rates: Tuple[float, ...] = DEFAULT_SAN_RATES

@@ -6,11 +6,13 @@ import pytest
 from qmcrisk.errors import ConfigError
 from qmcrisk.estimators import (
     SampleBatch,
+    check_finite,
     check_level,
     empirical_cdf,
     k_hat,
     order_index,
     quantile_estimate,
+    risk_estimates,
     shortfall_estimate,
 )
 
@@ -66,7 +68,7 @@ def test_order_index_rejects_bad_level():
     with pytest.raises(ConfigError):
         order_index(1.0, 4)
     # a level that is no number used to fail in float() with a bare error
-    for p in (None, "x", [0.1, 0.2]):
+    for p in (None, "x", "0.5", [0.1, 0.2]):
         with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
             order_index(p, 4)
         with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
@@ -176,11 +178,35 @@ def test_shortfall_rejects_bad_level():
         shortfall_estimate(b, 0.0)
     with pytest.raises(ConfigError):
         shortfall_estimate(b, 1.5)
-    for p in (None, "x"):
+    # "0.5" used to run as 0.5; bools are ints, and no level
+    for p in (None, "x", "0.5", True):
         with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
             quantile_estimate(b, p)
         with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
             shortfall_estimate(b, p)
+
+
+def test_risk_estimates_are_the_two_estimates_from_one_selection():
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=1001)
+    before = values.copy()
+    for p in (0.01, 0.1, 0.5, np.float32(0.25)):
+        for n in (1, 10, 1001):
+            batch = SampleBatch(values[:n])
+            v, c = risk_estimates(values[:n], p)
+            assert (v, c) == (quantile_estimate(batch, p), shortfall_estimate(batch, p))
+            assert type(v) is float and type(c) is float
+    # a view in, the values untouched: the selection works on a copy
+    assert values.tobytes() == before.tobytes()
+    with pytest.raises(ConfigError, match="^p: "):
+        risk_estimates(values, "0.5")
+
+
+def test_check_finite_rejects_empty_and_non_finite_values():
+    assert check_finite(np.array([1.0, 2.0])).tolist() == [1.0, 2.0]
+    for values, message in (([], "at least one"), ([1.0, np.nan], "finite"), ([np.inf], "finite")):
+        with pytest.raises(ConfigError, match=message):
+            check_finite(np.array(values))
 
 
 # ---------------------------------------------------------------- lower partial moment

@@ -105,7 +105,8 @@ def test_experiment_config_validation():
         with pytest.raises(ConfigError, match="^replications: "):
             ExperimentConfig(model=m, replications=replications)
     # a level that is no number fails as a bad level, not in float()
-    for p in (None, "x", [0.1, 0.2]):
+    # a numeric string used to run as its number
+    for p in (None, "x", [0.1, 0.2], "0.5", False):
         with pytest.raises(ConfigError, match=r"^p: risk level must lie in \(0, 1\)"):
             ExperimentConfig(model=m, p=p)
     # integer-valued floats and numpy integers run as their ints
@@ -285,18 +286,19 @@ def test_mc_truth_recovers_closed_form():
     assert t.c_stderr < 1e-3
 
 
-def test_mc_truth_is_block_size_invariant(monkeypatch):
-    m = ExpModel()
-    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 19)
-    a = mc_truth(m, 0.1, 10**6, seed=3)
-    # blocks may start at any row, not only at powers of two
-    for block in (1 << 16, 3 * (1 << 15) + 7):
-        monkeypatch.setattr(experiments, "_TRUTH_BLOCK", block)
-        b = mc_truth(m, 0.1, 10**6, seed=3)
-        # every blocking reads one stream, so the order statistic is
-        # identical; the shortfall sums reassociate across block boundaries
-        assert a.v == b.v, block
-        assert a.c == pytest.approx(b.c, rel=1e-12), block
+def test_mc_truth_is_tile_size_invariant(monkeypatch):
+    for model in (ExpModel(), SanModel()):
+        monkeypatch.setattr(lowdisc, "_TILE_COORDS", 1 << 17)
+        a = mc_truth(model, 0.1, 10**6, seed=3)
+        # 10^6 - 2^19 rows after the pilot: a ragged last tile for every size
+        for rows in (1 << 12, 1 << 15, 1 << 20):
+            monkeypatch.setattr(lowdisc, "_TILE_COORDS", rows * model.dim)
+            b = mc_truth(model, 0.1, 10**6, seed=3)
+            # every tiling reads one stream, so the order statistic is
+            # identical; the shortfall sums reassociate across tile boundaries
+            assert (a.v, a.v_stderr) == (b.v, b.v_stderr), (model, rows)
+            assert a.c == pytest.approx(b.c, rel=1e-12), (model, rows)
+            assert a.c_stderr == pytest.approx(b.c_stderr, rel=1e-12), (model, rows)
 
 
 def test_mc_truth_rejects_small_runs():
@@ -357,7 +359,7 @@ def test_mc_truth_is_exact_on_a_stream_held_in_memory(model, p):
     t = mc_truth(counting, p, n, seed=seed)
     assert t.v == v
     assert t.c == pytest.approx(c, rel=1e-12, abs=0.0)
-    # one pass: the pilot block is the stream's first block, not a redraw
+    # one pass: the pilot is the stream's first rows, not a redraw
     assert counting.rows == n
 
 
@@ -366,7 +368,7 @@ def _zero_width_bracket_side(model, p: float, n: int, seed: int, v: float) -> st
     that ``mc_truth`` builds from its pilot when ``_BRACKET_SIGMAS`` is 0:
     "above", "below" or "inside"."""
     seq = np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])
-    pilot = experiments._truth_losses(model, seq, 0, min(experiments._TRUTH_BLOCK, n))
+    pilot = experiments._truth_losses(model, seq, 0, experiments._TRUTH_PILOT)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     lo = pmin - 0.05 * (pmax - pmin)
     hi = pmax + 0.05 * (pmax - pmin)
@@ -404,10 +406,11 @@ def test_mc_truth_fails_when_bracket_never_fits(monkeypatch):
 
 def test_mc_truth_emits_progress(monkeypatch):
     messages = []
-    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 14)
+    monkeypatch.setattr(experiments, "_PROGRESS_ROWS", 1 << 17)
     mc_truth(ExpModel(), 0.1, 10**6, seed=3, progress=messages.append)
-    # 62 blocks of 2^14, one message every 32 blocks of the single pass
-    assert messages == ["truth pass: block 32/62"]
+    # a message at each multiple of 2^17 rows that the single pass, after
+    # the 2^19 rows of the pilot, finishes
+    assert messages == [f"truth pass: {k << 17}/1000000 rows" for k in (5, 6, 7)]
 
 
 @pytest.mark.parametrize(
@@ -421,21 +424,29 @@ def test_mc_truth_emits_progress(monkeypatch):
     ],
 )
 def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model, block, tile):
-    # every block jumps a fresh generator to its first draw; together the
-    # blocks and their tiles must read one stream front to back
-    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", block)
+    # every call jumps fresh generators to its first draw, as a pass after
+    # the pilot starts; together the blocks and their tiles must read one
+    # stream front to back, into an array or, tile by tile, into a sink
     monkeypatch.setattr(lowdisc, "_TILE_COORDS", tile * model.dim)
     n, seed = 3 * block + 1000, 7  # a ragged last block, with a ragged last tile
     gen = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])))
     stream = gen.random((n, model.dim))
     seq = np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])
     for b, start in enumerate(range(0, n, block)):
+        m = min(block, n - start)
         recording = _RecordingModel(model)
-        losses = experiments._truth_losses(recording, seq, start, min(block, n - start))
+        losses = experiments._truth_losses(recording, seq, start, m)
         want = stream[start : start + block]
         assert max(len(u) for u in recording.tiles) == tile
         assert np.array_equal(np.concatenate(recording.tiles), want), f"block {b}"
         assert np.array_equal(losses, model.evaluate(want)), f"block {b}"
+        sunk = np.full(m, np.nan)
+
+        def sink(s, x):
+            sunk[s : s + x.size] = x
+
+        assert experiments._truth_losses(model, seq, start, m, sink) is None
+        assert sunk.tobytes() == losses.tobytes(), f"block {b}"
 
 
 @pytest.mark.parametrize("model", [ExpModel(), SanModel()], ids=["exp", "san"])
@@ -468,30 +479,37 @@ def test_every_loss_loop_tiles_by_the_walk_rule(monkeypatch, model):
 
 
 @pytest.mark.parametrize("sigmas", [8.0, 0.0], ids=["one-pass", "replay"])
-def test_mc_truth_does_not_depend_on_the_worker_count(monkeypatch, fine_switching, sigmas):
-    # 62 blocks of 2^14 reduced in block order; with a zero-width bracket
-    # the quantile falls outside it and the stream is replayed
-    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 14)
+def test_mc_truth_does_not_depend_on_the_worker_count(monkeypatch, fine_switching, pool_widths, sigmas):
+    # tiles of 2^12 rows, 117 after the pilot and 245 in a replay, reduced
+    # where they are drawn and added up in row order; with a zero-width
+    # bracket the quantile falls outside it and the stream is replayed
+    monkeypatch.setattr(lowdisc, "_TILE_COORDS", 1 << 12)
     monkeypatch.setattr(experiments, "_BRACKET_SIGMAS", sigmas)
+    monkeypatch.setattr(experiments, "_PROGRESS_ROWS", 1 << 18)
     n = 10**6
     results = []
     for workers in (1, 2, 3):
-        monkeypatch.setattr(experiments, "_usable_cpus", lambda workers=workers: workers)
+        monkeypatch.setattr(lowdisc, "_usable_cpus", lambda workers=workers: workers)
         messages = []
         counting = _CountingModel(ExpModel())
         t = mc_truth(counting, 0.1, n, seed=3, progress=messages.append)
         results.append((t, messages, counting.rows))
     passes = 1 if sigmas else 2
-    assert results[0][1] == ["truth pass: block 32/62"] * passes
+    # the pilot and each pass on every worker
+    assert pool_widths == [w for w in (2, 3) for _ in range(1 + passes)]
+    marks = [3] if sigmas else [3, 1, 2, 3]
+    assert results[0][1] == [f"truth pass: {k << 18}/1000000 rows" for k in marks]
     assert results[0][2] == passes * n
     assert results[1] == results[0]
     assert results[2] == results[0]
 
 
 def test_mc_truth_peak_memory_is_a_few_blocks(monkeypatch):
-    # each worker holds one block of losses and tile-sized draws, never a
-    # block of points: one 2^19 x 15 block of draws alone is 60 MiB
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
+    # the pilot's losses and their reduction's temporaries, then each
+    # worker's tile-sized draws, evaluation scratch and losses: never a
+    # block of points (one 2^19 x 15 block of draws alone is 60 MiB), and
+    # no block of losses past the pilot
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 2)
     block_bytes = (1 << 19) * 8
     tracemalloc.start()
     try:
@@ -499,7 +517,7 @@ def test_mc_truth_peak_memory_is_a_few_blocks(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 10 * block_bytes
+    assert peak < 3 * block_bytes
 
 
 # ---------------------------------------------------------------- convergence harness
@@ -758,11 +776,13 @@ def test_no_pool_thread_outlives_a_failed_call(monkeypatch, pool_widths):
         pytest.fail(f"no {error.__name__}")
 
     before = threading.active_count()
-    # the truth pass's own loop raises, with blocks still on the pool
-    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(experiments, "_MAX_BRACKET", 1 << 12)
-    monkeypatch.setattr(experiments, "_TRUTH_BLOCK", 1 << 16)
-    assert live_threads_on(WorkLimitError, lambda: mc_truth(ExpModel(), 0.1, 10**6, seed=1)) == before
+    # the truth pass's reduction raises in a worker, with tiles still to
+    # run: 117 tiles of 2^12 rows on 2 workers, after a pilot on 2
+    with monkeypatch.context() as patch:
+        patch.setattr(lowdisc, "_usable_cpus", lambda: 2)
+        patch.setattr(lowdisc, "_TILE_COORDS", 1 << 12)
+        patch.setattr(experiments, "_MAX_BRACKET", 1 << 12)
+        assert live_threads_on(WorkLimitError, lambda: mc_truth(ExpModel(), 0.1, 10**6, seed=1)) == before
     # a walk worker raises: 4 walk tiles on 3 workers
     pts = sobol_points(4 * lowdisc._tile_rows(15), 15).points.copy()
     pts[-1, 7] = 1.0 / 3.0
@@ -776,7 +796,7 @@ def test_no_pool_thread_outlives_a_failed_call(monkeypatch, pool_widths):
     # a study's replication raises on its first evaluation
     cfg = _small_cfg(model=_FailingModel(), truth=TruthSpec("explicit", v=7.0, c=7.0))
     assert live_threads_on(RuntimeError, lambda: run_convergence(cfg, threads=2)) == before
-    assert pool_widths == [2, 3, 3, 2]
+    assert pool_widths == [2, 2, 3, 3, 2]
 
 
 # ---------------------------------------------------------------- rate fitting
@@ -910,9 +930,18 @@ kind = san-15
 def test_load_experiment_counts_use_the_count_parser():
     cfg = load_experiment("[experiment]\ntruth = mc\ntruth_n = 2^20\n[model]\nkind = exp\n")
     assert cfg.truth.n == 1048576
+    # replications used to fail in int() on both, which truth_n took
+    for raw, want in (("2.0", 2), ("1e2", 100), ("2^3", 8)):
+        assert load_experiment(f"[experiment]\nreplications = {raw}\n[model]\nkind = exp\n").replications == want
     cfg = load_experiment("[experiment]\nn_grid = 1.6e1..2^5\n[model]\nkind = exp\n")
     assert cfg.n_grid == (16, 32)
-    for key, value in (("truth_n", "1000000.7"), ("truth_n", "many"), ("n_grid", "2^x"), ("n_grid", "8..1e400")):
+    for key, value in (
+        ("truth_n", "1000000.7"),
+        ("truth_n", "many"),
+        ("n_grid", "2^x"),
+        ("n_grid", "8..1e400"),
+        ("replications", "2.5"),
+    ):
         with pytest.raises(ConfigError, match=key):
             load_experiment(f"[experiment]\n{key} = {value}\n[model]\nkind = exp\n")
 
@@ -953,7 +982,17 @@ def test_load_experiment_errors():
         load_experiment("[experiment]\nn_grid = 2^10..2^8\n[model]\nkind = exp\n")
     with pytest.raises(ConfigError, match="n_grid"):
         load_experiment("[experiment]\nn_grid = 300\n[model]\nkind = exp\n")
-    with pytest.raises(ConfigError):
-        load_experiment("[experiment]\nreplications = soon\n[model]\nkind = exp\n")
+    # each key's parse error names the key; they all used to read
+    # "[experiment]: <Python's int() or float() message>"
+    for keys, bad in (
+        ("replications = soon", "replications"),
+        ("p = abc", "p"),
+        ("master_seed = 1.5", "master_seed"),
+        ("truth = mc\ntruth_seed = seven", "truth_seed"),
+        ("truth_v = abc\ntruth_c = 2.1", "truth_v"),
+        ("truth_v = 2.5\ntruth_c = 2,1", "truth_c"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{bad}: expected "):
+            load_experiment(f"[experiment]\n{keys}\n[model]\nkind = exp\n")
     with pytest.raises(ConfigError):
         load_experiment("[experiment]\ntruth = explicit\n[model]\nkind = exp\n")

@@ -1,5 +1,8 @@
 import itertools
 import math
+import signal
+import threading
+import time
 from collections import Counter
 from dataclasses import astuple
 
@@ -421,3 +424,29 @@ def test_van_der_corput_gap_structure():
     pts = np.sort(van_der_corput_points(256).points[:, 0])
     gaps = np.diff(pts)
     assert np.all(gaps == 1.0 / 256)
+
+
+def test_an_interrupted_caller_stops_every_worker(monkeypatch):
+    # SIGINT reaches the main thread while it waits for two workers of 100
+    # tiles each: the workers stop before their next tile instead of
+    # running every tile first, which took a 10^8-row truth pass 5-6 s.
+    # The signal comes at worker 1's third tile, 20 ms in, when the main
+    # thread has long submitted both workers and waits
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)
+    ran = []
+
+    def worker():
+        def tile(start, m):
+            if start == 5:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+            time.sleep(0.01)
+            ran.append(start)
+
+        return tile
+
+    before = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        lowdisc.run_tiles(200, 1, worker)
+    assert threading.active_count() == before
+    assert len(ran) < 20

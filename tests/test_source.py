@@ -40,3 +40,51 @@ def test_unused_imports_finds_what_it_should():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def pool_sites(source: str, module: str) -> list:
+    """Where a module names ``ThreadPoolExecutor`` and where it calls
+    ``in_order``: ("pool", module) once per name, and ("in_order",
+    module.function) per call, the function being the top-level one it
+    lies in."""
+    sites = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = [alias.name.split(".")[-1] for alias in node.names]
+            if "ThreadPoolExecutor" in names:
+                sites.append(("pool", module))
+            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "in_order":
+                sites.append(("in_order", f"{module}.{getattr(top, 'name', '<module>')}"))
+    return sites
+
+
+def test_pool_sites_finds_what_it_should():
+    source = (
+        "import concurrent.futures\n"
+        "from .lowdisc import in_order\n"
+        "pool = concurrent.futures.ThreadPoolExecutor\n"
+        "def f(items):\n"
+        "    def g(x):\n"
+        "        return list(lowdisc.in_order(str, x, 2))\n"
+        "    return in_order(g, items, 1)\n"
+    )
+    assert pool_sites(source, "m") == [("pool", "m"), ("in_order", "m.f"), ("in_order", "m.f")]
+
+
+def test_one_pool_site_and_two_schedulers():
+    # every thread comes from lowdisc.in_order, and it has two callers: the
+    # study's replications and run_tiles, which runs every tiled loop
+    sites = []
+    for path in Path(qmcrisk.__file__).parent.glob("*.py"):
+        sites += pool_sites(path.read_text(), path.stem)
+    assert sorted(site for site in sites if site[1] != "lowdisc") == [
+        ("in_order", "experiments.run_convergence"),
+        ("in_order", "lowdisc.run_tiles"),
+    ]
+    assert ("pool", "lowdisc") in sites
