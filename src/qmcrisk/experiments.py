@@ -13,17 +13,17 @@ tag, replication); randomized QMC replication r uses a scramble seed
 derived from (master_seed, r).  No key holds N: every sampler's draw is a
 prefix of any longer draw, so a study draws a replication once.
 
-Threads come from ``lowdisc.in_order`` alone, which has two uses: one call
-runs a study's replications on ``min(threads, R)`` workers, and
-``lowdisc.run_tiles`` spreads a tiled loop called from the main thread (a
-walk, an ``evaluate``, an MC draw, the truth pilot and passes) over the
-usable CPUs; a tiled loop inside a task runs inline.
+Threads come from ``lowdisc.run_tiles`` alone.  One call runs a study's
+replications on ``min(threads, R)`` workers, one replication per tile; a
+tiled loop called from the main thread (a walk, an ``evaluate``, an MC
+draw, the truth pilot and pass) spreads over the usable CPUs, and one
+inside a study worker runs inline.
 """
 
 from __future__ import annotations
 
-import contextlib
 import math
+import numbers
 import threading
 from dataclasses import astuple, dataclass
 from functools import partial
@@ -34,7 +34,7 @@ import numpy as np
 from .bits import check_int, check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import check_finite, check_level, order_index, risk_estimates
-from .lowdisc import DEFAULT_BIT_DEPTH, check_count, in_order, walk
+from .lowdisc import DEFAULT_BIT_DEPTH, check_count, run_tiles, walk
 from .models import Model, model_from_section, parse_key, parse_sections, row_losses
 from .randomize import owen_step, shift_step
 
@@ -93,6 +93,9 @@ class TruthSpec:
             raise ConfigError(f"truth: unknown kind {self.kind!r} (expected auto, explicit or mc)")
         if self.kind == "explicit" and (self.v is None or self.c is None):
             raise ConfigError("truth: explicit truth needs both truth_v and truth_c")
+        for key, x in (("truth_v", self.v), ("truth_c", self.c)):
+            if x is not None and not (isinstance(x, numbers.Real) and math.isfinite(x)):
+                raise ConfigError(f"{key}: must be a finite number, got {x!r}")
 
 
 @dataclass(frozen=True)
@@ -427,8 +430,10 @@ def run_convergence(cfg: ExperimentConfig, threads: Optional[int] = None, progre
     each prefix is bit-identical to drawing and evaluating that size
     directly, but one sampler's rows are not independent across N.
     ``threads`` (None for serial) must be >= 1.  All samplers'
-    replications, in config order, run through one ``in_order`` call of
-    ``min(threads, R)`` workers; a sampler's rows follow its last one.
+    replications, in config order, are the tiles of one ``run_tiles`` call
+    on ``min(threads, R)`` workers.  A sampler's progress line follows its
+    last replication and every earlier sampler's line; the rows are
+    aggregated once the call returns.
     """
     if threads is not None:
         threads = check_int(threads, "threads", 1)
@@ -439,54 +444,59 @@ def run_convergence(cfg: ExperimentConfig, threads: Optional[int] = None, progre
 
     grid = cfg.n_grid
     n_max = grid[-1]
-    rows: List[ResultRow] = []
 
     reps_of = {s: 1 if s == "qmc-sobol" else cfg.replications for s in cfg.samplers}
     jobs = [(sampler, r) for sampler in cfg.samplers for r in range(reps_of[sampler])]
     # per sampler, the quantile and the shortfall estimates by replication and N
     est = {s: np.empty((2, reps_of[s], len(grid))) for s in cfg.samplers}
+    # replications still to finish per sampler, and the samplers whose
+    # progress line is still to come, in config order
+    lock = threading.Lock()
+    left = dict(reps_of)
+    unreported = list(cfg.samplers)
 
-    def run_rep(job: Tuple[str, int]) -> None:
-        sampler, r = job
+    def run_rep(job: int, _: int) -> None:
+        sampler, r = jobs[job]
         losses = check_finite(sample_losses(model, sampler, n_max, cfg.master_seed, r))
         for j, n in enumerate(grid):
             est[sampler][:, r, j] = risk_estimates(losses[:n], cfg.p)
+        with lock:
+            left[sampler] -= 1
+            while unreported and not left[unreported[0]]:
+                done = unreported.pop(0)
+                if progress is not None:
+                    progress(f"{done}: {reps_of[done]} replication(s) done")
 
     # one stream, so one pool: with a pool per sampler, the second pool's
     # threads could start before the first's had exited, and glibc then gave
     # one of them a new malloc arena, whose freed blocks stayed resident (a
     # fourth arena and 10 MiB more peak RSS in 2 of 14 processes of 20
     # studies each at 2^16 x 15)
-    done = in_order(run_rep, jobs, min(threads or 1, max(reps_of.values())))
-    with contextlib.closing(done):
-        for (sampler, r), _ in zip(jobs, done):
-            reps = reps_of[sampler]
-            if r < reps - 1:
-                continue
-            if progress is not None:
-                progress(f"{sampler}: {reps} replication(s) done")
-
-            est_q, est_c = est[sampler]
-            for j, n in enumerate(grid):
-                q = est_q[:, j]
-                c = est_c[:, j]
-                q_sqerr = (q - truth.v) ** 2
-                c_sqerr = (c - truth.c) ** 2
-                stderr = float(q_sqerr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
-                rows.append(
-                    ResultRow(
-                        sampler=sampler,
-                        n=n,
-                        r=reps,
-                        q_mean=float(q.mean()),
-                        q_bias=float(q.mean() - truth.v),
-                        q_mse=float(q_sqerr.mean()),
-                        es_mean=float(c.mean()),
-                        es_bias=float(c.mean() - truth.c),
-                        es_mse=float(c_sqerr.mean()),
-                        mse_stderr=stderr,
-                    )
+    run_tiles(len(jobs), 1, lambda: run_rep, min(threads or 1, max(reps_of.values())))
+    rows: List[ResultRow] = []
+    for sampler in cfg.samplers:
+        reps = reps_of[sampler]
+        est_q, est_c = est[sampler]
+        for j, n in enumerate(grid):
+            q = est_q[:, j]
+            c = est_c[:, j]
+            q_sqerr = (q - truth.v) ** 2
+            c_sqerr = (c - truth.c) ** 2
+            stderr = float(q_sqerr.std(ddof=1) / math.sqrt(reps)) if reps > 1 else 0.0
+            rows.append(
+                ResultRow(
+                    sampler=sampler,
+                    n=n,
+                    r=reps,
+                    q_mean=float(q.mean()),
+                    q_bias=float(q.mean() - truth.v),
+                    q_mse=float(q_sqerr.mean()),
+                    es_mean=float(c.mean()),
+                    es_bias=float(c.mean() - truth.c),
+                    es_mse=float(c_sqerr.mean()),
+                    mse_stderr=stderr,
                 )
+            )
     return ResultTable(tuple(rows), truth)
 
 
@@ -577,7 +587,7 @@ def _parse_grid_tokens(raw: str) -> Tuple[int, ...]:
         if ".." in token:
             first, last = token.split("..", 1)
             a, b = parse_count(first, "n_grid"), parse_count(last, "n_grid")
-            if a < 1 or a & (a - 1) or b < a or b > 1 << DEFAULT_BIT_DEPTH:
+            if a < 1 or a & (a - 1) or b & (b - 1) or b < a or b > 1 << DEFAULT_BIT_DEPTH:
                 raise ConfigError(f"n_grid: bad range {token!r}")
             grid.extend(1 << k for k in range(a.bit_length() - 1, b.bit_length()))
         else:

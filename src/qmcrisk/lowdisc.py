@@ -10,14 +10,13 @@ prefix property: the first n points of a longer run are byte-identical to
 a run of n points.  ``walk`` is the one place where the 52-bit integers
 become floats, one tile at a time, so it never holds a second N x d array;
 given a sink, which takes each float tile in turn, it holds none.
-``in_order`` is the package's one thread pool, with two uses: the study's
-replications and ``run_tiles``, which schedules every tiled loop, the walk
-and ``models.row_losses`` (``evaluate``, the MC draws and the truth pilot
-and passes).  Called from the main thread on enough tiles, ``run_tiles``
-spreads them over one thread per usable CPU; from any other thread, such
-as an ``in_order`` task's, it runs them inline.  Each tile depends on its
-own indices or input rows alone, so the output is the same for any CPU
-count.
+``run_tiles`` is the package's one thread scheduler.  It runs every tiled
+loop, the walk and ``models.row_losses`` (``evaluate``, the MC draws and
+the truth pilot and pass), and the study's replications, one per tile.
+Called from the main thread on enough tiles, a tiled loop spreads over one
+thread per usable CPU; from any other thread, such as a study worker's, it
+runs inline.  Each tile depends on its own indices or input rows alone, so
+the output is the same for any CPU count.
 """
 
 from __future__ import annotations
@@ -25,12 +24,11 @@ from __future__ import annotations
 import math
 import os
 import threading
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from importlib import resources
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -51,10 +49,10 @@ _BUNDLED_TABLE = "joe-kuo-64.txt"
 # coordinates (1 MiB of uint64, 512 KiB per uint32 plane); a (15, 8192)
 # evaluated tile stays in cache, and on a 2-core host one 2^19 x 15
 # evaluate took 50 ms tiled and 90 ms untiled, on one thread.  That size
-# is a constant, not a setting, chosen for the two ``in_order`` uses, the
-# study's replications and the workers of ``run_tiles``, which run tiles
-# concurrently: the threads pass the GIL at every numpy call, so smaller
-# calls stop them overlapping, and larger tiles cost more scratch.
+# is a constant, not a setting, chosen for the threads of ``run_tiles``,
+# a study's or a tiled loop's, which run tiles concurrently: the threads
+# pass the GIL at every numpy call, so smaller calls stop them
+# overlapping, and larger tiles cost more scratch.
 # On a 2-core host with numpy 2.4.6, eight 2^16 x 15 Owen replications
 # (``sample_losses``) ran on two threads 1.03-1.04x as fast as on one at
 # 2^15 coordinates per tile, 1.31-1.57x at 2^16, 1.37-1.65x at 2^17 and
@@ -67,7 +65,7 @@ _BUNDLED_TABLE = "joe-kuo-64.txt"
 # coordinate's index or input alone.
 _TILE_COORDS = 1 << 17
 
-# Tiles per worker of ``run_tiles``'s pool, at least.  A walk worker holds
+# Tiles per worker of a tiled loop's pool, at least.  A walk worker holds
 # three tiles of scratch, so the pool's scratch stays within 3/16 of the
 # output, and a 2^16 x 15 draw (8 tiles, the study's largest size) stays
 # on one thread; at d = 15 a draw or an evaluation pools from 2^18 points
@@ -195,31 +193,6 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def in_order(fn: Callable, items: Iterable, workers: int, stop: Optional[threading.Event] = None) -> Iterator:
-    """fn of each item in the items' order: inline for one worker, else on
-    a pool of ``workers`` threads made for this call, with at most
-    ``workers + 1`` items submitted and not yet yielded.  The pool is shut
-    down, queued items cancelled and threads joined, before the iterator
-    ends, raises or is closed, after setting ``stop``, if given, for running
-    items to poll; a consumer that may raise should close it."""
-    if workers == 1:
-        yield from map(fn, items)
-        return
-    pool = ThreadPoolExecutor(workers)
-    try:
-        pending = deque()
-        for item in items:
-            pending.append(pool.submit(fn, item))
-            if len(pending) > workers:
-                yield pending.popleft().result()
-        while pending:
-            yield pending.popleft().result()
-    finally:
-        if stop is not None:
-            stop.set()
-        pool.shutdown(cancel_futures=True)
-
-
 def check_count(n: int, name: str = "count") -> int:
     """n as an int; ConfigError unless it is an integer in 1..2^52, the generator's range."""
     return check_int(n, name, 1, 1 << DEFAULT_BIT_DEPTH, why="the generator's range")
@@ -244,24 +217,27 @@ def _lead(dim: int, cols: int) -> np.ndarray:
     return frozen(lead)
 
 
-def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]]) -> None:
+def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]], workers: Optional[int] = None) -> None:
     """``tile(start, m)`` for each tile of n rows: rows start..start + m - 1,
     m = ``rows`` but in a ragged last tile.  ``worker()`` makes one
     worker's ``tile``, with its own scratch and state, on the calling
     thread; each ``tile`` runs on one thread, in row order.
 
-    Called from the main thread, the tiles run through ``in_order``, one
-    worker per usable CPU with at least ``_TILES_PER_WORKER`` tiles each;
-    from any other thread, such as an ``in_order`` task's, one worker runs
-    them inline.  Worker w takes tiles w, w + workers, ...; a worker that
-    raises, or an interrupted caller, stops them all before their next
-    tile.  So a loop whose tiles each depend on their own rows alone gives
-    the same output for any CPU count.
+    ``workers`` defaults to one per usable CPU with at least
+    ``_TILES_PER_WORKER`` tiles each when called from the main thread, and
+    to one from any other thread, such as a study worker's.  One worker
+    runs inline; more run on a pool made for the call.  Worker w takes
+    tiles w, w + workers, ...; a worker that raises, or an interrupted
+    caller, stops them all before their next tile, and every thread is
+    joined before the call returns or raises.  So a loop whose tiles each
+    depend on their own rows alone gives the same output for any worker
+    count.
     """
     starts = range(0, n, rows)
-    workers = 1
-    if threading.current_thread() is threading.main_thread():
-        workers = max(1, min(_usable_cpus(), len(starts) // _TILES_PER_WORKER))
+    if workers is None:
+        workers = 1
+        if threading.current_thread() is threading.main_thread():
+            workers = max(1, min(_usable_cpus(), len(starts) // _TILES_PER_WORKER))
     # every worker's scratch, allocated here: allocated on the workers
     # themselves (in per-thread malloc arenas), it raised the peak RSS of
     # a 2^19 x 15 Owen draw on two workers by 3.8-4.4 MiB over one thread,
@@ -279,7 +255,14 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
             stop.set()
             raise
 
-    list(in_order(run, range(workers), workers, stop))
+    if workers == 1:
+        run(0)
+        return
+    with ThreadPoolExecutor(workers) as pool:
+        try:
+            list(pool.map(run, range(workers)))
+        finally:
+            stop.set()
 
 
 def walk(
@@ -290,17 +273,17 @@ def walk(
     sink: Optional[Callable] = None,
 ) -> Optional[np.ndarray]:
     """An (n, dim) float array filled one (dim, m) uint64 tile at a time,
-    with at most r = ``_tile_rows(dim)`` rows, or the power of two covering
-    n, per tile.
+    with at most r = min(``_tile_rows(dim)``, n) rows per tile.
 
     The tiles hold the first n Sobol' points or the integers of ``points``
     (PrecisionError if one is not dyadic).  ``step(x, z, t)``, if given,
     changes the tile ``x`` in place, with scratch blocks ``z`` and ``t``;
     all three are C-contiguous of the tile's shape.  The step must change
     no state of its own, since several threads may run it at once.
-    The Sobol' segment at s, a multiple of c = max(1, r / 2), is the first
-    c points, the shared ``_lead``, XORed with the XOR of V_k over the set
-    bits k of s: s and i < c share no bits.  A tile takes two segments.
+    The Sobol' segment at s, a multiple of c = max(1, ``_tile_rows(dim)``
+    / 2), is the first c points, the shared ``_lead``, XORed with the XOR
+    of V_k over the set bits k of s: s and i < c share no bits.  A tile
+    takes at most two segments; only a walk of one tile has r < 2c.
 
     With ``sink``, no output array exists: each tile's points, as the
     columns of a (dim, m) float block, go to ``sink(start, u)``, where
@@ -317,7 +300,7 @@ def walk(
         v = _directions(dim)  # checks dim
         n, dim = check_count(n), v.shape[0]
         lead = _lead(dim, max(1, _tile_rows(dim) // 2))
-    rows = min(_tile_rows(dim), 1 << (n - 1).bit_length())
+    rows = min(_tile_rows(dim), n)
     out = np.empty((n, dim)) if sink is None else None
 
     def worker() -> Callable[[int, int], None]:

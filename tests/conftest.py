@@ -19,8 +19,8 @@ def fine_switching():
 
 @pytest.fixture
 def pool_widths(monkeypatch):
-    """The worker count of every pool ``lowdisc.in_order`` starts: the
-    package's only pool site."""
+    """The worker count of every pool ``lowdisc.run_tiles`` starts, the
+    package's only pool site: one per call with more than one worker."""
     widths = []
 
     class RecordingPool(lowdisc.ThreadPoolExecutor):
@@ -34,10 +34,11 @@ def pool_widths(monkeypatch):
 
 @pytest.fixture
 def no_draws(monkeypatch):
-    """Fail the test if it draws or evaluates a point or starts a pool:
-    every tiled loop runs through ``run_tiles``, an MC point draw keys its
-    stream first, the truth pass draws through ``_truth_losses``, and every
-    pool is a ``lowdisc.ThreadPoolExecutor``."""
+    """Fail the test if it draws or evaluates a point or starts a thread:
+    every tiled loop and a study's replications run through ``run_tiles``,
+    the one scheduler, whose pools are ``lowdisc.ThreadPoolExecutor``s; an
+    MC point draw keys its stream first, and the truth pass draws through
+    ``_truth_losses``."""
 
     def drawn(*args, **kwargs):
         raise AssertionError("reached a draw")
@@ -45,6 +46,7 @@ def no_draws(monkeypatch):
     for module, name in (
         (lowdisc, "run_tiles"),
         (models, "run_tiles"),
+        (experiments, "run_tiles"),
         (experiments, "mc_stream_seed"),
         (experiments, "_truth_losses"),
         (lowdisc, "ThreadPoolExecutor"),

@@ -572,6 +572,42 @@ def test_run_convergence_validates_and_caps_threads(pool_widths):
     assert pool_widths == [2]  # one pool for both samplers, no wider than R
 
 
+def test_progress_keeps_config_order_when_samplers_finish_out_of_order(monkeypatch):
+    # jobs owen 0, owen 1, sobol 0 on two workers: worker 0 runs owen's
+    # replication 0 and then sobol's only one, while worker 1 holds owen's
+    # replication 1 until sobol's has been drawn.  So sobol finishes first,
+    # and its line still comes after owen's
+    cfg = _small_cfg(samplers=("rqmc-owen", "qmc-sobol"), replications=2)
+    want = run_convergence(cfg).to_csv()
+    sobol_drawn = threading.Event()
+    draw = experiments.sample_losses
+
+    def sample_losses(model, sampler, n, seed, replication):
+        if (sampler, replication) == ("rqmc-owen", 1):
+            assert sobol_drawn.wait(10)
+        losses = draw(model, sampler, n, seed, replication)
+        if sampler == "qmc-sobol":
+            sobol_drawn.set()
+        return losses
+
+    monkeypatch.setattr(experiments, "sample_losses", sample_losses)
+    messages = []
+    assert run_convergence(cfg, threads=2, progress=messages.append).to_csv() == want
+    assert messages[1:] == ["rqmc-owen: 2 replication(s) done", "qmc-sobol: 1 replication(s) done"]
+
+
+def test_progress_tally_loses_no_replication(fine_switching):
+    # 19 replications on four workers, more than the host's cores, with
+    # threads switching every microsecond: a lost update of the tally
+    # would hold back that sampler's line and every later one
+    cfg = _small_cfg(samplers=SAMPLERS, n_grid=(16, 32), replications=6)
+    want = run_convergence(cfg).to_csv()
+    for _ in range(50):
+        messages = []
+        assert run_convergence(cfg, threads=4, progress=messages.append).to_csv() == want
+        assert messages[1:] == [f"{s}: {1 if s == 'qmc-sobol' else 6} replication(s) done" for s in SAMPLERS]
+
+
 def test_run_convergence_seed_sensitivity():
     a = run_convergence(_small_cfg()).to_csv()
     b = run_convergence(_small_cfg(master_seed=4)).to_csv()
@@ -953,6 +989,15 @@ def test_load_experiment_explicit_truth_values_imply_kind():
     assert (cfg.truth.v, cfg.truth.c) == (2.5, 2.1)
 
 
+@pytest.mark.parametrize("v, c, bad", [("nan", "2.1", "truth_v"), ("2.5", "inf", "truth_c"), ("-inf", "2.1", "truth_v")])
+def test_explicit_truth_values_must_be_finite(v, c, bad):
+    # they used to run, and wrote nan and inf bias and MSE columns
+    with pytest.raises(ConfigError, match=f"^{bad}: must be a finite number"):
+        load_experiment(f"[experiment]\ntruth_v = {v}\ntruth_c = {c}\n[model]\nkind = san-15\n")
+    with pytest.raises(ConfigError, match=f"^{bad}: must be a finite number"):
+        TruthSpec("explicit", v=float(v), c=float(c))
+
+
 @pytest.mark.parametrize(
     "keys, bad",
     [
@@ -982,6 +1027,9 @@ def test_load_experiment_errors():
         load_experiment("[experiment]\nn_grid = 2^10..2^8\n[model]\nkind = exp\n")
     with pytest.raises(ConfigError, match="n_grid"):
         load_experiment("[experiment]\nn_grid = 300\n[model]\nkind = exp\n")
+    # a range whose end is not a power of two used to stop at the power below
+    with pytest.raises(ConfigError, match=r"^n_grid: bad range '2\^8\.\.1000'$"):
+        load_experiment("[experiment]\nn_grid = 2^8..1000\n[model]\nkind = exp\n")
     # each key's parse error names the key; they all used to read
     # "[experiment]: <Python's int() or float() message>"
     for keys, bad in (

@@ -43,10 +43,10 @@ def test_every_import_is_used(path):
 
 
 def pool_sites(source: str, module: str) -> list:
-    """Where a module names ``ThreadPoolExecutor`` and where it calls
-    ``in_order``: ("pool", module) once per name, and ("in_order",
-    module.function) per call, the function being the top-level one it
-    lies in."""
+    """Where a module names ``ThreadPoolExecutor`` or ``in_order``, the
+    package's former second scheduler: (name, module.function) once per
+    import, definition, name or attribute, the function being the
+    top-level one it lies in."""
     sites = []
     for top in ast.parse(source).body:
         for node in ast.walk(top):
@@ -57,10 +57,10 @@ def pool_sites(source: str, module: str) -> list:
                 names = [node.attr]
             elif isinstance(node, (ast.Import, ast.ImportFrom)):
                 names = [alias.name.split(".")[-1] for alias in node.names]
-            if "ThreadPoolExecutor" in names:
-                sites.append(("pool", module))
-            if isinstance(node, ast.Call) and getattr(node.func, "id", getattr(node.func, "attr", None)) == "in_order":
-                sites.append(("in_order", f"{module}.{getattr(top, 'name', '<module>')}"))
+            elif isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            where = f"{module}.{getattr(top, 'name', '<module>')}"
+            sites += [(name, where) for name in names if name in ("ThreadPoolExecutor", "in_order")]
     return sites
 
 
@@ -69,22 +69,23 @@ def test_pool_sites_finds_what_it_should():
         "import concurrent.futures\n"
         "from .lowdisc import in_order\n"
         "pool = concurrent.futures.ThreadPoolExecutor\n"
-        "def f(items):\n"
+        "def in_order(items):\n"
         "    def g(x):\n"
         "        return list(lowdisc.in_order(str, x, 2))\n"
-        "    return in_order(g, items, 1)\n"
+        "    return g(items)\n"
     )
-    assert pool_sites(source, "m") == [("pool", "m"), ("in_order", "m.f"), ("in_order", "m.f")]
-
-
-def test_one_pool_site_and_two_schedulers():
-    # every thread comes from lowdisc.in_order, and it has two callers: the
-    # study's replications and run_tiles, which runs every tiled loop
-    sites = []
-    for path in Path(qmcrisk.__file__).parent.glob("*.py"):
-        sites += pool_sites(path.read_text(), path.stem)
-    assert sorted(site for site in sites if site[1] != "lowdisc") == [
-        ("in_order", "experiments.run_convergence"),
-        ("in_order", "lowdisc.run_tiles"),
+    assert sorted(pool_sites(source, "m")) == [
+        ("ThreadPoolExecutor", "m.<module>"),
+        ("in_order", "m.<module>"),
+        ("in_order", "m.in_order"),
+        ("in_order", "m.in_order"),
     ]
-    assert ("pool", "lowdisc") in sites
+
+
+def test_one_pool_site():
+    # every thread comes from one scheduler, lowdisc.run_tiles: it alone
+    # builds a ThreadPoolExecutor, and in_order is gone
+    sites = set()
+    for path in Path(qmcrisk.__file__).parent.glob("*.py"):
+        sites.update(pool_sites(path.read_text(), path.stem))
+    assert sites == {("ThreadPoolExecutor", "lowdisc.<module>"), ("ThreadPoolExecutor", "lowdisc.run_tiles")}
