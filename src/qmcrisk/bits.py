@@ -91,14 +91,11 @@ def hash64_array(*words) -> np.ndarray:
     return h
 
 
-def mix32(z: np.ndarray, t: np.ndarray, folded: bool = False) -> None:
+def mix32(z: np.ndarray, t: np.ndarray) -> None:
     """lowbias32 (hash-prospector) on the uint32 array z, in place, without
-    its last ``z ^ (z >> 16)`` step, which changes none of the top 16 bits;
-    t is scratch of z's shape.  With ``folded``, z already holds the first
-    ``z ^ (z >> 16)``, as a caller may fold it into a key."""
-    if not folded:
-        np.right_shift(z, np.uint32(16), out=t)
-        z ^= t
+    its first ``z ^ (z >> 16)`` step, which a caller folds into its input
+    (for a key, into the key), nor its last, which changes none of the top
+    16 bits; t is scratch of z's shape."""
     z *= np.uint32(0x7FEB352D)
     np.right_shift(z, np.uint32(15), out=t)
     z ^= t

@@ -50,34 +50,50 @@ _SHIFT_TAG = 0x73666874  # "sfht"
 # first 2^20 Sobol' points and so for any grid up to N = 2^20.  Keying all
 # 52 digits would take 32 more keyed hashes per coordinate, on prefixes too
 # long for the 32-bit words every hash reads; sample_points("rqmc-owen",
-# 2^19, 15) takes 91-159 ms (best of 5, two threads, 2-core host).
+# 2^19, 15) takes 109-114 ms (best of 7, two threads, 2-core host).
 _OWEN_DEPTH = 20
 # Digits 1..top flip by one lookup in a per-step (dim, 2^top) uint32 table,
-# top = min(12, ceil(log2 n)) for a draw of n points: at most 16 KiB and
-# fewer than 2n entries per dimension.  For a draw of 2^19 x 15, tables of
-# 2^8, 2^10, 2^12 and 2^14 entries took 128-140, 104-123, 92-122 and
-# 98-120 ms (best of 5, three processes), alike within noise from 2^10 on,
-# but every replication builds its table: 1.2-1.3 ms at 2^12 against
-# 4.8-6.1 ms at 2^14 (d = 15).
-_OWEN_TABLE_DIGITS = 12
-# Digits whose keyed prefix, digits 1..k-1, has at most 16 bits: their keys
-# carry mix32's first xorshift, two numpy calls fewer per digit
-_FOLDED_DIGITS = 17
+# top = min(14, ceil(log2 n) - 4), at least one, for a draw of n points:
+# under n / 8 entries per dimension, at most 1/16 of the float64 output
+# from n = 16 on.  On a (15, 8192) tile the step took 15.4-16.9 ns per
+# coordinate at 14 digits, 13.2-17.0 at 15 and 15.7-22.7 at 12 (best of
+# 400, three processes, 2-core host); 15 doubles 14's table and its
+# 1.6-2.4 ms build (d = 15) for the same owen-large throughput.
+_OWEN_TABLE_DIGITS = 14
 
 
-def _flip_digits(p: np.ndarray, f: np.ndarray, z: np.ndarray, t: np.ndarray, keys: np.ndarray, first: int, last: int) -> None:
-    """XOR into f the flips of digits first..last of the 20-digit prefix
-    words p, digit k's by bit 31 of ``bits.mix32`` of digits 1..k-1 keyed
-    with ``keys[k - 1]``; z and t are uint32 scratch of f's shape.  The keys
-    of digits 1.._FOLDED_DIGITS come with mix32's first xorshift folded in."""
-    for k in range(first, last + 1):
-        # digits 1..k-1; empty (zero) for k = 1 since p < 2^20
-        np.right_shift(p, np.uint32(_OWEN_DEPTH - k + 1), out=z)
-        z ^= keys[k - 1]
-        mix32(z, t, folded=k <= _FOLDED_DIGITS)
-        z >>= np.uint32(31)
-        z <<= np.uint32(_OWEN_DEPTH - k)
-        f ^= z
+def _owen_keys(dim: int, seed: int) -> np.ndarray:
+    """The (21, dim, 1) uint32 keys of a scramble: keys[k] is the column of
+    per-dimension keys of digit k, the top word of hash64(dim key, k), and
+    keys[0] the tail's, each with mix32's first xorshift folded in."""
+    dim_keys = hash64_array(seed, _OWEN_TAG, np.arange(1, dim + 1, dtype=np.uint64))
+    digits = np.arange(_OWEN_DEPTH + 1, dtype=np.uint64)[:, np.newaxis]
+    keys = (hash64_array(dim_keys, digits) >> np.uint64(32)).astype(np.uint32)[:, :, np.newaxis]
+    keys ^= keys >> np.uint32(16)
+    return keys
+
+
+def _flip_table(keys: np.ndarray, top: int) -> np.ndarray:
+    """The (dim, 2^top) flip words of digits 1..top, top <= 16, of every
+    top-digit prefix, by doubling in place.  Level k hashes digit k once per
+    (k-1)-digit prefix a, its own fold as a < 2^15; a's entry, first in its
+    block, takes the flip and is copied to the first entry of the block's
+    second half."""
+    dim = keys.shape[1]
+    table = np.zeros((dim, 1 << top), dtype=np.uint32)
+    # flat, so that every level's (dim, m) hash planes are contiguous
+    z, t = np.empty((2, dim << (top - 1)), dtype=np.uint32)
+    prefixes = np.arange(1 << (top - 1), dtype=np.uint32)
+    for k in range(1, top + 1):
+        m, step = 1 << (k - 1), 1 << (top - k)
+        h = np.bitwise_xor(prefixes[:m], keys[k], out=z[: dim * m].reshape(dim, m))
+        mix32(h, t[: dim * m].reshape(dim, m))
+        h >>= np.uint32(31)
+        h <<= np.uint32(_OWEN_DEPTH - k)
+        h ^= table[:, :: 2 * step]
+        table[:, :: 2 * step] = h
+        table[:, step :: 2 * step] = h
+    return table
 
 
 def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
@@ -94,15 +110,18 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     digital shift of its own in each prefix cell.
 
     Every hash is a lowbias32 (``bits.mix32``) of digits of the 20-digit
-    prefix word p = x >> 32 and a 32-bit key; all read p as it came in.  A
-    tile takes three passes.  The tail is XORed into the low word, digits
-    21..52; digits 1..top take one lookup in a table holding, for each
-    dimension and each top-digit prefix, the flips the keyed loop gives;
-    and digits top+1..20 take that loop, whose flips join the table's in
-    one 32-bit flip word XORed into p's half of x.  The factory sizes the
-    table to the draw, top = min(12, ceil(log2 n)) digits (at least one),
-    so a short draw builds no more entries than its points can reach, and
-    a draw of n points is the first n points of any longer draw.
+    prefix word p = x >> 32 and a 32-bit key, its first xorshift folded:
+    (p >> s) ^ (p >> s >> 16) is (p ^ p >> 16) >> s, so a tile sets q = p ^
+    p >> 16 once, and each key carries its own.  A tile takes three passes.
+    The tail is XORed into the low word, digits 21..52; digits 1..top take
+    one lookup, at q >> (20 - top), p's top digits for top <= 16, in a
+    table holding, for each dimension and each top-digit prefix, the flips
+    the keyed loop gives; and digits top+1..20 take that loop, whose flips
+    join the table's in one 32-bit flip word XORed into p's half of x.  The
+    factory builds the table by doubling and sizes it to the draw (see
+    ``_OWEN_TABLE_DIGITS``), 12 digits for 2^16 points; a table entry is a
+    fixed function of its prefix, so every size gives the same bits, and a
+    draw of n points is the first n points of any longer draw.
 
     The step is pure: it reads only state fixed by the factory, so several
     threads may run it at once, as the walk's pool does.  Its scratch
@@ -110,36 +129,23 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     """
     dim, seed, n = check_int(dim, "dim", 1), check_seed(seed), check_count(n)
     depth = _OWEN_DEPTH
-    dim_keys = hash64_array(seed, _OWEN_TAG, np.arange(1, dim + 1, dtype=np.uint64))
-    # keys[k] is the (d, 1) column of per-dimension 32-bit keys for digit k
-    # (the top word of hash64(dim key, k)); digit index 0 is free for the
-    # tail
-    digits = np.arange(depth + 1, dtype=np.uint64)[:, np.newaxis]
-    keys = (hash64_array(dim_keys, digits) >> np.uint64(32)).astype(np.uint32)[:, :, np.newaxis]
-    tail_keys, keys = keys[0], keys[1:]
-    # digits 1..k-1 < 2^16 sit below the xorshift's 16, so (prefix ^ key)
-    # ^ (prefix ^ key) >> 16 is prefix ^ (key ^ key >> 16)
-    keys[:_FOLDED_DIGITS] ^= keys[:_FOLDED_DIGITS] >> np.uint32(16)
-    top = min(_OWEN_TABLE_DIGITS, max(1, (n - 1).bit_length()))
-    offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
+    keys = _owen_keys(dim, seed)
+    top = min(_OWEN_TABLE_DIGITS, max(1, (n - 1).bit_length() - 4))
     # table[j << top | i]: flips of digits 1..top for top digits i in
-    # dimension j, built in one pass (480 KiB of scratch at d = 15): passes
-    # of 2^10 entries would need a quarter of that but took 1.7-2.4 ms
-    # against 1.1-1.4 ms
-    words = np.arange(1 << top, dtype=np.uint32) << np.uint32(depth - top)
-    table = np.zeros((dim, 1 << top), dtype=np.uint32)
-    z, t = np.empty((2, dim, 1 << top), dtype=np.uint32)
-    _flip_digits(words, table, z, t, keys, 1, top)
-    table = table.reshape(-1)
+    # dimension j
+    table = _flip_table(keys, top).reshape(-1)
+    offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
 
     def scramble(x: np.ndarray, z: np.ndarray, t: np.ndarray) -> None:
         # four C-contiguous uint32 (d, m) planes, the halves of z and t: the
-        # prefix words, their flips and two for the hash
-        p, f = z.view(np.uint32).reshape(2, *x.shape)
+        # folded prefix words q, their flips and two for the hash
+        q, f = z.view(np.uint32).reshape(2, *x.shape)
         h, s = t.view(np.uint32).reshape(2, *x.shape)
-        np.right_shift(x, np.uint64(32), out=p, casting="unsafe")
+        np.right_shift(x, np.uint64(32), out=q, casting="unsafe")
+        np.right_shift(q, np.uint32(16), out=s)
+        q ^= s
         # digits 21..52, the low word: the full lowbias32 of the keyed prefix
-        np.bitwise_xor(p, tail_keys, out=h)
+        np.bitwise_xor(q, keys[0], out=h)
         mix32(h, s)
         np.right_shift(h, np.uint32(16), out=s)
         h ^= s
@@ -149,10 +155,17 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
         # strided ``out``, makes it write to a tile-sized copy of ``out``
         # first; "clip" into the contiguous f writes in place
         index = t.view(np.int64)
-        np.right_shift(p, np.uint32(depth - top), out=index)
+        np.right_shift(q, np.uint32(depth - top), out=index)
         index += offsets
         np.take(table, index, out=f, mode="clip")
-        _flip_digits(p, f, h, s, keys, top + 1, depth)
+        # digits top+1..20: bit 31 of the hash of digits 1..k-1, keyed
+        for k in range(top + 1, depth + 1):
+            np.right_shift(q, np.uint32(depth - k + 1), out=h)
+            h ^= keys[k]
+            mix32(h, s)
+            h >>= np.uint32(31)
+            h <<= np.uint32(depth - k)
+            f ^= h
         np.left_shift(f, np.uint64(32), out=t)
         x ^= t
 

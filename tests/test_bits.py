@@ -27,27 +27,30 @@ def _lowbias32(z):
     return z ^ (z >> 16)
 
 
-def test_mix32_is_lowbias32_but_its_last_step():
+def test_mix32_is_lowbias32_but_its_first_and_last_steps():
     rng = np.random.default_rng(2)
     z = rng.integers(0, 2**32, size=1024, dtype=np.uint32)
     want = np.array([_lowbias32(int(v)) for v in z], dtype=np.uint32)
-    got = z.copy()
+    got = z ^ (z >> np.uint32(16))
     mix32(got, np.empty_like(got))
     assert np.array_equal(got ^ (got >> np.uint32(16)), want)
     assert np.array_equal(got >> np.uint32(16), want >> np.uint32(16))
 
 
 def test_mix32_folded_skips_only_the_first_xorshift():
-    # a key's first xorshift, folded in, gives mix32 of prefix ^ key for any
-    # prefix below 2^16
+    # the Owen step folds once per word: for any 32-bit word p and shift s,
+    # (p >> s) ^ (p >> s >> 16) is (p ^ p >> 16) >> s, so mix32 of the
+    # folded word shifted, keyed with a folded key, is lowbias32 of
+    # (p >> s) ^ key without its last step
     rng = np.random.default_rng(3)
     key = rng.integers(0, 2**32, dtype=np.uint32)
-    prefix = rng.integers(0, 2**16, size=1024, dtype=np.uint32)
-    want = prefix ^ key
-    mix32(want, np.empty_like(want))
-    got = prefix ^ (key ^ (key >> np.uint32(16)))
-    mix32(got, np.empty_like(got), folded=True)
-    assert np.array_equal(got, want)
+    p = rng.integers(0, 2**32, size=256, dtype=np.uint32)
+    for s in range(32):
+        shifted = p >> np.uint32(s)
+        want = np.array([_lowbias32(int(v) ^ int(key)) for v in shifted], dtype=np.uint32)
+        got = ((p ^ (p >> np.uint32(16))) >> np.uint32(s)) ^ (key ^ (key >> np.uint32(16)))
+        mix32(got, np.empty_like(got))
+        assert np.array_equal(got ^ (got >> np.uint32(16)), want), s
 
 
 def test_hash64_array_is_hash64_elementwise():

@@ -690,14 +690,14 @@ def test_sampled_losses_never_hold_the_points():
 
 
 def test_owen_losses_peak_is_the_losses_plus_one_workers_scratch():
-    # beside the n losses: one worker's x, z and t, the Owen flip table and
-    # the Sobol' lead, half a tile, built here from a cold cache.  The model
-    # works in the walk's float tile, so no (15, rows) evaluation copy, a
-    # whole tile more, appears
+    # beside the n losses: one worker's x, z and t, the Owen flip table of
+    # a 2^16 draw, 12 digits, and the Sobol' lead, half a tile, built here
+    # from a cold cache.  The model works in the walk's float tile, so no
+    # (15, rows) evaluation copy, a whole tile more, appears
     model = SanModel()
     n, d = 1 << 16, model.dim
     tile = d * lowdisc._tile_rows(d) * 8
-    want = n * 8 + 3 * tile + d * (1 << randomize._OWEN_TABLE_DIGITS) * 4 + tile // 2
+    want = n * 8 + 3 * tile + d * (1 << 12) * 4 + tile // 2
     sample_losses(model, "rqmc-owen", n, 1, 0)  # direction numbers
     lowdisc._lead.cache_clear()
     tracemalloc.start()

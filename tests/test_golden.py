@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from qmcrisk.cli import main
+from qmcrisk.experiments import sample_points
 from qmcrisk.lowdisc import sobol_points
 from qmcrisk.randomize import digital_shift, owen_scramble
 
@@ -64,6 +65,22 @@ def test_randomization_golden(seed, owen, shift):
     base = sobol_points(2**10, 15)
     assert _array_sha(owen_scramble(base, seed).points) == owen
     assert _array_sha(digital_shift(base, seed).points) == shift
+
+
+def test_randomized_draws_golden():
+    # rqmc-owen and rqmc-shift draws at both ends of the seed range, from one
+    # point to past 2^17: Owen flip tables of 1, 8, 9, 12 and 14 digits and
+    # ragged walk tiles.  The digest may change only with a change that
+    # states an output change; a speed-up of either scramble leaves it as
+    # it is
+    digest = hashlib.sha256()
+    for sampler in ("rqmc-owen", "rqmc-shift"):
+        for d in (1, 2, 15, 64):
+            for n in (1, 2, 3, 4095, 4097, (1 << 17) + 3):
+                n = n if n * d <= 1 << 21 else (1 << 15) + 3
+                for seed in (0, 2**64 - 1):
+                    digest.update(sample_points(sampler, n, d, seed=seed))
+    assert digest.hexdigest() == "b07688eaf88ab9d1ddc6d12ea656d9df518b04e943cd922881f6e011f11ab9db"
 
 
 def test_converge_csv_golden(capsys, tmp_path):

@@ -446,7 +446,13 @@ def test_an_interrupted_caller_stops_every_worker(monkeypatch):
         return tile
 
     before = threading.active_count()
-    with pytest.raises(KeyboardInterrupt):
-        lowdisc.run_tiles(200, 1, worker)
+    # a shell starts a background job with SIGINT ignored, and Python then
+    # installs no handler of its own: install it for the test's duration
+    handler = signal.signal(signal.SIGINT, signal.default_int_handler)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            lowdisc.run_tiles(200, 1, worker)
+    finally:
+        signal.signal(signal.SIGINT, handler)
     assert threading.active_count() == before
     assert len(ran) < 20

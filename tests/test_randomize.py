@@ -478,29 +478,29 @@ def test_draws_do_not_depend_on_the_tile_size(monkeypatch):
 
 
 def _count_table_builds(monkeypatch):
-    """The sizes of the Owen flip tables built from now on.  Only the
-    table's build runs the keyed loop from digit 1; a tile's loop starts
-    below the table's digits."""
+    """The shapes of the Owen flip tables built from now on."""
     built = []
-    flip_digits = randomize._flip_digits
+    flip_table = randomize._flip_table
 
-    def counting_flip_digits(p, f, z, t, keys, first, last):
-        if first == 1:
-            built.append(f.shape)
-        flip_digits(p, f, z, t, keys, first, last)
+    def counting_flip_table(keys, top):
+        table = flip_table(keys, top)
+        built.append(table.shape)
+        return table
 
-    monkeypatch.setattr(randomize, "_flip_digits", counting_flip_digits)
+    monkeypatch.setattr(randomize, "_flip_table", counting_flip_table)
     return built
 
 
 def test_pooled_owen_step_builds_its_table_once(monkeypatch, pool_widths, fine_switching):
+    # a draw of 3 * 16 * 2048 + 5 points, ceil(log2 n) = 17: one 13-digit
+    # table per draw, built by the factory, none by the three workers
     built = _count_table_builds(monkeypatch)
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 3)
     n, d = _POOL_SHAPES[1]
     for seed in range(4):
         sample_points("rqmc-owen", n, d, seed=seed)
     assert pool_widths == [3] * 4
-    assert built == [(d, 1 << randomize._OWEN_TABLE_DIGITS)] * 4
+    assert built == [(d, 1 << 13)] * 4
 
 
 def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths, fine_switching):
@@ -515,9 +515,25 @@ def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths,
     assert pool_widths == [3]
 
 
-# a draw's size and the digits of its flip table, min(12, ceil(log2 n)), at
-# least one; 2 is a cold-start probe's draw
-_TABLE_DIGITS = {1: 1, 2: 1, 3: 2, 4095: 12, 4096: 12, 4097: 12, 1 << 20: 12}
+# a draw's size and the digits of its flip table, min(14, ceil(log2 n) - 4),
+# at least one; 2 is a cold-start probe's draw, 2^16 the study's largest
+# and 2^19 the owen-large benchmark's
+_TABLE_DIGITS = {
+    1: 1,
+    2: 1,
+    3: 1,
+    32: 1,
+    33: 2,
+    4095: 8,
+    4096: 8,
+    4097: 9,
+    1 << 16: 12,
+    1 << 17: 13,
+    1 << 18: 14,
+    1 << 19: 14,
+    1 << 20: 14,
+    1 << 21: 14,
+}
 
 
 def test_owen_factory_sizes_the_table_to_the_draw(monkeypatch):
@@ -538,8 +554,9 @@ def test_owen_factory_sizes_the_table_to_the_draw(monkeypatch):
 @pytest.mark.parametrize("n", list(_TABLE_DIGITS))
 def test_owen_step_matches_the_keyed_loop_reference_at_every_table_size(n):
     # n only sizes the table, so any tile, here Sobol' points and random
-    # dyadic points whose prefixes cover the whole table, gets the
-    # reference's bits, whatever the draw the step was made for
+    # dyadic points, whose prefixes reach all over the table and whose
+    # digits 17..20 enter the folded word, gets the unfolded reference's
+    # bits, whatever the draw the step was made for
     rng = np.random.default_rng(14)
     words = rng.integers(0, 1 << _NB, size=(4096, 3), dtype=np.uint64)
     ps = PointSet(np.vstack([sobol_points(4097, 3).points, words * 2.0**-_NB]))
@@ -547,6 +564,24 @@ def test_owen_step_matches_the_keyed_loop_reference_at_every_table_size(n):
         x = ps.as_integers().T.copy()
         randomize.owen_step(ps.dim, seed, n)(x, np.empty_like(x), np.empty_like(x))
         assert np.array_equal(x.T * 2.0**-_NB, _reference_owen(ps, seed)), f"seed {seed}"
+
+
+def test_flip_table_is_the_keyed_loops_flips_at_every_size():
+    # the doubling build against the unfolded keyed loop on every prefix.
+    # Digit k's flip reads digits 1..k-1 only, so a top-digit table is the
+    # 16-digit reference at the prefixes i << (16 - top), cut to digits
+    # 1..top
+    words = np.arange(1 << 16, dtype=np.uint64) << np.uint64(_NB - 16)
+    for d in (1, 15, 64):
+        for seed in (0, 7, 2**64 - 1):
+            dim_keys = [hash64(seed, _OWEN_TAG, j + 1) for j in range(d)]
+            want = np.stack([_keyed_flips(words, key, 16) >> np.uint64(_NB - _DEPTH) for key in dim_keys])
+            keys = randomize._owen_keys(d, seed)
+            for top in range(1, 17):
+                digits = np.uint64(((1 << top) - 1) << (_DEPTH - top))
+                got = randomize._flip_table(keys, top)
+                assert got.dtype == np.uint32
+                assert np.array_equal(got, want[:, :: 1 << (16 - top)] & digits), (d, seed, top)
 
 
 def test_owen_draws_of_every_table_size_are_prefixes_of_a_longer_draw():
