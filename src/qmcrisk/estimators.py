@@ -9,14 +9,16 @@ Given a batch of model outputs X_1..X_N and a risk level p in (0,1):
 * K_N(x) = (1/N) * sum_i (x - X_i)^+, the sample lower partial moment the
   shortfall estimator is built from.
 
-All functions are pure; a batch is immutable after construction.
+All functions are pure.  A batch's values are immutable after
+construction; the batch remembers each order statistic it has selected,
+so a quantile and a shortfall estimate at one level share one selection.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-from typing import Sequence, Tuple, Union
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -28,15 +30,16 @@ class SampleBatch:
     """An ordered batch of N real-valued model outputs.
 
     ``values`` keeps the generator's output order (replications may rely on
-    it).
+    it) and is read-only.
     """
 
-    __slots__ = ("values",)
+    __slots__ = ("values", "_selected")
 
     def __init__(self, values: Union[Sequence[float], np.ndarray]) -> None:
         arr = check_finite(np.array(values, dtype=np.float64, copy=True).ravel())
         arr.setflags(write=False)
         self.values = arr
+        self._selected: Dict[int, float] = {}  # k -> the k-th order statistic
 
     @property
     def n(self) -> int:
@@ -82,10 +85,17 @@ def empirical_cdf(batch: SampleBatch, x: float) -> float:
     return int(np.count_nonzero(batch.values <= x)) / batch.n
 
 
-def _order_statistic(values: np.ndarray, p: float) -> float:
-    k = order_index(p, values.size)
+def _order_statistic(values: np.ndarray, k: int) -> float:
     # expected-linear-time selection, on a copy
     return float(np.partition(values, k - 1)[k - 1])
+
+
+def _excess_sum(x: float, values: np.ndarray) -> float:
+    """sum_i (x - X_i)^+, pairwise over the values in their given order,
+    with one scratch array."""
+    d = np.subtract(x, values)
+    np.maximum(d, 0.0, out=d)
+    return float(np.sum(d))
 
 
 def risk_estimates(values: np.ndarray, p: float) -> Tuple[float, float]:
@@ -93,21 +103,28 @@ def risk_estimates(values: np.ndarray, p: float) -> Tuple[float, float]:
     and the shortfall estimate v - (1/(pN)) * sum_i (v - X_i)^+, from one
     selection; the sum runs over the values in their given order."""
     p = check_level(p)
-    v = _order_statistic(values, p)
-    s = float(np.sum(np.maximum(v - values, 0.0)))
-    return v, v - s / (p * values.size)
+    v = _order_statistic(values, order_index(p, values.size))
+    return v, v - _excess_sum(v, values) / (p * values.size)
 
 
 def quantile_estimate(batch: SampleBatch, p: float) -> float:
-    """The ceil(pN)-th order statistic of the batch."""
-    return _order_statistic(batch.values, p)
+    """The ceil(pN)-th order statistic of the batch, selected once per
+    batch and order."""
+    k = order_index(p, batch.n)
+    v = batch._selected.get(k)
+    if v is None:
+        v = batch._selected[k] = _order_statistic(batch.values, k)
+    return v
 
 
 def shortfall_estimate(batch: SampleBatch, p: float) -> float:
-    """Expected-shortfall estimate v - (1/(pN)) * sum_i (v - X_i)^+."""
-    return risk_estimates(batch.values, p)[1]
+    """Expected-shortfall estimate v - (1/(pN)) * sum_i (v - X_i)^+, with v
+    the batch's ``quantile_estimate``."""
+    p = check_level(p)
+    v = quantile_estimate(batch, p)
+    return v - _excess_sum(v, batch.values) / (p * batch.n)
 
 
 def k_hat(batch: SampleBatch, x: float) -> float:
     """Sample average of (x - X_i)^+."""
-    return float(np.sum(np.maximum(x - batch.values, 0.0))) / batch.n
+    return _excess_sum(x, batch.values) / batch.n

@@ -228,10 +228,10 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
     to one from any other thread, such as a study worker's.  One worker
     runs inline; more run on a pool made for the call.  Worker w takes
     tiles w, w + workers, ...; a worker that raises, or an interrupted
-    caller, stops them all before their next tile, and every thread is
-    joined before the call returns or raises.  So a loop whose tiles each
-    depend on their own rows alone gives the same output for any worker
-    count.
+    caller, stops them all before their next tile, and every tile that
+    started has finished before the call returns or raises.  So a loop
+    whose tiles each depend on their own rows alone gives the same output
+    for any worker count.
     """
     starts = range(0, n, rows)
     if workers is None:
@@ -244,8 +244,16 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
     # against 1.1-1.4 MiB
     tiles = [worker() for _ in range(workers)]
     stop = threading.Event()
+    # the run calls under way: an interrupt inside the pool's submit can
+    # land after a thread has started and before the pool has registered
+    # it, and the pool's shutdown then does not join that thread
+    running = threading.Condition()
+    active = 0
 
     def run(w: int) -> None:
+        nonlocal active
+        with running:
+            active += 1
         try:
             for start in starts[w::workers]:
                 if stop.is_set():
@@ -254,6 +262,10 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
         except BaseException:
             stop.set()
             raise
+        finally:
+            with running:
+                active -= 1
+                running.notify_all()
 
     if workers == 1:
         run(0)
@@ -263,6 +275,8 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
             list(pool.map(run, range(workers)))
         finally:
             stop.set()
+            with running:
+                running.wait_for(lambda: active == 0)
 
 
 def walk(

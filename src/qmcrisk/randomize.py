@@ -13,9 +13,12 @@ Two schemes, both reproducible from a 64-bit seed (0 <= seed < 2^64):
   Sobol' points) and gives each prefix cell its own digital shift beyond
   that.  Every hash reads the 20-digit prefix, which fits a 32-bit word,
   so all of them are lowbias32 (``bits.mix32``) with 32-bit keys, as in
-  Burley's hash-based Owen scrambling (JCGT 9(4), 2020).  Scrambled
-  outputs of a digital net form a digital net with the same parameters,
-  and each point is uniform on [0,1)^d.
+  Burley's hash-based Owen scrambling (JCGT 9(4), 2020).  The flips of
+  digits 1..top+1 are one lookup in a per-step table indexed by a
+  coordinate's first top digits, which are all that digit top+1's flip
+  reads; digits top+2..20 take one hash each.  Scrambled outputs of a
+  digital net form a digital net with the same parameters, and each point
+  is uniform on [0,1)^d.
 
 * digital shift: XOR of every coordinate with one random binary word per
   dimension.  Cheaper, structure-preserving in a weaker sense; used as an
@@ -52,13 +55,14 @@ _SHIFT_TAG = 0x73666874  # "sfht"
 # long for the 32-bit words every hash reads; sample_points("rqmc-owen",
 # 2^19, 15) takes 109-114 ms (best of 7, two threads, 2-core host).
 _OWEN_DEPTH = 20
-# Digits 1..top flip by one lookup in a per-step (dim, 2^top) uint32 table,
-# top = min(14, ceil(log2 n) - 4), at least one, for a draw of n points:
-# under n / 8 entries per dimension, at most 1/16 of the float64 output
-# from n = 16 on.  On a (15, 8192) tile the step took 15.4-16.9 ns per
-# coordinate at 14 digits, 13.2-17.0 at 15 and 15.7-22.7 at 12 (best of
-# 400, three processes, 2-core host); 15 doubles 14's table and its
-# 1.6-2.4 ms build (d = 15) for the same owen-large throughput.
+# Digits 1..top+1 flip by one lookup in a per-step (dim, 2^top) uint32
+# table indexed by the top digits, top = min(14, ceil(log2 n) - 4), at
+# least one, for a draw of n points: under n / 8 entries per dimension, at
+# most 1/16 of the float64 output from n = 16 on.  On a (15, 8192) Sobol'
+# tile the step took 13.5-19.6 ns per coordinate at top 14, 13.0-19.3 at
+# 15 and 15.0-20.7 at 12 (thread CPU time, best of 400, five processes,
+# 2-core host); 15 doubles 14's table and its 2.0-2.5 ms build (d = 15)
+# for no step time that spread can tell apart.
 _OWEN_TABLE_DIGITS = 14
 
 
@@ -74,16 +78,20 @@ def _owen_keys(dim: int, seed: int) -> np.ndarray:
 
 
 def _flip_table(keys: np.ndarray, top: int) -> np.ndarray:
-    """The (dim, 2^top) flip words of digits 1..top, top <= 16, of every
-    top-digit prefix, by doubling in place.  Level k hashes digit k once per
-    (k-1)-digit prefix a, its own fold as a < 2^15; a's entry, first in its
-    block, takes the flip and is copied to the first entry of the block's
-    second half."""
+    """The (dim, 2^top) flip words of digits 1..top+1, top <= 16, of every
+    top-digit prefix, by doubling in place.  Level k <= top hashes digit k
+    once per (k-1)-digit prefix a, its own fold as a < 2^15; a's entry,
+    first in its block, takes the flip and is copied to the first entry of
+    the block's second half.  The last level does not double: digit top+1
+    reads the whole index a < 2^16, so it is hashed once per entry and
+    XORed into that entry, in two halves of 2^(top-1) prefixes that reuse
+    the levels' scratch."""
     dim = keys.shape[1]
     table = np.zeros((dim, 1 << top), dtype=np.uint32)
+    half = 1 << (top - 1)
     # flat, so that every level's (dim, m) hash planes are contiguous
-    z, t = np.empty((2, dim << (top - 1)), dtype=np.uint32)
-    prefixes = np.arange(1 << (top - 1), dtype=np.uint32)
+    z, t = np.empty((2, dim * half), dtype=np.uint32)
+    prefixes = np.arange(half, dtype=np.uint32)
     for k in range(1, top + 1):
         m, step = 1 << (k - 1), 1 << (top - k)
         h = np.bitwise_xor(prefixes[:m], keys[k], out=z[: dim * m].reshape(dim, m))
@@ -93,6 +101,14 @@ def _flip_table(keys: np.ndarray, top: int) -> np.ndarray:
         h ^= table[:, :: 2 * step]
         table[:, :: 2 * step] = h
         table[:, step :: 2 * step] = h
+    # digit top+1: prefixes half + i = half ^ i take the key XORed with half
+    h, s = z.reshape(dim, half), t.reshape(dim, half)
+    for lo in (0, half):
+        np.bitwise_xor(prefixes, keys[top + 1] ^ np.uint32(lo), out=h)
+        mix32(h, s)
+        h >>= np.uint32(31)
+        h <<= np.uint32(_OWEN_DEPTH - top - 1)
+        table[:, lo : lo + half] ^= h
     return table
 
 
@@ -113,15 +129,16 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     prefix word p = x >> 32 and a 32-bit key, its first xorshift folded:
     (p >> s) ^ (p >> s >> 16) is (p ^ p >> 16) >> s, so a tile sets q = p ^
     p >> 16 once, and each key carries its own.  A tile takes three passes.
-    The tail is XORed into the low word, digits 21..52; digits 1..top take
-    one lookup, at q >> (20 - top), p's top digits for top <= 16, in a
-    table holding, for each dimension and each top-digit prefix, the flips
-    the keyed loop gives; and digits top+1..20 take that loop, whose flips
-    join the table's in one 32-bit flip word XORed into p's half of x.  The
-    factory builds the table by doubling and sizes it to the draw (see
-    ``_OWEN_TABLE_DIGITS``), 12 digits for 2^16 points; a table entry is a
-    fixed function of its prefix, so every size gives the same bits, and a
-    draw of n points is the first n points of any longer draw.
+    The tail is XORed into the low word, digits 21..52; digits 1..top+1
+    take one lookup, at q >> (20 - top), p's top digits for top <= 16, in
+    a table holding, for each dimension and each top-digit prefix, the
+    flips the keyed loop gives (digit top+1's flip reads those top digits
+    alone); and digits top+2..20 take that loop, whose flips join the
+    table's in one 32-bit flip word XORed into p's half of x.  The factory
+    builds the table by doubling and sizes it to the draw (see
+    ``_OWEN_TABLE_DIGITS``), indexed by 12 digits for 2^16 points; a table
+    entry is a fixed function of its prefix, so every size gives the same
+    bits, and a draw of n points is the first n points of any longer draw.
 
     The step is pure: it reads only state fixed by the factory, so several
     threads may run it at once, as the walk's pool does.  Its scratch
@@ -131,7 +148,7 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
     depth = _OWEN_DEPTH
     keys = _owen_keys(dim, seed)
     top = min(_OWEN_TABLE_DIGITS, max(1, (n - 1).bit_length() - 4))
-    # table[j << top | i]: flips of digits 1..top for top digits i in
+    # table[j << top | i]: flips of digits 1..top+1 for top digits i in
     # dimension j
     table = _flip_table(keys, top).reshape(-1)
     offsets = np.arange(dim, dtype=np.int64)[:, np.newaxis] << top
@@ -150,7 +167,7 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
         np.right_shift(h, np.uint32(16), out=s)
         h ^= s
         x ^= h
-        # digits 1..top: the table entry at j << top | the top digits.  The
+        # digits 1..top+1: the table entry at j << top | the top digits.  The
         # index is always in range.  take's default "raise" mode, like a
         # strided ``out``, makes it write to a tile-sized copy of ``out``
         # first; "clip" into the contiguous f writes in place
@@ -158,8 +175,8 @@ def owen_step(dim: int, seed: int, n: int) -> Callable[..., None]:
         np.right_shift(q, np.uint32(depth - top), out=index)
         index += offsets
         np.take(table, index, out=f, mode="clip")
-        # digits top+1..20: bit 31 of the hash of digits 1..k-1, keyed
-        for k in range(top + 1, depth + 1):
+        # digits top+2..20: bit 31 of the hash of digits 1..k-1, keyed
+        for k in range(top + 2, depth + 1):
             np.right_shift(q, np.uint32(depth - k + 1), out=h)
             h ^= keys[k]
             mix32(h, s)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qmcrisk.estimators as estimators
 from qmcrisk.errors import ConfigError
 from qmcrisk.estimators import (
     SampleBatch,
@@ -200,6 +201,40 @@ def test_risk_estimates_are_the_two_estimates_from_one_selection():
     assert values.tobytes() == before.tobytes()
     with pytest.raises(ConfigError, match="^p: "):
         risk_estimates(values, "0.5")
+
+
+def test_a_batch_selects_each_order_statistic_once(monkeypatch):
+    # quantile_estimate and shortfall_estimate, in either order, share one
+    # np.partition; levels of another order index take one more.  Both
+    # stay bitwise equal to risk_estimates and to the order-statistic
+    # oracle, with ties, one value and levels near 0 and 1
+    from test_acceptance import _oracle_quantile, _oracle_shortfall
+
+    calls = []
+    partition = np.partition
+
+    def counted(a, kth, *args, **kwargs):
+        calls.append(kth)
+        return partition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(estimators.np, "partition", counted)
+    rng = np.random.default_rng(25)
+    cases = (rng.normal(size=1001), np.round(rng.normal(size=200), 1), np.full(7, 3.25), np.array([2.5]))
+    levels = (1e-12, 0.001, 0.1, 0.5, 0.999, 1 - 1e-12)
+    for vals in cases:
+        orders = [order_index(p, vals.size) for p in levels]
+        for pair in ((quantile_estimate, shortfall_estimate), (shortfall_estimate, quantile_estimate)):
+            batch = SampleBatch(vals)
+            selections = 0
+            for i, p in enumerate(levels):
+                calls.clear()
+                got = {f: f(batch, p) for f in pair}
+                selections += len(calls)
+                assert selections == len(set(orders[: i + 1])), (vals.size, p)
+                v, c = got[quantile_estimate], got[shortfall_estimate]
+                assert (v, c) == (_oracle_quantile(vals, p), _oracle_shortfall(vals, p)), (vals.size, p)
+                assert (v, c) == risk_estimates(vals, p)
+            assert not batch.values.flags.writeable
 
 
 def test_check_finite_rejects_empty_and_non_finite_values():

@@ -691,8 +691,8 @@ def test_sampled_losses_never_hold_the_points():
 
 def test_owen_losses_peak_is_the_losses_plus_one_workers_scratch():
     # beside the n losses: one worker's x, z and t, the Owen flip table of
-    # a 2^16 draw, 12 digits, and the Sobol' lead, half a tile, built here
-    # from a cold cache.  The model works in the walk's float tile, so no
+    # a 2^16 draw, indexed by 12 digits, and the Sobol' lead, half a tile,
+    # built here from a cold cache.  The model works in the walk's float tile, so no
     # (15, rows) evaluation copy, a whole tile more, appears
     model = SanModel()
     n, d = 1 << 16, model.dim

@@ -431,7 +431,11 @@ def test_an_interrupted_caller_stops_every_worker(monkeypatch):
     # tiles each: the workers stop before their next tile instead of
     # running every tile first, which took a 10^8-row truth pass 5-6 s.
     # The signal comes at worker 1's third tile, 20 ms in, when the main
-    # thread has long submitted both workers and waits
+    # thread has long submitted both workers and waits.  An interrupt
+    # inside the pool's submit, after a thread's start and before the pool
+    # registers it, leaves that thread unjoined (its tiles still finish
+    # first, as the next test shows), and the thread count below would
+    # then read one high until it exits
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)
     ran = []
@@ -456,3 +460,37 @@ def test_an_interrupted_caller_stops_every_worker(monkeypatch):
         signal.signal(signal.SIGINT, handler)
     assert threading.active_count() == before
     assert len(ran) < 20
+
+
+def test_a_tile_started_before_an_interrupted_submit_finishes_first(monkeypatch):
+    # the interrupt lands in the pool's submit, after the thread's start
+    # and before the pool registers the thread, so the pool's shutdown does
+    # not join it: run_tiles itself waits until the tile under way has
+    # finished
+    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)
+    inside = threading.Event()
+    finished = []
+    started = []
+    start_thread = threading.Thread.start
+
+    def interrupted_start(thread):
+        start_thread(thread)
+        started.append(thread)
+        if len(started) == 1:
+            assert inside.wait(60)
+            raise KeyboardInterrupt
+
+    def worker():
+        def tile(start, m):
+            inside.set()
+            time.sleep(0.05)
+            finished.append(start)
+
+        return tile
+
+    monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+    with pytest.raises(KeyboardInterrupt):
+        lowdisc.run_tiles(4, 1, worker)
+    assert finished == [0]
+    started[0].join(60)

@@ -515,9 +515,10 @@ def test_non_dyadic_input_is_rejected_on_a_pool_thread(monkeypatch, pool_widths,
     assert pool_widths == [3]
 
 
-# a draw's size and the digits of its flip table, min(14, ceil(log2 n) - 4),
-# at least one; 2 is a cold-start probe's draw, 2^16 the study's largest
-# and 2^19 the owen-large benchmark's
+# a draw's size and the digits that index its flip table, min(14,
+# ceil(log2 n) - 4), at least one (the table carries one digit more); 2 is
+# a cold-start probe's draw, 2^16 the study's largest and 2^19 the
+# owen-large benchmark's
 _TABLE_DIGITS = {
     1: 1,
     2: 1,
@@ -568,17 +569,17 @@ def test_owen_step_matches_the_keyed_loop_reference_at_every_table_size(n):
 
 def test_flip_table_is_the_keyed_loops_flips_at_every_size():
     # the doubling build against the unfolded keyed loop on every prefix.
-    # Digit k's flip reads digits 1..k-1 only, so a top-digit table is the
-    # 16-digit reference at the prefixes i << (16 - top), cut to digits
-    # 1..top
+    # Digit k's flip reads digits 1..k-1 only, so a table indexed by top
+    # digits is the 17-digit reference of the 16-digit words at the
+    # prefixes i << (16 - top), cut to digits 1..top+1
     words = np.arange(1 << 16, dtype=np.uint64) << np.uint64(_NB - 16)
     for d in (1, 15, 64):
         for seed in (0, 7, 2**64 - 1):
             dim_keys = [hash64(seed, _OWEN_TAG, j + 1) for j in range(d)]
-            want = np.stack([_keyed_flips(words, key, 16) >> np.uint64(_NB - _DEPTH) for key in dim_keys])
+            want = np.stack([_keyed_flips(words, key, 17) >> np.uint64(_NB - _DEPTH) for key in dim_keys])
             keys = randomize._owen_keys(d, seed)
             for top in range(1, 17):
-                digits = np.uint64(((1 << top) - 1) << (_DEPTH - top))
+                digits = np.uint64(((1 << (top + 1)) - 1) << (_DEPTH - top - 1))
                 got = randomize._flip_table(keys, top)
                 assert got.dtype == np.uint32
                 assert np.array_equal(got, want[:, :: 1 << (16 - top)] & digits), (d, seed, top)
