@@ -13,11 +13,13 @@ tag, replication); randomized QMC replication r uses a scramble seed
 derived from (master_seed, r).  No key holds N: every sampler's draw is a
 prefix of any longer draw, so a study draws a replication once.
 
-Threads come from ``lowdisc.run_tiles`` alone.  One call runs a study's
-replications on ``min(threads, R)`` workers, one replication per tile; a
-tiled loop called from the main thread (a walk, an ``evaluate``, an MC
-draw, the truth pilot and pass) spreads over the usable CPUs, and one
-inside a study worker runs inline.
+Every sampler is a source of points for the one tiled loop,
+``lowdisc.tiled`` (``_source``): the PCG64 stream for "mc", the Sobol'
+walk with the sampler's step for the others.  Threads come from
+``lowdisc.run_tiles`` alone.  One call runs a study's replications on
+``min(threads, R)`` workers, one replication per tile; ``tiled`` called
+from the main thread (a draw, an ``evaluate``, the truth pilot and pass)
+spreads over the usable CPUs, and inside a study worker runs inline.
 """
 
 from __future__ import annotations
@@ -34,8 +36,8 @@ import numpy as np
 from .bits import check_int, check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import check_finite, check_level, order_index, risk_estimates
-from .lowdisc import DEFAULT_BIT_DEPTH, check_count, run_tiles, walk
-from .models import Model, model_from_section, parse_key, parse_sections, row_losses
+from .lowdisc import DEFAULT_BIT_DEPTH, check_count, run_tiles, tiled, walk
+from .models import Model, model_from_section, parse_key, parse_sections
 from .randomize import owen_step, shift_step
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
@@ -200,6 +202,45 @@ def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> 
     return check_count(n), check_int(dim, "dim", 1), check_seed(seed), check_seed(replication, "replication")
 
 
+def _stream(seq: np.random.SeedSequence, dim: int, first: int = 0) -> Callable[[int], Callable]:
+    """The ``lowdisc.tiled`` source of rows first, first + 1, ... of the
+    stream ``Generator(PCG64(seq)).random((rows, dim))``.
+
+    ``random`` takes one draw per double and ``PCG64.advance`` counts
+    draws, so a generator standing at row ``at`` of the stream reaches row
+    r by advancing (r - at) * dim.  Each worker has its own generator,
+    jumped to each of its tiles in turn, and one block to draw a tile's
+    rows into, unless they go to the output.  So the rows are those of the
+    one stream for any worker count.
+    """
+
+    def source(rows: int) -> Callable:
+        bitgen = np.random.PCG64(seq)
+        gen = np.random.Generator(bitgen)
+        tile = np.empty((rows, dim))
+        at = 0
+
+        def read(start: int, m: int, y: np.ndarray, rows_out: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            nonlocal at
+            bitgen.advance((first + start - at) * dim)
+            at = first + start + m
+            return gen.random(out=tile[:m] if rows_out is None else rows_out).T
+
+        return read
+
+    return source
+
+
+def _source(sampler: str, dim: int, seed: int, replication: int, n: int) -> Callable[[int], Callable]:
+    """The ``lowdisc.tiled`` source of a sampler's replication of n points:
+    the PCG64 stream keyed by (seed, replication) for "mc", else the
+    Sobol' walk with the sampler's step, keyed by the replication's seed."""
+    if sampler == "mc":
+        return _stream(mc_stream_seed(seed, replication), dim)
+    factory = SAMPLER_TABLE[sampler][1]
+    return walk(dim, None if factory is None else factory(dim, child_seed(seed, replication), n))
+
+
 def sample_points(
     sampler: str,
     n: int,
@@ -215,42 +256,21 @@ def sample_points(
     sampler a draw of n points is the first n points of any longer draw.
     """
     n, dim, seed, replication = _check_draw(sampler, n, dim, seed, replication)
-    if sampler == "mc":
-        gen = np.random.Generator(np.random.PCG64(mc_stream_seed(seed, replication)))
-        return gen.random((n, dim))
-    return walk(n, dim, _qmc_step(sampler, dim, seed, replication, n))
-
-
-def _qmc_step(sampler: str, dim: int, seed: int, replication: int, n: int) -> Optional[Callable]:
-    """The ``walk`` step of a QMC sampler's replication of n points, None
-    for qmc-sobol."""
-    factory = SAMPLER_TABLE[sampler][1]
-    return None if factory is None else factory(dim, child_seed(seed, replication), n)
+    return tiled(n, dim, _source(sampler, dim, seed, replication, n))
 
 
 def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication: int = 0) -> np.ndarray:
     """``model.evaluate(sample_points(sampler, n, model.dim, seed,
     replication))``, bit for bit, with no (n, dim) point array.
 
-    The model's rows are independent, so each tile is evaluated as it is
-    made: the QMC samplers' walk tiles, which ``model.tile_losses`` works
-    in, and, for "mc", tiles of as many rows of the same PCG64 stream,
-    each worker jumping its own generator to its tiles, as the truth pass
-    draws its own.  Both loops run their tiles by ``lowdisc.run_tiles``,
-    so from the main thread on all usable CPUs, with the same bits.  The
-    draw holds the n losses and tile-sized blocks only; like the points,
-    the losses of n points are the first n losses of any longer draw.
+    The model's rows are independent, so ``lowdisc.tiled`` evaluates each
+    tile of the sampler's source as it is made: the walk's, in which
+    ``model.tile_losses`` works, or the PCG64 stream's.  The draw holds the
+    n losses and tile-sized blocks only; like the points, the losses of n
+    points are the first n losses of any longer draw.
     """
-    n, _, seed, replication = _check_draw(sampler, n, model.dim, seed, replication)
-    if sampler == "mc":
-        return _truth_losses(model, mc_stream_seed(seed, replication), 0, n)
-    losses = np.empty(n)
-
-    def sink(start: int, u: np.ndarray) -> None:
-        model.tile_losses(u, losses[start : start + u.shape[1]], u)
-
-    walk(n, model.dim, _qmc_step(sampler, model.dim, seed, replication, n), sink=sink)
-    return losses
+    n, dim, seed, replication = _check_draw(sampler, n, model.dim, seed, replication)
+    return tiled(n, dim, _source(sampler, dim, seed, replication, n), model.tile_losses)
 
 
 def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn = None) -> TruthResult:
@@ -266,37 +286,6 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
             "truth: model has no closed form; set truth = mc or give truth_v and truth_c"
         )
     return TruthResult(float(v), float(c), 0.0, 0.0, "closed-form", 0)
-
-
-def _truth_losses(model: Model, seq: np.random.SeedSequence, start: int, m: int, sink=None) -> Optional[np.ndarray]:
-    """The losses of rows start..start + m - 1 of the stream
-    ``Generator(PCG64(seq)).random((rows, model.dim))``, or with ``sink``
-    each tile's, as ``row_losses`` gives them, s counted from ``start``.
-
-    ``random`` takes one draw per double and ``PCG64.advance`` counts
-    draws, so a generator standing at row ``at`` of the stream reaches row
-    r by advancing (r - at) * dim.  ``row_losses`` evaluates the rows tile
-    by tile; each of its workers has its own generator, jumped to each of
-    its tiles in turn, and one block of a tile's rows to draw them into.
-    So the rows are those of the one stream for any worker count.
-    """
-    dim = model.dim
-
-    def reader(rows: int) -> Callable[[int, int], np.ndarray]:
-        bitgen = np.random.PCG64(seq)
-        gen = np.random.Generator(bitgen)
-        tile = np.empty((rows, dim))
-        at = 0
-
-        def draw(s: int, k: int) -> np.ndarray:
-            nonlocal at
-            bitgen.advance((start + s - at) * dim)
-            at = start + s + k
-            return gen.random(out=tile[:k])
-
-        return draw
-
-    return row_losses(model, m, reader, sink)
 
 
 def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: ProgressFn = None) -> TruthResult:
@@ -337,7 +326,7 @@ def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: Prog
     k = order_index(p, n_truth)
     seq = np.random.SeedSequence([seed, _TRUTH_STREAM_TAG])
 
-    pilot = _truth_losses(model, seq, 0, _TRUTH_PILOT)
+    pilot = tiled(_TRUTH_PILOT, model.dim, _stream(seq, model.dim), model.tile_losses)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     span = pmax - pmin
     if span <= 0.0:
@@ -384,7 +373,7 @@ def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: Prog
                     if progress is not None:
                         progress(f"truth pass: {mark * _PROGRESS_ROWS}/{n_truth} rows")
 
-        _truth_losses(model, seq, start, n_truth - start, sink)
+        tiled(n_truth - start, model.dim, _stream(seq, model.dim, start), model.tile_losses, sink)
         below, s1, s2, kept, mins, maxs = zip(*(slots[s] for s in sorted(slots)))
         return sum(below), math.fsum(s1), math.fsum(s2), np.concatenate(kept), min(mins), max(maxs)
 

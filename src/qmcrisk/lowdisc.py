@@ -7,16 +7,19 @@ counting, and computes the exact one-dimensional star discrepancy.
 Coordinates are exact dyadic rationals with at most 52 binary digits, so
 every value is an exact double.  Generation is deterministic and has the
 prefix property: the first n points of a longer run are byte-identical to
-a run of n points.  ``walk`` is the one place where the 52-bit integers
-become floats, one tile at a time, so it never holds a second N x d array;
-given a sink, which takes each float tile in turn, it holds none.
-``run_tiles`` is the package's one thread scheduler.  It runs every tiled
-loop, the walk and ``models.row_losses`` (``evaluate``, the MC draws and
-the truth pilot and pass), and the study's replications, one per tile.
-Called from the main thread on enough tiles, a tiled loop spreads over one
-thread per usable CPU; from any other thread, such as a study worker's, it
-runs inline.  Each tile depends on its own indices or input rows alone, so
-the output is the same for any CPU count.
+a run of n points.
+
+``tiled`` is the package's one tiled loop: a source makes each tile's
+points, and an optional kernel, a model's ``tile_losses``, maps them to
+losses.  ``walk``, the source of the Sobol' points or of a caller's point
+set's integers, is the one place where the 52-bit integers become floats,
+one tile at a time, so no second N x d array exists; with a kernel, none.
+``run_tiles`` is the package's one thread scheduler.  It runs the tiles of
+``tiled`` and the study's replications, one per tile.  Called from the
+main thread on enough tiles, the loop spreads over one thread per usable
+CPU; from any other thread, such as a study worker's, it runs inline.
+Each tile depends on its own indices or input rows alone, so the output is
+the same for any CPU count.
 """
 
 from __future__ import annotations
@@ -42,35 +45,34 @@ WORK_LIMIT = 10**9
 
 _BUNDLED_TABLE = "joe-kuo-64.txt"
 
-# Coordinates per tile, at most, in rows by ``_tile_rows``, of the three
-# tiled loops: ``walk``, and ``models.row_losses`` on ``evaluate``'s blocks
-# and on the MC and truth draws, whose tiles are also the unit the truth
-# pass reduces.  So every numpy call of a step covers up to 2^17
-# coordinates (1 MiB of uint64, 512 KiB per uint32 plane); a (15, 8192)
-# evaluated tile stays in cache, and on a 2-core host one 2^19 x 15
-# evaluate took 50 ms tiled and 90 ms untiled, on one thread.  That size
-# is a constant, not a setting, chosen for the threads of ``run_tiles``,
-# a study's or a tiled loop's, which run tiles concurrently: the threads
-# pass the GIL at every numpy call, so smaller calls stop them
-# overlapping, and larger tiles cost more scratch.
+# Coordinates per tile, at most, in rows by ``_tile_rows``, of ``tiled``,
+# whatever its source: the walk, ``evaluate``'s blocks or the MC and truth
+# draws, whose tiles are also the unit the truth pass reduces.  So every
+# numpy call of a step covers up to 2^17 coordinates (1 MiB of uint64,
+# 512 KiB per uint32 plane); a (15, 8192) evaluated tile stays in cache,
+# and on a 2-core host one 2^19 x 15 evaluate took 50 ms tiled and 90 ms
+# untiled, on one thread.  That size is a constant, not a setting, chosen
+# for the threads of ``run_tiles``, a study's or the tiled loop's, which
+# run tiles concurrently: the threads pass the GIL at every numpy call, so
+# smaller calls stop them overlapping, and larger tiles cost more scratch.
 # On a 2-core host with numpy 2.4.6, eight 2^16 x 15 Owen replications
 # (``sample_losses``) ran on two threads 1.03-1.04x as fast as on one at
 # 2^15 coordinates per tile, 1.31-1.57x at 2^16, 1.37-1.65x at 2^17 and
 # 1.59-1.66x at 2^18 (146-151 ms at 2^17 against 175-207 ms at 2^16); one
 # 2^19 x 15 Owen draw on two workers against one ran 0.98-1.29x,
 # 1.34-1.65x, 1.53-1.79x and 1.73-1.81x (best of 3, two rounds).  2^18
-# would double the scratch again for little more.  So every worker of a
-# tiled loop keeps a full tile rather than a share of one.  Tiling
+# would double the scratch again for little more.  So every worker of
+# the loop keeps a full tile rather than a share of one.  Tiling
 # changes no output bit, since each coordinate's value depends on that
 # coordinate's index or input alone.
 _TILE_COORDS = 1 << 17
 
-# Tiles per worker of a tiled loop's pool, at least.  A walk worker holds
-# three tiles of scratch, so the pool's scratch stays within 3/16 of the
-# output, and a 2^16 x 15 draw (8 tiles, the study's largest size) stays
-# on one thread; at d = 15 a draw or an evaluation pools from 2^18 points
-# on.  A loss-loop worker holds one tile of evaluation scratch, two for
-# the MC draws, against an output of a dim-th of the points.  With no
+# Tiles per worker of ``tiled``'s pool, at least.  A worker on the walk
+# holds three tiles of scratch, so the pool's scratch stays within 3/16 of
+# the points, and a 2^16 x 15 draw (8 tiles, the study's largest size)
+# stays on one thread; at d = 15 a draw or an evaluation pools from 2^18
+# points on.  A worker on a caller's block holds one tile, on the PCG64
+# stream two, against losses a dim-th of the points' size.  With no
 # floor, two workers took the tracemalloc peak of an Owen scramble, a
 # digital shift or an Owen draw of 2^16 x 15 to 1.77-1.80x the output,
 # against 1.38-1.42x on one thread.
@@ -244,16 +246,13 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
     # against 1.1-1.4 MiB
     tiles = [worker() for _ in range(workers)]
     stop = threading.Event()
-    # the run calls under way: an interrupt inside the pool's submit can
-    # land after a thread has started and before the pool has registered
-    # it, and the pool's shutdown then does not join that thread
-    running = threading.Condition()
-    active = 0
+    # every thread that ran a worker: an interrupt inside the pool's submit
+    # can land after a thread has started and before the pool has
+    # registered it, and the pool's shutdown then does not join that thread
+    threads = []
 
     def run(w: int) -> None:
-        nonlocal active
-        with running:
-            active += 1
+        threads.append(threading.current_thread())
         try:
             for start in starts[w::workers]:
                 if stop.is_set():
@@ -262,92 +261,111 @@ def run_tiles(n: int, rows: int, worker: Callable[[], Callable[[int, int], None]
         except BaseException:
             stop.set()
             raise
-        finally:
-            with running:
-                active -= 1
-                running.notify_all()
 
     if workers == 1:
         run(0)
         return
-    with ThreadPoolExecutor(workers) as pool:
-        try:
-            list(pool.map(run, range(workers)))
-        finally:
-            stop.set()
-            with running:
-                running.wait_for(lambda: active == 0)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            try:
+                list(pool.map(run, range(workers)))
+            finally:
+                stop.set()
+    finally:
+        for thread in threads:
+            thread.join()
 
 
-def walk(
-    n: int,
-    dim: int,
-    step: Optional[Callable] = None,
-    points: Optional[np.ndarray] = None,
-    sink: Optional[Callable] = None,
-) -> Optional[np.ndarray]:
-    """An (n, dim) float array filled one (dim, m) uint64 tile at a time,
-    with at most r = min(``_tile_rows(dim)``, n) rows per tile.
+def tiled(n: int, dim: int, source: Callable, kernel: Optional[Callable] = None, sink: Optional[Callable] = None) -> Optional[np.ndarray]:
+    """The package's one tiled loop: n points in dim dimensions, made and
+    used one tile of at most r = max(1, min(``_tile_rows(dim)``, n)) rows
+    at a time by ``run_tiles``.
 
-    The tiles hold the first n Sobol' points or the integers of ``points``
-    (PrecisionError if one is not dyadic).  ``step(x, z, t)``, if given,
-    changes the tile ``x`` in place, with scratch blocks ``z`` and ``t``;
-    all three are C-contiguous of the tile's shape.  The step must change
-    no state of its own, since several threads may run it at once.
+    ``source(r)``, called once per worker on the calling thread, gives
+    that worker's ``read(start, m, y, rows_out)`` of points start..start +
+    m - 1, asked for in row order, with y the worker's C-contiguous (dim,
+    m) float64 block, which read may use.  Without ``kernel``, read writes
+    the points to ``rows_out``, their rows of the (n, dim) output that
+    ``tiled`` returns.  With ``kernel`` (a model's ``tile_losses``), read
+    returns the points as the columns of a (dim, m) block, ``kernel(u,
+    losses, y)`` writes their losses, and ``tiled`` returns the n losses;
+    or, given ``sink``, which several threads may call at once, each
+    tile's go to ``sink(start, losses)``, valid until it returns, and
+    ``tiled`` returns None.  Each point is made and evaluated on its own,
+    so the output depends on neither the tiling nor the worker count.
+    """
+    rows = max(1, min(_tile_rows(dim), n))
+    out = np.empty((n, dim) if kernel is None else n) if sink is None else None
+
+    def worker() -> Callable[[int, int], None]:
+        read = source(rows)
+        y = np.empty(dim * rows)  # carved for each m, so C-contiguous
+        held = np.empty(rows) if sink is not None else None
+
+        def tile(start: int, m: int) -> None:
+            u = y[: dim * m].reshape(dim, m)
+            if kernel is None:
+                read(start, m, u, out[start : start + m])
+                return
+            losses = out[start : start + m] if sink is None else held[:m]
+            kernel(read(start, m, u, None), losses, u)
+            if sink is not None:
+                sink(start, losses)
+
+        return tile
+
+    run_tiles(n, rows, worker)
+    return out
+
+
+def walk(dim: int, step: Optional[Callable] = None, points: Optional[np.ndarray] = None) -> Callable:
+    """The ``tiled`` source of the first Sobol' points in dim dimensions,
+    or of the rows of ``points`` (PrecisionError if one is not dyadic), as
+    (dim, m) uint64 tiles x turned into floats; asked for a block, it
+    writes them into the loop's block y, where a kernel then works.
+
+    ``step(x, z, t)``, if given, changes x in place, with scratch blocks z,
+    y's memory, and t; all three are C-contiguous of x's shape.  It must
+    change no state of its own, since several threads may run it at once.
     The Sobol' segment at s, a multiple of c = max(1, ``_tile_rows(dim)``
     / 2), is the first c points, the shared ``_lead``, XORed with the XOR
     of V_k over the set bits k of s: s and i < c share no bits.  A tile
-    takes at most two segments; only a walk of one tile has r < 2c.
-
-    With ``sink``, no output array exists: each tile's points, as the
-    columns of a (dim, m) float block, go to ``sink(start, u)``, where
-    ``start`` is the tile's first row, and the walk returns None.  ``u``
-    lies in the worker's step scratch; the sink may overwrite it, and it is
-    valid until the call returns.  ``sink`` must be safe to call from
-    several threads at once.
-
-    The tiles run through ``run_tiles``, each worker with its own x, z and
-    t, writing their disjoint rows of the output.
+    takes at most two segments; only a loop of one tile has r < 2c.
     """
     nb = DEFAULT_BIT_DEPTH
     if points is None:
         v = _directions(dim)  # checks dim
-        n, dim = check_count(n), v.shape[0]
         lead = _lead(dim, max(1, _tile_rows(dim) // 2))
-    rows = min(_tile_rows(dim), n)
-    out = np.empty((n, dim)) if sink is None else None
 
-    def worker() -> Callable[[int, int], None]:
+    def source(rows: int) -> Callable:
         # one array per tile, not one block: once glibc has freed a block
         # it serves that size from the threads' arenas, and with 2.88 MiB
         # blocks an arena of the two-thread 2^16 x 15 study now and then
         # grew to 6.1 MiB, peak RSS +2.3-2.9 MiB in 11 of 29 processes of
         # 40 studies on a 2-core host, against 1 of 21 with 0.94 MiB tiles
-        scratch = [np.empty(dim * rows, dtype=np.uint64) for _ in range(3)]
+        scratch = [np.empty(dim * rows, dtype=np.uint64) for _ in range(2)]
 
-        def tile(start: int, m: int) -> None:
-            # carved for this m, so that every block is C-contiguous
-            x, z, t = (a[: dim * m].reshape(dim, m) for a in scratch)
+        def read(start: int, m: int, y: np.ndarray, rows_out: Optional[np.ndarray]) -> Optional[np.ndarray]:
+            x, t = (a[: dim * m].reshape(dim, m) for a in scratch)
             if points is None:
                 for s in range(0, m, lead.shape[1]):
                     c = min(lead.shape[1], m - s)
                     word = np.bitwise_xor.reduce(v[:, [k for k in range(nb) if (start + s) >> k & 1]], axis=1, keepdims=True)
                     np.bitwise_xor(lead[:, :c], word, out=x[:, s : s + c])
             else:
-                grid_integers(points[start : start + m].T, x, z.view(np.float64))
+                grid_integers(points[start : start + m].T, x, y)
             if step is not None:
-                step(x, z, t)
-            if sink is None:
-                np.multiply(x.T, 2.0 ** -nb, out=out[start : start + m])
-            else:
-                u = z.view(np.float64)
-                np.multiply(x, 2.0 ** -nb, out=u)
-                sink(start, u)
+                step(x, y.view(np.uint64), t)
+            if rows_out is None:
+                return np.multiply(x, 2.0 ** -nb, out=y)
+            # x.T into the rows: as x into rows_out.T, numpy follows x's
+            # order and writes the output dim * 8 bytes apart, 0.45 ms per
+            # (15, 8192) tile against 0.24-0.30 ms (best of 200, 2-core host)
+            np.multiply(x.T, 2.0 ** -nb, out=rows_out)
 
-        return tile
+        return read
 
-    run_tiles(n, rows, worker)
-    return out
+    return source
 
 
 def sobol_points(n: int, dim: int) -> PointSet:
@@ -357,7 +375,8 @@ def sobol_points(n: int, dim: int) -> PointSet:
     i.  Dimension 1 is the van der Corput sequence (radical inverse base
     2); point 0 is the origin.  Coordinates are exact multiples of 2^-52.
     """
-    return PointSet(points=frozen(walk(n, dim)))
+    dim = _directions(dim).shape[0]  # checks dim
+    return PointSet(points=frozen(tiled(check_count(n), dim, walk(dim))))
 
 
 def van_der_corput_points(n: int) -> PointSet:

@@ -15,9 +15,10 @@ before the log so that every point of the unit cube, including the origin
 emitted by unrandomized digital sequences, maps to a finite loss.
 
 Each model has one loss kernel, ``tile_losses``, on the points that are
-the columns of a (dim, m) block, run by ``row_losses`` and on the QMC
-walk's tiles; so the package needs only ``dim`` and ``tile_losses`` from a
-model, plus the closed forms for ``truth = auto``.
+the columns of a (dim, m) block, which ``lowdisc.tiled`` runs on every
+tile of its source: a caller's block (``evaluate``), the PCG64 stream or
+the QMC walk; so the package needs only ``dim`` and ``tile_losses`` from
+a model, plus the closed forms for ``truth = auto``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .estimators import check_level
-from .lowdisc import _tile_rows, run_tiles
+from .lowdisc import tiled
 
 # largest double below 1 is 1 - 2^-53, so the clamp window is as wide as
 # float64 permits
@@ -58,45 +59,14 @@ DEFAULT_SAN_PATHS: Tuple[Tuple[int, ...], ...] = (
 # mean duration 2 on edges 1..8, mean 1 on edges 9..15
 DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
-def row_losses(model: Model, n: int, reader: Callable[[int], Callable], sink=None) -> Optional[np.ndarray]:
-    """The losses of n rows, by ``tile_losses`` on the strided columns of
-    each tile of r = ``_tile_rows(model.dim)`` rows, clamped into its
-    worker's (dim, r) scratch block; ``lowdisc.run_tiles`` runs the tiles.
-    ``reader(r)``, called on the calling thread once per worker, gives
-    that worker's ``rows(start, m)``, the (m, model.dim) block of rows
-    start..start + m - 1, m <= r, asked for in row order.  Every row is
-    computed on its own, so the result depends on neither the tiling nor
-    the worker count.
-
-    With ``sink``, as with ``walk``'s, each tile's losses go to
-    ``sink(start, losses)``, valid until it returns, and no output exists."""
-    out = np.empty(n) if sink is None else None
-    tile = max(1, min(n, _tile_rows(model.dim)))
-
-    def worker() -> Callable[[int, int], None]:
-        rows = reader(tile)
-        y = np.empty((model.dim, tile))
-        held = np.empty(tile) if sink is not None else None
-
-        def losses(start: int, m: int) -> None:
-            dest = out[start : start + m] if sink is None else held[:m]
-            model.tile_losses(rows(start, m).T, dest, y[:, :m])
-            if sink is not None:
-                sink(start, dest)
-
-        return losses
-
-    run_tiles(n, tile, worker)
-    return out
-
-
 def _evaluate(model: Model, u: np.ndarray) -> np.ndarray:
-    """The losses of the rows of u, by ``row_losses``, each worker reading
-    its slices of u; ConfigError unless u is an (n, model.dim) block, n >= 0."""
+    """The losses of the rows of u, by ``lowdisc.tiled``, each worker
+    reading its slices of u; ConfigError unless u is an (n, model.dim)
+    block, n >= 0."""
     block = np.asarray(u, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] != model.dim:
         raise ConfigError(f"model expects an (n, {model.dim}) block of points, got shape {block.shape}")
-    return row_losses(model, block.shape[0], lambda _: lambda start, m: block[start : start + m])
+    return tiled(block.shape[0], model.dim, lambda _: lambda start, m, *_: block[start : start + m].T, model.tile_losses)
 
 
 def _longest_path(y: np.ndarray, out: np.ndarray) -> None:

@@ -28,11 +28,11 @@ Both operate on the exact 52-bit dyadic integers of the coordinates, so
 identical inputs give byte-identical outputs.  Each scheme is a step
 factory, ``owen_step(dim, seed, n)`` or ``shift_step(dim, seed, n)`` for a
 draw of n points, whose step changes one (d, rows) uint64 tile in place
-and reads only what the factory built; ``lowdisc.walk`` runs it on Sobol'
-tiles (the samplers) or on the integers of a caller's point set
-(``owen_scramble``, ``digital_shift``), possibly on several threads at
-once.  Tiling changes no output bit, since each coordinate's randomization
-depends on that coordinate alone.
+and reads only what the factory built; ``lowdisc.walk``, a source of
+``lowdisc.tiled``, runs it on Sobol' tiles (the samplers) or on the
+integers of a caller's point set (``owen_scramble``, ``digital_shift``),
+possibly on several threads at once.  Tiling changes no output bit,
+since each coordinate's randomization depends on that coordinate alone.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from typing import Callable
 import numpy as np
 
 from .bits import check_int, check_seed, hash64_array, mix32
-from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, check_count, frozen, walk
+from .lowdisc import DEFAULT_BIT_DEPTH, PointSet, check_count, frozen, tiled, walk
 
 _OWEN_TAG = 0x6F77656E  # "owen"
 _SHIFT_TAG = 0x73666874  # "sfht"
@@ -202,10 +202,10 @@ def shift_step(dim: int, seed: int, n: int) -> Callable[..., None]:
 
 def owen_scramble(ps: PointSet, seed: int) -> PointSet:
     """Nested uniform scramble of a base-2 point set (see ``owen_step``)."""
-    return PointSet(points=frozen(walk(ps.n, ps.dim, owen_step(ps.dim, seed, ps.n), ps.points)))
+    return PointSet(points=frozen(tiled(ps.n, ps.dim, walk(ps.dim, owen_step(ps.dim, seed, ps.n), ps.points))))
 
 
 def digital_shift(ps: PointSet, seed: int) -> PointSet:
     """XOR every coordinate's 52-bit expansion with one random word per
     dimension.  Applying the same seed twice restores the input."""
-    return PointSet(points=frozen(walk(ps.n, ps.dim, shift_step(ps.dim, seed, ps.n), ps.points)))
+    return PointSet(points=frozen(tiled(ps.n, ps.dim, walk(ps.dim, shift_step(ps.dim, seed, ps.n), ps.points))))

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from qmcrisk import experiments, lowdisc, models
+from qmcrisk import experiments, lowdisc
 
 
 @pytest.fixture
@@ -35,20 +35,18 @@ def pool_widths(monkeypatch):
 @pytest.fixture
 def no_draws(monkeypatch):
     """Fail the test if it draws or evaluates a point or starts a thread:
-    every tiled loop and a study's replications run through ``run_tiles``,
-    the one scheduler, whose pools are ``lowdisc.ThreadPoolExecutor``s; an
-    MC point draw keys its stream first, and the truth pass draws through
-    ``_truth_losses``."""
+    every draw, evaluation and truth pass runs through ``lowdisc.tiled``,
+    and it and a study's replications through ``run_tiles``, the one
+    scheduler, whose pools are ``lowdisc.ThreadPoolExecutor``s; an MC draw
+    keys its stream first."""
 
     def drawn(*args, **kwargs):
         raise AssertionError("reached a draw")
 
     for module, name in (
         (lowdisc, "run_tiles"),
-        (models, "run_tiles"),
         (experiments, "run_tiles"),
         (experiments, "mc_stream_seed"),
-        (experiments, "_truth_losses"),
         (lowdisc, "ThreadPoolExecutor"),
     ):
         monkeypatch.setattr(module, name, drawn)

@@ -262,7 +262,7 @@ def test_truth_rejects_counts_past_the_generator_range(capsys, monkeypatch):
     def no_draws(*args):
         raise AssertionError("the truth pass started")
 
-    monkeypatch.setattr(experiments, "_truth_losses", no_draws)
+    monkeypatch.setattr(experiments, "tiled", no_draws)
     for count in ("2^53", "2^9999999"):
         code, out, err = _run(capsys, "truth", "-n", count)
         assert code == 1 and "count" in err and out == ""

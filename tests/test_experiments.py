@@ -329,6 +329,12 @@ class _CountingModel:
         self.model.tile_losses(u, out, y)
 
 
+def _truth_losses(model, seq, start, m, sink=None):
+    """The losses of rows start..start + m - 1 of the PCG64 stream of
+    ``seq``, or with ``sink`` each tile's, drawn as a truth pass draws them."""
+    return lowdisc.tiled(m, model.dim, experiments._stream(seq, model.dim, start), model.tile_losses, sink)
+
+
 class _RecordingModel:
     """Wraps a model and keeps a copy of every tile it evaluates, as an
     (m, dim) block of rows."""
@@ -368,7 +374,7 @@ def _zero_width_bracket_side(model, p: float, n: int, seed: int, v: float) -> st
     that ``mc_truth`` builds from its pilot when ``_BRACKET_SIGMAS`` is 0:
     "above", "below" or "inside"."""
     seq = np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])
-    pilot = experiments._truth_losses(model, seq, 0, experiments._TRUTH_PILOT)
+    pilot = _truth_losses(model, seq, 0, experiments._TRUTH_PILOT)
     pmin, pmax = float(pilot.min()), float(pilot.max())
     lo = pmin - 0.05 * (pmax - pmin)
     hi = pmax + 0.05 * (pmax - pmin)
@@ -435,7 +441,7 @@ def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model, block, tile):
     for b, start in enumerate(range(0, n, block)):
         m = min(block, n - start)
         recording = _RecordingModel(model)
-        losses = experiments._truth_losses(recording, seq, start, m)
+        losses = _truth_losses(recording, seq, start, m)
         want = stream[start : start + block]
         assert max(len(u) for u in recording.tiles) == tile
         assert np.array_equal(np.concatenate(recording.tiles), want), f"block {b}"
@@ -445,12 +451,12 @@ def test_truth_blocks_are_slices_of_one_stream(monkeypatch, model, block, tile):
         def sink(s, x):
             sunk[s : s + x.size] = x
 
-        assert experiments._truth_losses(model, seq, start, m, sink) is None
+        assert _truth_losses(model, seq, start, m, sink) is None
         assert sunk.tobytes() == losses.tobytes(), f"block {b}"
 
 
 @pytest.mark.parametrize("model", [ExpModel(), SanModel()], ids=["exp", "san"])
-def test_every_loss_loop_tiles_by_the_walk_rule(monkeypatch, model):
+def test_every_loss_source_tiles_by_the_tile_rule(monkeypatch, model):
     # evaluate, every sampler's draw and the truth blocks evaluate tiles
     # of exactly ``_tile_rows(dim)`` rows, whatever that rule says
     monkeypatch.setattr(lowdisc, "_TILE_COORDS", 1 << 14)
@@ -467,7 +473,7 @@ def test_every_loss_loop_tiles_by_the_walk_rule(monkeypatch, model):
     seq = np.random.SeedSequence([2, experiments._TRUTH_STREAM_TAG])
     draws = {
         "evaluate": lambda: model.evaluate(np.full((n, model.dim), 0.5)),
-        "_truth_losses": lambda: experiments._truth_losses(model, seq, 3, n),
+        "truth": lambda: _truth_losses(model, seq, 3, n),
     }
     for sampler in SAMPLERS:
         draws[sampler] = lambda sampler=sampler: sample_losses(model, sampler, n, 1, 2)
@@ -690,10 +696,11 @@ def test_sampled_losses_never_hold_the_points():
 
 
 def test_owen_losses_peak_is_the_losses_plus_one_workers_scratch():
-    # beside the n losses: one worker's x, z and t, the Owen flip table of
-    # a 2^16 draw, indexed by 12 digits, and the Sobol' lead, half a tile,
-    # built here from a cold cache.  The model works in the walk's float tile, so no
-    # (15, rows) evaluation copy, a whole tile more, appears
+    # beside the n losses: one worker's x and t and its float block, the
+    # step's z, the Owen flip table of a 2^16 draw, indexed by 12 digits,
+    # and the Sobol' lead, half a tile, built here from a cold cache.  The
+    # model works in the float block the walk writes, so no (15, rows)
+    # evaluation copy, a whole tile more, appears
     model = SanModel()
     n, d = 1 << 16, model.dim
     tile = d * lowdisc._tile_rows(d) * 8

@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 
 from qmcrisk.cli import main
-from qmcrisk.experiments import sample_points
-from qmcrisk.lowdisc import sobol_points
+from qmcrisk.experiments import SAMPLERS, sample_losses, sample_points
+from qmcrisk.lowdisc import _tile_rows, sobol_points
+from qmcrisk.models import ExpModel, SanModel
 from qmcrisk.randomize import digital_shift, owen_scramble
 
 STUDY = """
@@ -114,3 +115,20 @@ def test_truth_stdout_golden(capsys, tmp_path, model, digest):
 def test_estimate_stdout_golden(capsys, sampler, digest):
     out = _stdout(capsys, "estimate", "-n", "2^10", "--sampler", sampler, "--seed", "3")
     assert _sha(out.encode()) == digest
+
+
+def test_loss_draws_golden():
+    # mc points, every sampler's losses on both models and an evaluate of a
+    # fixed block, at n of one point, one tile -1 and +1, and three tiles
+    # +5, at both ends of the seed range
+    digest = hashlib.sha256()
+    for model in (SanModel(), ExpModel(rate=2.0)):
+        tile = _tile_rows(model.dim)
+        for n in (1, tile - 1, tile + 1, 3 * tile + 5):
+            for seed in (0, 2**64 - 1):
+                digest.update(sample_points("mc", n, model.dim, seed=seed, replication=3))
+                for sampler in SAMPLERS:
+                    digest.update(sample_losses(model, sampler, n, seed=seed, replication=3))
+            block = np.random.Generator(np.random.PCG64(n)).random((n, model.dim))
+            digest.update(model.evaluate(block))
+    assert digest.hexdigest() == "458c4b7d352eccb4d4975f9816758d4a22bc641af42863c989b5d6f4ae1b0c13"

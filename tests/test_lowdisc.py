@@ -432,10 +432,7 @@ def test_an_interrupted_caller_stops_every_worker(monkeypatch):
     # running every tile first, which took a 10^8-row truth pass 5-6 s.
     # The signal comes at worker 1's third tile, 20 ms in, when the main
     # thread has long submitted both workers and waits.  An interrupt
-    # inside the pool's submit, after a thread's start and before the pool
-    # registers it, leaves that thread unjoined (its tiles still finish
-    # first, as the next test shows), and the thread count below would
-    # then read one high until it exits
+    # inside the pool's submit is the next test's case
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)
     ran = []
@@ -465,8 +462,8 @@ def test_an_interrupted_caller_stops_every_worker(monkeypatch):
 def test_a_tile_started_before_an_interrupted_submit_finishes_first(monkeypatch):
     # the interrupt lands in the pool's submit, after the thread's start
     # and before the pool registers the thread, so the pool's shutdown does
-    # not join it: run_tiles itself waits until the tile under way has
-    # finished
+    # not join it: run_tiles itself joins every thread that ran a worker,
+    # so the tile under way has finished and the thread has exited
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(lowdisc, "_TILES_PER_WORKER", 1)
     inside = threading.Event()
@@ -493,4 +490,4 @@ def test_a_tile_started_before_an_interrupted_submit_finishes_first(monkeypatch)
     with pytest.raises(KeyboardInterrupt):
         lowdisc.run_tiles(4, 1, worker)
     assert finished == [0]
-    started[0].join(60)
+    assert not started[0].is_alive()

@@ -291,8 +291,8 @@ _KERNEL_MODELS = [
 
 @pytest.mark.parametrize("model", _KERNEL_MODELS, ids=["san-default", "san-random", "exp"])
 def test_tile_kernel_in_place_equals_evaluate_bitwise(model):
-    # the walk's sink runs the kernel in its own float tile; evaluate runs it
-    # from strided rows into a scratch tile
+    # on the walk's tiles the kernel runs in the float block the walk wrote;
+    # evaluate runs it from strided rows into a scratch tile
     rng = np.random.default_rng(22)
     u = rng.random((5000, model.dim))
     u[rng.random(u.shape) < 0.02] = 0.0

@@ -13,7 +13,7 @@ from qmcrisk.experiments import (
     SAMPLERS,
     ExperimentConfig,
     TruthSpec,
-    _truth_losses,
+    _stream,
     run_convergence,
     sample_losses,
     sample_points,
@@ -395,7 +395,13 @@ def test_shift_matches_the_whole_array_reference(n, d):
 # ---------------------------------------------------------------- threads
 
 
-# 49 walk tiles each, the last one ragged: enough for three workers
+def _truth_losses(model, seq, start, m):
+    """The losses of rows start..start + m - 1 of the PCG64 stream of
+    ``seq``, drawn as a truth pass draws them."""
+    return lowdisc.tiled(m, model.dim, _stream(seq, model.dim, start), model.tile_losses)
+
+
+# 49 tiles each, the last one ragged: enough for three workers
 _POOL_SHAPES = [(3 * 16 * lowdisc._tile_rows(d) + extra, d) for d, extra in ((15, 7), (64, 5))]
 
 
@@ -404,6 +410,7 @@ def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, fine
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
     ps = sobol_points(n, d)
     draws = {
+        "mc": lambda: sample_points("mc", n, d, seed=1),
         "sobol": lambda: sample_points("qmc-sobol", n, d, seed=1),
         "owen": lambda: sample_points("rqmc-owen", n, d, seed=1),
         "shift": lambda: sample_points("rqmc-shift", n, d, seed=1),
@@ -412,12 +419,12 @@ def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, fine
         "digital_shift": lambda: digital_shift(ps, 1).points,
     }
     if d == SanModel().dim:
-        # the loss loops: a caller's block, mc draws and a truth block
+        # the loss sources: a caller's block, mc draws and a truth block
         # jumped to an offset start, each of 49 tiles too
         model, block = SanModel(), np.random.default_rng(1).random((n, d))
         draws["evaluate"] = lambda: model.evaluate(block)
         draws["sample_losses-mc"] = lambda: sample_losses(model, "mc", n, 1, 2)
-        draws["_truth_losses"] = lambda: _truth_losses(model, np.random.SeedSequence(4), 5, n)
+        draws["truth"] = lambda: _truth_losses(model, np.random.SeedSequence(4), 5, n)
     digests = []
     for cpus in (1, 2, 3):
         monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
@@ -425,27 +432,6 @@ def test_walk_does_not_depend_on_the_worker_count(monkeypatch, pool_widths, fine
     assert pool_widths == [2] * len(draws) + [3] * len(draws)
     assert digests[1] == digests[0]
     assert digests[2] == digests[0]
-
-
-@pytest.mark.parametrize("n, d", _POOL_SHAPES)
-def test_walk_sink_gets_every_row_once(monkeypatch, pool_widths, fine_switching, n, d):
-    monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 1)
-    want = lowdisc.walk(n, d, randomize.owen_step(d, 1, n))
-    for cpus in (1, 3):
-        monkeypatch.setattr(lowdisc, "_usable_cpus", lambda cpus=cpus: cpus)
-        got = np.full((n, d), np.nan)
-        starts = []
-        lock = threading.Lock()
-
-        def sink(start, u):
-            got[start : start + u.shape[1]] = u.T
-            with lock:
-                starts.append(start)
-
-        assert lowdisc.walk(n, d, randomize.owen_step(d, 1, n), sink=sink) is None
-        assert len(starts) == len(set(starts)) == 49, cpus
-        assert got.tobytes() == want.tobytes(), cpus
-    assert pool_widths == [3]
 
 
 def test_draws_do_not_depend_on_the_tile_size(monkeypatch):
@@ -461,7 +447,7 @@ def test_draws_do_not_depend_on_the_tile_size(monkeypatch):
         digest = {}
         for n, d in shapes:
             ps = sobol_points(n, d)
-            for sampler in ("qmc-sobol", "rqmc-owen", "rqmc-shift"):
+            for sampler in SAMPLERS:
                 digest[sampler, n, d] = hashlib.sha256(sample_points(sampler, n, d, seed=4)).hexdigest()
             digest["owen_scramble", n, d] = hashlib.sha256(owen_scramble(ps, 4).points).hexdigest()
             digest["digital_shift", n, d] = hashlib.sha256(digital_shift(ps, 4).points).hexdigest()
@@ -471,7 +457,7 @@ def test_draws_do_not_depend_on_the_tile_size(monkeypatch):
                 digest["sample_losses", sampler, model.dim] = hashlib.sha256(losses).hexdigest()
             digest["evaluate", model.dim] = hashlib.sha256(model.evaluate(blocks[model.dim])).hexdigest()
             truth = _truth_losses(model, np.random.SeedSequence(4), 5, n)
-            digest["_truth_losses", model.dim] = hashlib.sha256(truth).hexdigest()
+            digest["truth", model.dim] = hashlib.sha256(truth).hexdigest()
         digests.append(digest)
     assert digests[1] == digests[0]
     assert digests[2] == digests[0]
@@ -625,7 +611,7 @@ def test_a_failing_tile_stops_the_other_workers(monkeypatch, pool_widths, fine_s
 
 
 def test_walk_starts_no_pool_where_none_belongs(monkeypatch, pool_widths):
-    # the walk and the loss loops, evaluate and the mc draws, share one rule
+    # the walk, evaluate's blocks and the mc draws share one rule
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
     model = SanModel()
     rows = lowdisc._tile_rows(model.dim)

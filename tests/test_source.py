@@ -89,3 +89,42 @@ def test_one_pool_site():
     for path in Path(qmcrisk.__file__).parent.glob("*.py"):
         sites.update(pool_sites(path.read_text(), path.stem))
     assert sites == {("ThreadPoolExecutor", "lowdisc.<module>"), ("ThreadPoolExecutor", "lowdisc.run_tiles")}
+
+
+def call_sites(source: str, module: str, name: str) -> list:
+    """Where a module calls ``name``, by itself or as an attribute:
+    module.function once per call, the function being the top-level one
+    the call lies in."""
+    sites = []
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                func = node.func
+                called = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if called == name:
+                    sites.append(f"{module}.{getattr(top, 'name', '<module>')}")
+    return sites
+
+
+def test_call_sites_finds_what_it_should():
+    source = (
+        "from .lowdisc import run_tiles\n"
+        "run_tiles(1, 1, f)\n"
+        "def walk(n):\n"
+        "    def worker():\n"
+        "        return lowdisc.run_tiles(n, 1, g)\n"
+        "    run_tiles(n, 2, worker)\n"
+        "    return run_tiles\n"
+        "def run_tiles_twice():\n"
+        "    pass\n"
+    )
+    assert sorted(call_sites(source, "m", "run_tiles")) == ["m.<module>", "m.walk", "m.walk"]
+
+
+def test_run_tiles_has_two_callers():
+    # one tiled loop: every draw, evaluation and truth pass is a
+    # lowdisc.tiled call, and a study's replications are run_tiles' tiles
+    sites = []
+    for path in Path(qmcrisk.__file__).parent.glob("*.py"):
+        sites += call_sites(path.read_text(), path.stem, "run_tiles")
+    assert sorted(sites) == ["experiments.run_convergence", "lowdisc.tiled"]
