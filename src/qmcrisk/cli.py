@@ -16,14 +16,14 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import nullcontext
 from dataclasses import replace
-from typing import Optional, Sequence
+from typing import ContextManager, Optional, Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError
 from .experiments import (
-    SAMPLER_TABLE,
     ExperimentConfig,
     TruthSpec,
     load_experiment,
@@ -39,10 +39,9 @@ from .estimators import check_finite, check_level, risk_estimates
 from .lowdisc import NetParams, PointSet, is_net
 from .models import SanModel, load_model
 
-_SAMPLER_CHOICES = sorted(short for short, _ in SAMPLER_TABLE.values())
 _SAMPLER_HELP = (
-    "sampler (default owen); owen is nested uniform for the first 2^20 points "
-    "and a digital shift per 20-digit prefix cell beyond that"
+    "sampler: mc, sobol or qmc-sobol, owen or rqmc-owen, shift or rqmc-shift, in any case (default owen); "
+    "owen is nested uniform for the first 2^20 points and a digital shift per 20-digit prefix cell beyond that"
 )
 
 
@@ -76,12 +75,14 @@ def _load_model_arg(path: Optional[str]):
     return load_model(_read_text(path, "--config"))
 
 
+def _output(out: Optional[str]) -> ContextManager[TextIO]:
+    """Standard output, left open, or the file ``out`` opened for text."""
+    return nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
-    if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+    with _output(out) as fh:
+        fh.write(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -91,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("points", help="generate a point batch as CSV", parents=[])
     pp.add_argument("-d", "--dim", type=int, required=True, help="dimension of the points")
     pp.add_argument("-n", "--count", type=_parse_count, required=True, help="number of points")
-    pp.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen", help=_SAMPLER_HELP)
+    pp.add_argument("--sampler", default="owen", help=_SAMPLER_HELP)
     pp.add_argument("--seed", type=int, default=0, help="seed for randomized samplers and mc")
     pp.add_argument("--out", default=None, help="output file (default: stdout)")
 
@@ -106,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     ep.add_argument("--config", default=None, help="model config file (default: built-in san-15)")
     ep.add_argument("-n", "--count", type=_parse_count, required=True, help="sample size")
     ep.add_argument("-p", "--level", type=float, default=0.1, help="risk level (default 0.1)")
-    ep.add_argument("--sampler", choices=_SAMPLER_CHOICES, default="owen", help=_SAMPLER_HELP)
+    ep.add_argument("--sampler", default="owen", help=_SAMPLER_HELP)
     ep.add_argument("--seed", type=int, default=0)
     ep.add_argument("--out", default=None)
 
@@ -129,8 +130,9 @@ def _cmd_points(args: argparse.Namespace) -> int:
     if args.dim < 1:
         raise ConfigError(f"--dim: must be >= 1, got {args.dim}")
     pts = sample_points(sampler_name(args.sampler), args.count, args.dim, seed=args.seed)
-    lines = [",".join("%.17g" % v for v in row) for row in pts]
-    _emit("\n".join(lines) + "\n", args.out)
+    # a handle, not the path: savetxt would gzip a name ending .gz
+    with _output(args.out) as fh:
+        np.savetxt(fh, pts, fmt="%.17g", delimiter=",")
     return 0
 
 

@@ -244,11 +244,8 @@ def model_from_section(section: "configparser.SectionProxy") -> Model:
 
 
 def load_model(text: str) -> Model:
-    """Parse a model config document (flat keys or a [model] section)."""
+    """Parse a model config document: flat keys or a [model] section."""
     parser = parse_sections(text)
-    if parser.has_section("model"):
-        return model_from_section(parser["model"])
-    sections = parser.sections()
-    if len(sections) == 1:
-        return model_from_section(parser[sections[0]])
-    raise ConfigError("model: config must contain a [model] section")
+    if not parser.has_section("model"):
+        raise ConfigError("model: config must contain a [model] section")
+    return model_from_section(parser["model"])

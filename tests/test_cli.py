@@ -88,6 +88,59 @@ def test_points_rejects_bad_arguments(capsys):
     assert code == 1
 
 
+def test_points_holds_one_copy_of_the_points(capsys, tmp_path):
+    # the 2^16 x 15 sample is 7.5 MiB; savetxt writes it out a row at a
+    # time, so the peak is the draw's own: the array and tile-sized blocks
+    n, dim = 1 << 16, 15
+    target = str(tmp_path / "pts.csv")
+    _run(capsys, "points", "--sampler", "owen", "-d", "15", "-n", "2^4", "--out", target)  # direction numbers
+    tracemalloc.start()
+    try:
+        code = main(["points", "--sampler", "owen", "-d", "15", "-n", "2^16", "--out", target])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2 * n * dim * 8
+
+
+SPELLINGS = [
+    ("mc", "mc"),
+    ("qmc-sobol", "sobol"),
+    ("sobol", "sobol"),
+    ("rqmc-owen", "owen"),
+    ("owen", "owen"),
+    ("rqmc-shift", "shift"),
+    ("shift", "shift"),
+    ("OWEN", "owen"),
+]
+
+
+@pytest.mark.parametrize("token, short", SPELLINGS)
+def test_points_sampler_takes_every_table_name(capsys, token, short):
+    # --sampler reads experiments.sampler_name, as the config's samplers key does
+    want = _run(capsys, "points", "--sampler", short, "-d", "3", "-n", "37", "--seed", "4")
+    assert want[0] == 0
+    assert _run(capsys, "points", "--sampler", token, "-d", "3", "-n", "37", "--seed", "4") == want
+
+
+def test_estimate_sampler_takes_every_table_name(capsys):
+    # estimate prints the token as given, so compare all but that line
+    _, want, _ = _run(capsys, "estimate", "-n", "2^8", "--sampler", "owen", "--seed", "2")
+    for token in ("rqmc-owen", "OWEN", "Rqmc-Owen"):
+        code, out, _ = _run(capsys, "estimate", "-n", "2^8", "--sampler", token, "--seed", "2")
+        assert code == 0
+        assert out == want.replace("sampler = owen", f"sampler = {token}")
+
+
+@pytest.mark.parametrize("command", ["points -d 2", "estimate"])
+def test_unknown_sampler_exits_1_before_any_draw(capsys, no_draws, command):
+    code, out, err = _run(capsys, *command.split(), "-n", "4", "--sampler", "halton")
+    assert code == 1 and out == ""
+    assert "unknown sampler 'halton'" in err
+    assert "mc, qmc-sobol, rqmc-owen, rqmc-shift" in err
+
+
 @pytest.mark.parametrize(
     "argv", [("points", "-d", "2", "-n", "1000000.7"), ("estimate", "-n", "2^x"), ("points", "-d", "2", "-n", "2^-1")]
 )

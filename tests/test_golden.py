@@ -132,3 +132,27 @@ def test_loss_draws_golden():
             block = np.random.Generator(np.random.PCG64(n)).random((n, model.dim))
             digest.update(model.evaluate(block))
     assert digest.hexdigest() == "458c4b7d352eccb4d4975f9816758d4a22bc641af42863c989b5d6f4ae1b0c13"
+
+
+def test_points_stdout_golden(capsys):
+    # `points` CSV of all four samplers at one point, one tile -1 and +1,
+    # and three tiles +5, at both ends of the seed range; the digest was
+    # recorded from the per-row string writer that savetxt replaced
+    digest = hashlib.sha256()
+    for sampler in ("mc", "sobol", "owen", "shift"):
+        for d in (1, 2, 15, 64):
+            tile = _tile_rows(d)
+            for n in (1, tile - 1, tile + 1, 3 * tile + 5):
+                for seed in (0, 2**64 - 1):
+                    argv = ("points", "--sampler", sampler, "-d", str(d), "-n", str(n), "--seed", str(seed))
+                    digest.update(_stdout(capsys, *argv).encode())
+    assert digest.hexdigest() == "8cd569011208a189aac182d3b29d6225ad8cc7f219977c77c0d52843ee772ca2"
+
+
+@pytest.mark.parametrize("name", ["pts.csv", "pts.csv.gz"])
+def test_points_out_file_holds_the_stdout_bytes(capsys, tmp_path, name):
+    # the CLI opens --out itself, so a name ending .gz is plain text too
+    argv = ("points", "--sampler", "owen", "-d", "3", "-n", "2^10", "--seed", "5")
+    target = tmp_path / name
+    assert _stdout(capsys, *argv, "--out", str(target)) == ""
+    assert target.read_bytes() == _stdout(capsys, *argv).encode()

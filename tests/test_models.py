@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate, optimize
 
+from qmcrisk.cli import main
 from qmcrisk.errors import ConfigError
 from qmcrisk.estimators import SampleBatch, empirical_cdf
 from qmcrisk.lowdisc import sobol_points
@@ -248,6 +249,23 @@ def test_load_model_rejects_malformed_documents():
         load_model("kind\n")  # no value
     with pytest.raises(ConfigError):
         load_model("[a]\nkind = exp\n[b]\nkind = exp\n")  # ambiguous sections
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "[foo]\nkind = exp\n",  # a lone section other than [model]
+        "[experiment]\nreplications = 4\n",  # an experiment without its model
+    ],
+)
+def test_load_model_needs_flat_keys_or_a_model_section(text, tmp_path, capsys):
+    # one rule with load_experiment: a sectioned document's model is its [model]
+    with pytest.raises(ConfigError, match=r"\[model\]"):
+        load_model(text)
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(text)
+    assert main(["estimate", "--config", str(cfg), "-n", "4"]) == 1
+    assert "[model]" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------- folded evaluation

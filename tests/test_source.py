@@ -42,10 +42,9 @@ def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
 
 
-def pool_sites(source: str, module: str) -> list:
-    """Where a module names ``ThreadPoolExecutor`` or ``in_order``, the
-    package's former second scheduler: (name, module.function) once per
-    import, definition, name or attribute, the function being the
+def name_sites(source: str, module: str, wanted: tuple) -> list:
+    """Where a module names one of ``wanted``: (name, module.function) once
+    per import, definition, name or attribute, the function being the
     top-level one it lies in."""
     sites = []
     for top in ast.parse(source).body:
@@ -60,8 +59,12 @@ def pool_sites(source: str, module: str) -> list:
             elif isinstance(node, ast.FunctionDef):
                 names = [node.name]
             where = f"{module}.{getattr(top, 'name', '<module>')}"
-            sites += [(name, where) for name in names if name in ("ThreadPoolExecutor", "in_order")]
+            sites += [(name, where) for name in names if name in wanted]
     return sites
+
+
+# the pool class, and in_order, the package's former second scheduler
+POOL_NAMES = ("ThreadPoolExecutor", "in_order")
 
 
 def test_pool_sites_finds_what_it_should():
@@ -74,7 +77,7 @@ def test_pool_sites_finds_what_it_should():
         "        return list(lowdisc.in_order(str, x, 2))\n"
         "    return g(items)\n"
     )
-    assert sorted(pool_sites(source, "m")) == [
+    assert sorted(name_sites(source, "m", POOL_NAMES)) == [
         ("ThreadPoolExecutor", "m.<module>"),
         ("in_order", "m.<module>"),
         ("in_order", "m.in_order"),
@@ -87,8 +90,34 @@ def test_one_pool_site():
     # builds a ThreadPoolExecutor, and in_order is gone
     sites = set()
     for path in Path(qmcrisk.__file__).parent.glob("*.py"):
-        sites.update(pool_sites(path.read_text(), path.stem))
+        sites.update(name_sites(path.read_text(), path.stem, POOL_NAMES))
     assert sites == {("ThreadPoolExecutor", "lowdisc.<module>"), ("ThreadPoolExecutor", "lowdisc.run_tiles")}
+
+
+def test_sampler_table_sites_finds_what_it_should():
+    source = (
+        "from .experiments import SAMPLER_TABLE, sampler_name\n"
+        "CHOICES = sorted(SAMPLER_TABLE)\n"
+        "HELP = 'SAMPLER_TABLE names'\n"
+        "def f(x):\n"
+        "    return experiments.SAMPLER_TABLE[sampler_name(x)]\n"
+        "def SAMPLER_TABLES():\n"
+        "    pass\n"
+    )
+    assert sorted(name_sites(source, "m", ("SAMPLER_TABLE",))) == [
+        ("SAMPLER_TABLE", "m.<module>"),
+        ("SAMPLER_TABLE", "m.<module>"),
+        ("SAMPLER_TABLE", "m.f"),
+    ]
+
+
+def test_only_experiments_names_the_sampler_table():
+    # one alias table: every other module reads a sampler name through
+    # experiments.sampler_name, so the CLI takes what a config takes
+    modules = set()
+    for path in Path(qmcrisk.__file__).parent.glob("*.py"):
+        modules.update(where.split(".")[0] for _, where in name_sites(path.read_text(), path.stem, ("SAMPLER_TABLE",)))
+    assert modules == {"experiments"}
 
 
 def call_sites(source: str, module: str, name: str) -> list:
