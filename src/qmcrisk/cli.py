@@ -129,7 +129,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_points(args: argparse.Namespace) -> int:
     if args.dim < 1:
         raise ConfigError(f"--dim: must be >= 1, got {args.dim}")
-    pts = sample_points(sampler_name(args.sampler), args.count, args.dim, seed=args.seed)
+    pts = sample_points(sampler_name(args.sampler, "--sampler"), args.count, args.dim, seed=args.seed)
     # a handle, not the path: savetxt would gzip a name ending .gz
     with _output(args.out) as fh:
         np.savetxt(fh, pts, fmt="%.17g", delimiter=",")
@@ -160,7 +160,7 @@ def _cmd_verify_net(args: argparse.Namespace) -> int:
 def _cmd_estimate(args: argparse.Namespace) -> int:
     check_level(args.level)
     model = _load_model_arg(args.config)
-    losses = check_finite(sample_losses(model, sampler_name(args.sampler), args.count, seed=args.seed))
+    losses = check_finite(sample_losses(model, sampler_name(args.sampler, "--sampler"), args.count, seed=args.seed))
     v, c = risk_estimates(losses, args.level)
     _emit(
         f"sampler = {args.sampler}\nN = {args.count}\np = {args.level:g}\n"

@@ -11,9 +11,10 @@ a run of n points.
 
 ``tiled`` is the package's one tiled loop: a source makes each tile's
 points, and an optional kernel, a model's ``tile_losses``, maps them to
-losses.  ``walk``, the source of the Sobol' points or of a caller's point
-set's integers, is the one place where the 52-bit integers become floats,
-one tile at a time, so no second N x d array exists; with a kernel, none.
+losses, overwriting the block the source handed it.  ``walk``, the
+source of the Sobol' points or of a caller's point set's integers, is the
+one place where the 52-bit integers become floats, one tile at a time, so
+no second N x d array exists; with a kernel, none.
 ``run_tiles`` is the package's one thread scheduler.  It runs the tiles of
 ``tiled`` and the study's replications, one per tile.  Called from the
 main thread on enough tiles, the loop spreads over one thread per usable
@@ -287,8 +288,10 @@ def tiled(n: int, dim: int, source: Callable, kernel: Optional[Callable] = None,
     m) float64 block, which read may use.  Without ``kernel``, read writes
     the points to ``rows_out``, their rows of the (n, dim) output that
     ``tiled`` returns.  With ``kernel`` (a model's ``tile_losses``), read
-    returns the points as the columns of a (dim, m) block, ``kernel(u,
-    losses, y)`` writes their losses, and ``tiled`` returns the n losses;
+    returns the points as the columns of a (dim, m) block u that the
+    kernel may overwrite (y itself, or the source's own scratch, never a
+    caller's array), ``kernel(u, losses, y)`` writes their losses, and
+    ``tiled`` returns the n losses;
     or, given ``sink``, which several threads may call at once, each
     tile's go to ``sink(start, losses)``, valid until it returns, and
     ``tiled`` returns None.  Each point is made and evaluated on its own,

@@ -16,8 +16,10 @@ emitted by unrandomized digital sequences, maps to a finite loss.
 
 Each model has one loss kernel, ``tile_losses``, on the points that are
 the columns of a (dim, m) block, which ``lowdisc.tiled`` runs on every
-tile of its source: a caller's block (``evaluate``), the PCG64 stream or
-the QMC walk; so the package needs only ``dim`` and ``tile_losses`` from
+tile of its source: a copy of a caller's rows (``evaluate``), the PCG64
+stream or the QMC walk.  Every source hands the kernel a block it may
+overwrite, so the clamp and the log run in place, in the block's own
+memory order; so the package needs only ``dim`` and ``tile_losses`` from
 a model, plus the closed forms for ``truth = auto``.
 """
 
@@ -61,12 +63,24 @@ DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
 def _evaluate(model: Model, u: np.ndarray) -> np.ndarray:
     """The losses of the rows of u, by ``lowdisc.tiled``, each worker
-    reading its slices of u; ConfigError unless u is an (n, model.dim)
-    block, n >= 0."""
+    copying its slices of u into its own (rows, dim) tile for the kernel;
+    ConfigError unless u is an (n, model.dim) block, n >= 0."""
     block = np.asarray(u, dtype=np.float64)
     if block.ndim != 2 or block.shape[1] != model.dim:
         raise ConfigError(f"model expects an (n, {model.dim}) block of points, got shape {block.shape}")
-    return tiled(block.shape[0], model.dim, lambda _: lambda start, m, *_: block[start : start + m].T, model.tile_losses)
+
+    def source(rows: int) -> Callable:
+        tile = np.empty((rows, model.dim))
+
+        def read(start: int, m: int, *_) -> np.ndarray:
+            # a row-major copy, which the kernel overwrites: the caller's
+            # block stays as it is, and may be read-only
+            np.copyto(tile[:m], block[start : start + m])
+            return tile[:m].T
+
+        return read
+
+    return tiled(block.shape[0], model.dim, source, model.tile_losses)
 
 
 def _longest_path(y: np.ndarray, out: np.ndarray) -> None:
@@ -122,17 +136,18 @@ class SanModel:
 
     def tile_losses(self, u: np.ndarray, out: np.ndarray, y: np.ndarray) -> None:
         """Write the completion times of the m points that are the columns
-        of the (15, m) block ``u`` to ``out``; ``y`` is (15, m) float64
-        scratch and may be ``u`` itself.
+        of the (15, m) block ``u``, which it overwrites, to ``out``; ``y``
+        is C-contiguous (15, m) float64 scratch and may be ``u`` itself.
 
-        The clamp writes u into y, where the log and the division by the
-        negated rates run in place (x / (-r) is bitwise -(x / r)), and the
-        ten paths are folded into the network's recursion
+        The clamp and the log run in place in u, in u's own memory order,
+        so the rows of a row-major tile are read contiguously; the division
+        by the negated rates (x / (-r) is bitwise -(x / r)) writes y, and
+        the ten paths are folded into the network's recursion
         (``_longest_path``).
         """
-        np.clip(u, CLAMP_EPSILON, 1.0 - CLAMP_EPSILON, out=y)
-        np.log(y, out=y)
-        np.divide(y, -np.asarray(self.rates)[:, np.newaxis], out=y)
+        np.clip(u, CLAMP_EPSILON, 1.0 - CLAMP_EPSILON, out=u)
+        np.log(u, out=u)
+        np.divide(u, -np.asarray(self.rates)[:, np.newaxis], out=y)
         _longest_path(y, out)
 
     def true_quantile(self, p: float) -> Optional[float]:
@@ -166,12 +181,12 @@ class ExpModel:
         return _evaluate(self, u)
 
     def tile_losses(self, u: np.ndarray, out: np.ndarray, y: np.ndarray) -> None:
-        """Write the losses of the m points in the (1, m) block ``u`` to
-        ``out``; ``y`` is (1, m) float64 scratch and may be ``u`` itself.
-        x / (-r) is bitwise -(x / r)."""
-        np.clip(u[0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON, out=y[0])
-        np.log(y[0], out=y[0])
-        np.divide(y[0], -self.rate, out=out)
+        """Write the losses of the m points in the (1, m) block ``u``, which
+        it overwrites, to ``out``; ``y`` is unused.  x / (-r) is bitwise
+        -(x / r)."""
+        np.clip(u[0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON, out=u[0])
+        np.log(u[0], out=u[0])
+        np.divide(u[0], -self.rate, out=out)
 
     def true_quantile(self, p: float) -> float:
         """v solving P(X <= v) = p; here X is Exp(rate) in distribution."""

@@ -137,7 +137,8 @@ def test_estimate_sampler_takes_every_table_name(capsys):
 def test_unknown_sampler_exits_1_before_any_draw(capsys, no_draws, command):
     code, out, err = _run(capsys, *command.split(), "-n", "4", "--sampler", "halton")
     assert code == 1 and out == ""
-    assert "unknown sampler 'halton'" in err
+    assert "--sampler: unknown sampler 'halton'" in err
+    assert "samplers:" not in err
     assert "mc, qmc-sobol, rqmc-owen, rqmc-shift" in err
 
 

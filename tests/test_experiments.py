@@ -410,6 +410,78 @@ def test_mc_truth_fails_when_bracket_never_fits(monkeypatch):
         mc_truth(ExpModel(), 0.1, 10**6, seed=3)
 
 
+def _grid(pmin: float, pmax: float):
+    """lo, h and inv_h of the truth grid over a pilot range, as ``mc_truth`` builds them."""
+    lo = pmin - 0.05 * (pmax - pmin)
+    hi = pmax + 0.05 * (pmax - pmin)
+    return lo, (hi - lo) / experiments._TRUTH_BINS, experiments._TRUTH_BINS / (hi - lo)
+
+
+def _binned_reduce(x, lo, h, inv_h, b_lo, b_hi):
+    """A tile's reduction as a full-tile array of grid coordinates gives
+    it: the count below bins [b_lo, b_hi), the pivoted sums, the values
+    inside in row order, and the tile's minimum and maximum."""
+    t = (x - lo) * inv_h
+    d = (lo + b_lo * h) - x[t < b_lo]
+    kept = x[(t >= b_lo) & (t < b_hi)]
+    return d.size, float(d.sum()), float((d * d).sum()), kept, float(x.min()), float(x.max())
+
+
+def _ulps_around(x: float, k: int) -> np.ndarray:
+    """The doubles from k ulps below x to k ulps above it."""
+    below, above = [x], [x]
+    for _ in range(k):
+        below.append(math.nextafter(below[-1], -math.inf))
+        above.append(math.nextafter(above[-1], math.inf))
+    return np.array(below[::-1] + above[1:])
+
+
+# pilot ranges with lo < 0 and with lo > 0 (and one far from 0, where
+# x - lo rounds)
+_GRIDS = [(-1.5, 3.25), (0.3, 14.7), (1000.0 / 3, 1000.0 / 3 + 1e-3)]
+
+
+@pytest.mark.parametrize("pmin, pmax", _GRIDS)
+def test_edge_splits_doubles_as_the_grid_coordinate_does(pmin, pmax):
+    lo, _, inv_h = _grid(pmin, pmax)
+    rng = np.random.default_rng(13)
+    bins = experiments._TRUTH_BINS
+    for b in [-7, -1, 0, 1, 2, bins - 1, bins, bins + 9, *rng.integers(-100, bins + 100, 300)]:
+        e = experiments._edge(int(b), lo, inv_h)
+        x = np.concatenate([_ulps_around(e, 3), rng.uniform(lo - 0.1 * (pmax - pmin), e + (e - lo), 200)])
+        assert np.array_equal(x < e, (x - lo) * inv_h < b)
+        assert (e - lo) * inv_h >= b > (math.nextafter(e, -math.inf) - lo) * inv_h
+
+
+@pytest.mark.parametrize("pmin, pmax", _GRIDS)
+def test_reduce_tile_equals_the_binned_reduction_bitwise(pmin, pmax):
+    lo, h, inv_h = _grid(pmin, pmax)
+    rng = np.random.default_rng(21)
+    span = pmax - pmin
+    for b_lo, b_hi in [(30000, 30400), (0, 1), (-5, 70000), (12345, 12346)]:
+        e_lo, e_hi = experiments._edge(b_lo, lo, inv_h), experiments._edge(b_hi, lo, inv_h)
+        # values on and next to both edges, below lo, above hi, and spread
+        # over the grid, in a shuffled row order
+        near = np.concatenate([_ulps_around(e_lo, 2), _ulps_around(e_hi, 2)])
+        wide = rng.uniform(pmin - 0.2 * span, pmax + 0.2 * span, 8192 - near.size)
+        for x in (rng.permutation(np.concatenate([near, wide])), near[:1], near[2:]):
+            want = _binned_reduce(x, lo, h, inv_h, b_lo, b_hi)
+            got = experiments._reduce_tile(x, e_lo, e_hi, lo + b_lo * h)
+            assert got[0] == want[0]
+            assert repr(got[1:3]) == repr(want[1:3])
+            assert np.array_equal(got[3].view(np.uint64), want[3].view(np.uint64))
+            # the least value below the bracket, which is the minimum when
+            # there is one
+            assert got[4] == (want[4] if want[0] else math.inf)
+            assert got[5] == want[5]
+        # a tile with nothing below the bracket
+        x = rng.permutation(np.concatenate([[e_lo], rng.uniform(e_lo, e_hi + span, 999)]))
+        want = _binned_reduce(x, lo, h, inv_h, b_lo, b_hi)
+        got = experiments._reduce_tile(x, e_lo, e_hi, lo + b_lo * h)
+        assert got[:3] == want[:3] == (0, 0.0, 0.0) and got[4] == math.inf
+        assert np.array_equal(got[3].view(np.uint64), want[3].view(np.uint64)) and got[5] == want[5]
+
+
 def test_mc_truth_emits_progress(monkeypatch):
     messages = []
     monkeypatch.setattr(experiments, "_PROGRESS_ROWS", 1 << 17)
@@ -719,17 +791,20 @@ def test_owen_losses_peak_is_the_losses_plus_one_workers_scratch():
 @pytest.mark.parametrize("loop", ["evaluate", "mc"])
 def test_pooled_loss_loop_peak_is_the_losses_plus_each_workers_scratch(monkeypatch, pool_widths, loop):
     # 64 tiles on four workers.  Beside the n losses each worker holds its
-    # (15, rows) evaluation scratch and, for mc, its drawn tile as well; no
-    # worker holds a second tile or a block of more than a tile's rows
+    # (15, rows) evaluation scratch and the row-major tile the kernel
+    # overwrites: the drawn rows for mc, a copy of the caller's rows for
+    # evaluate; no worker holds a third tile or a block of more than a
+    # tile's rows
     monkeypatch.setattr(lowdisc, "_usable_cpus", lambda: 4)
     model = SanModel()
     n, d = 1 << 19, model.dim
     tile = d * lowdisc._tile_rows(d) * 8
+    want = n * 8 + 4 * 2 * tile
     if loop == "evaluate":
         block = np.random.default_rng(1).random((n, d))
-        call, want = lambda: model.evaluate(block), n * 8 + 4 * tile
+        call = lambda: model.evaluate(block)
     else:
-        call, want = lambda: sample_losses(model, "mc", n, 1, 0), n * 8 + 4 * 2 * tile
+        call = lambda: sample_losses(model, "mc", n, 1, 0)
     tracemalloc.start()
     try:
         call()

@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from qmcrisk.cli import main
-from qmcrisk.experiments import SAMPLERS, sample_losses, sample_points
+import qmcrisk.experiments as experiments
+from qmcrisk.experiments import SAMPLERS, mc_truth, sample_losses, sample_points
 from qmcrisk.lowdisc import _tile_rows, sobol_points
 from qmcrisk.models import ExpModel, SanModel
 from qmcrisk.randomize import digital_shift, owen_scramble
@@ -156,3 +157,22 @@ def test_points_out_file_holds_the_stdout_bytes(capsys, tmp_path, name):
     target = tmp_path / name
     assert _stdout(capsys, *argv, "--out", str(target)) == ""
     assert target.read_bytes() == _stdout(capsys, *argv).encode()
+
+
+def test_mc_truth_bits_golden(monkeypatch):
+    # every bit of (v, c, v_stderr, c_stderr) of the truth pass, on both
+    # models at two levels and three seeds, and for a replay on each side of
+    # a zero-width bracket (seeds 0 and 1 miss it above and below); the
+    # 9-digit `truth` stdout above cannot see a roundoff move in c
+    n = 10**6 + 12345
+    digest = hashlib.sha256()
+    for model in (SanModel(), ExpModel()):
+        for seed in (0, 1, 7):
+            for p in (0.02, 0.1):
+                t = mc_truth(model, p, n, seed=seed)
+                digest.update(repr((t.v, t.c, t.v_stderr, t.c_stderr)).encode())
+    monkeypatch.setattr(experiments, "_BRACKET_SIGMAS", 0.0)
+    for seed in (0, 1):
+        t = mc_truth(ExpModel(), 0.1, n, seed=seed)
+        digest.update(repr((t.v, t.c, t.v_stderr, t.c_stderr)).encode())
+    assert digest.hexdigest() == "d9618f82613bf1d6e79dc04267f85d2c29a0ad81a029bb6c1ee23e9852cb22b3"

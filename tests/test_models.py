@@ -309,8 +309,9 @@ _KERNEL_MODELS = [
 
 @pytest.mark.parametrize("model", _KERNEL_MODELS, ids=["san-default", "san-random", "exp"])
 def test_tile_kernel_in_place_equals_evaluate_bitwise(model):
-    # on the walk's tiles the kernel runs in the float block the walk wrote;
-    # evaluate runs it from strided rows into a scratch tile
+    # on the walk's tiles the kernel runs in the float block the walk wrote
+    # (u is y); the stream and evaluate hand it a row-major tile's
+    # transpose, u = rows.T, with y a separate C-contiguous block
     rng = np.random.default_rng(22)
     u = rng.random((5000, model.dim))
     u[rng.random(u.shape) < 0.02] = 0.0
@@ -320,6 +321,30 @@ def test_tile_kernel_in_place_equals_evaluate_bitwise(model):
     got = np.full(len(u), np.nan)
     model.tile_losses(block, got, block)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    rows = u.copy()  # C-contiguous (m, dim), overwritten too
+    y = np.full((model.dim, len(u)), np.nan)
+    got = np.full(len(u), np.nan)
+    model.tile_losses(rows.T, got, y)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
     if isinstance(model, ExpModel):
         ref = -np.log(np.clip(u[:, 0], CLAMP_EPSILON, 1.0 - CLAMP_EPSILON)) / model.rate
         assert np.array_equal(want.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("model", [SanModel(), ExpModel(rate=2.5)], ids=["san", "exp"])
+def test_evaluate_leaves_the_callers_block_as_it_is(model):
+    # the kernel overwrites the block it is given, so evaluate hands it a
+    # copy of the caller's rows; the rows cross a tile boundary
+    rng = np.random.default_rng(8)
+    u = rng.random((20000, model.dim))
+    u[:2] = 0.0
+    before = u.copy()
+    model.evaluate(u)
+    assert np.array_equal(u.view(np.uint64), before.view(np.uint64))
+    # a PointSet's points are read-only
+    points = sobol_points(20000, model.dim).points
+    assert not points.flags.writeable
+    frozen = points.copy()
+    from_frozen = model.evaluate(points)
+    assert np.array_equal(points.view(np.uint64), frozen.view(np.uint64))
+    assert np.array_equal(from_frozen.view(np.uint64), model.evaluate(frozen).view(np.uint64))
