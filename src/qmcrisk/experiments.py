@@ -60,14 +60,14 @@ _MC_STREAM_TAG = 0x6D63
 _TRUTH_STREAM_TAG = 0x74727574
 
 # mc_truth: rows of the pilot, which sets the bracket; rows between
-# progress lines; and the most values the bracket may hold
+# progress lines; the most values the bracket may hold; its half-width in
+# standard deviations of the pilot's quantile rank; and the ranks each side
+# of that rank whose pilot values give the density behind v_stderr
 _TRUTH_PILOT = 1 << 19
 _PROGRESS_ROWS = 1 << 24
 _MAX_BRACKET = 1 << 24
-# mc_truth: bins of the grid over the pilot's range, and the half-width of
-# the quantile bracket in standard deviations of the pilot's quantile rank
-_TRUTH_BINS = 1 << 16
 _BRACKET_SIGMAS = 8.0
+_DENSITY_RANKS = 1 << 10
 
 # below this many total draws the smallest grid point sits in the
 # pre-asymptotic regime and is dropped from rate fits
@@ -98,6 +98,8 @@ class TruthSpec:
         for key, x in (("truth_v", self.v), ("truth_c", self.c)):
             if x is not None and not (isinstance(x, numbers.Real) and math.isfinite(x)):
                 raise ConfigError(f"{key}: must be a finite number, got {x!r}")
+            if x is not None and self.kind != "explicit":
+                raise ConfigError(f"{key}: only truth = explicit reads it, not truth = {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -290,21 +292,9 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
     return TruthResult(float(v), float(c), 0.0, 0.0, "closed-form", 0)
 
 
-def _edge(b: int, lo: float, inv_h: float) -> float:
-    """The least double x whose grid coordinate ``(x - lo) * inv_h`` is at
-    least b.  The rounded coordinate is monotone in x, so for every double
-    x, ``(x - lo) * inv_h < b`` exactly when ``x < _edge(b, lo, inv_h)``."""
-    x = lo + b / inv_h
-    while (x - lo) * inv_h >= b:
-        x = math.nextafter(x, -math.inf)
-    while (x - lo) * inv_h < b:
-        x = math.nextafter(x, math.inf)
-    return x
-
-
-def _reduce_tile(x: np.ndarray, e_lo: float, e_hi: float, pivot: float) -> Tuple[int, float, float, np.ndarray, float, float]:
+def _reduce_tile(x: np.ndarray, e_lo: float, e_hi: float) -> Tuple[int, float, float, np.ndarray, float, float]:
     """A tile's share of a truth pass whose bracket is [e_lo, e_hi): the
-    count of the values below it, the sums of ``pivot - x`` and of its
+    count of the values below it, the sums of ``e_lo - x`` and of its
     square over them, the values inside it in row order, the least value
     below it (inf if none) and the greatest value.
 
@@ -312,15 +302,13 @@ def _reduce_tile(x: np.ndarray, e_lo: float, e_hi: float, pivot: float) -> Tuple
     the maximum; the rest splits the gathered values, which a bracket near
     the quantile keeps few.  The values below reach the sums in row order,
     as a gather of the whole tile would give them, so the sums are the
-    same pairwise sums, bit for bit.  The gathers are ``compress``: on a
-    tile of losses, whose mask no branch predictor learns, ``x[mask]``
-    took 22 us of an 8192-row tile's 52 us reduction (one worker, 2-core
-    host), and ``compress`` takes the same values in about half the time.
+    same pairwise sums, bit for bit.  The gathers are ``compress``, which
+    on an 8192-row tile of losses took half of ``x[mask]``'s 22 us.
     """
     xs = x.compress(x < e_hi)
     below = xs < e_lo
     low = xs.compress(below)
-    d = pivot - low
+    d = e_lo - low
     low_min = float(low.min()) if low.size else math.inf
     return d.size, float(d.sum()), float((d * d).sum()), xs.compress(~below), low_min, float(x.max())
 
@@ -329,36 +317,31 @@ def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: Prog
     """Large-sample pseudorandom reference values for (v, c).
 
     One streaming pass over a PCG64 stream.  Its first ``_TRUTH_PILOT``
-    rows, m of them, are the pilot: a grid of ``_TRUTH_BINS`` bins spans
-    the pilot's range (5% margin each side), and the pilot's order
-    statistics at ranks k0 +- ``_BRACKET_SIGMAS`` * sqrt(m p (1 - p)), with
-    k0 = ceil(p m), widened to the edges of their bins, bracket the
-    p-quantile.  The pass counts the values below the bracket, accumulates
-    their shortfall sums pivoted at its lower edge and keeps the values
-    inside it; v is then the exact k-th order statistic, selected among
-    the kept values.  Exactly ``n_truth`` rows are drawn and evaluated;
-    ``n_truth`` must lie in 10^6..2^52, whose upper end bounds every count
-    in the package.  If the quantile falls outside the bracket, the stream
-    is replayed once from row 0 with the bracket extended to the extreme
-    value on that side.  A bracket holding more than ``_MAX_BRACKET``
-    values raises WorkLimitError.  The density behind ``v_stderr`` is the
-    count of values in v's grid bin.
+    rows, m of them, are the pilot: with k0 = ceil(p m), its order
+    statistics at ranks k0 -+ ``_BRACKET_SIGMAS`` * sqrt(m p (1 - p)),
+    first and last, bracket the p-quantile as the doubles [first,
+    nextafter(last, inf)).  The pass counts the values below the bracket,
+    accumulates their shortfall sums pivoted at its lower edge and keeps
+    the values inside it; v is then the exact k-th order statistic,
+    selected among the kept values.  Exactly ``n_truth`` rows are drawn
+    and evaluated; ``n_truth`` must lie in 10^6..2^52, whose upper end
+    bounds every count in the package.  If the quantile falls outside the
+    bracket, the stream is replayed once from row 0 with the bracket
+    widened down to the least value or up past the greatest.  A bracket
+    holding more than ``_MAX_BRACKET`` values raises WorkLimitError.
+    ``v_stderr`` is sqrt(p (1 - p) / n_truth) / f, the density f being
+    g / (m s) for the pilot's order statistics at ranks k0 -+
+    ``_DENSITY_RANKS`` (within 1..m), g ranks and s apart; so it depends
+    on the pilot alone, with a relative noise of about 1/sqrt(g).
 
     The pilot and each pass are one ``lowdisc.tiled`` loop over the
-    stream, whose tiles ``lowdisc.run_tiles`` runs on every usable CPU
-    from the main thread and inline from any other.  A bin of the grid is
-    a set of doubles [e(b), e(b + 1)), e(b) the least double whose grid
-    coordinate ``(x - lo) * inv_h`` is at least b (``_edge``), so a pass
-    computes its bracket's two edges once and compares values, never
-    grid coordinates.  It reduces each tile where it is drawn into that
-    tile's slot (``_reduce_tile``): the count below the bracket, the two
-    pivoted sums in row order, the values inside it, the least value
-    below it and the tile's maximum; the calling thread adds the slots
-    up in row order.  A lock-guarded tally of kept values and finished
-    rows raises the WorkLimitError, whose total is fixed, and sends a
-    progress line at each multiple of ``_PROGRESS_ROWS`` rows.  So the
-    result, the error and the progress lines do not depend on the worker
-    count, and the tiling moves c by summation roundoff alone.
+    stream.  A pass reduces each tile where it is drawn into that tile's
+    slot (``_reduce_tile``), and the calling thread adds the slots up in
+    row order; a lock-guarded tally of kept values and finished rows
+    raises the WorkLimitError, whose total is fixed, and sends a progress
+    line at each multiple of ``_PROGRESS_ROWS`` rows.  So the result, the
+    error and the progress lines do not depend on the worker count, and
+    the tiling moves c by summation roundoff alone.
     """
     p = check_level(p)
     seed = check_seed(seed)
@@ -368,32 +351,16 @@ def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: Prog
     seq = np.random.SeedSequence([seed, _TRUTH_STREAM_TAG])
 
     pilot = tiled(_TRUTH_PILOT, model.dim, _stream(seq, model.dim), model.tile_losses)
-    pmin, pmax = float(pilot.min()), float(pilot.max())
-    span = pmax - pmin
-    if span <= 0.0:
-        span = max(abs(pmin), 1.0)
-    lo = pmin - 0.05 * span
-    hi = pmax + 0.05 * span
-    h = (hi - lo) / _TRUTH_BINS
-    inv_h = _TRUTH_BINS / (hi - lo)
-
-    def grid_bin(x: float) -> int:
-        return math.floor((x - lo) * inv_h)
-
     m = pilot.size
     k0 = order_index(p, m)
     width = _BRACKET_SIGMAS * math.sqrt(m * p * (1.0 - p))
+    # 0-based ranks: the bracket's two order statistics, then the density's
     ranks = [max(1, math.floor(k0 - width)) - 1, min(m, math.ceil(k0 + width)) - 1]
-    first, last = np.partition(pilot, ranks)[ranks]
-    # the bracket holds the values whose grid coordinate lies in [b_lo, b_hi)
-    b_lo, b_hi = grid_bin(first), grid_bin(last) + 1
+    ranks += [max(1, k0 - _DENSITY_RANKS) - 1, min(m, k0 + _DENSITY_RANKS) - 1]
+    e_lo, last, f_lo, f_hi = (float(x) for x in np.partition(pilot, ranks)[ranks])
+    e_hi = math.nextafter(last, math.inf)
 
-    def bracket(b_lo: int, b_hi: int) -> Tuple[float, float, float]:
-        """The doubles e_lo, e_hi with grid coordinate in [b_lo, b_hi)
-        exactly when x lies in [e_lo, e_hi), and the pivot of the sums."""
-        return _edge(b_lo, lo, inv_h), _edge(b_hi, lo, inv_h), lo + b_lo * h
-
-    def one_pass(edges: Tuple[float, float, float], start: int, slots: dict):
+    def one_pass(e_lo: float, e_hi: float, start: int, slots: dict):
         """The ``_reduce_tile`` in ``slots`` and of the tiles of rows
         start..n_truth - 1 added up: the sums exactly rounded, the kept
         values in row order."""
@@ -403,7 +370,7 @@ def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: Prog
 
         def sink(s: int, x: np.ndarray) -> None:
             nonlocal n_kept, done
-            stats = _reduce_tile(x, *edges)
+            stats = _reduce_tile(x, e_lo, e_hi)
             with lock:
                 slots[s] = stats
                 n_kept += stats[3].size
@@ -418,26 +385,24 @@ def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: Prog
         below, s1, s2, kept, low_mins, maxs = zip(*(slots[s] for s in sorted(slots)))
         return sum(below), math.fsum(s1), math.fsum(s2), np.concatenate(kept), min(low_mins), max(maxs)
 
-    edges = bracket(b_lo, b_hi)
-    head = _reduce_tile(pilot, *edges)
+    head = _reduce_tile(pilot, e_lo, e_hi)
     del pilot
-    below, s1, s2, kept, low_min, gmax = one_pass(edges, m, {-1: head})
+    below, s1, s2, kept, low_min, gmax = one_pass(e_lo, e_hi, m, {-1: head})
     j = k - below
     if not 1 <= j <= kept.size:
         # the quantile lies outside the bracket: replay the stream with the
-        # bracket extended to the extreme value on that side, which holds
-        # it; below the bracket there are then k >= 1 values, so the least
-        # of them is the stream's minimum
+        # bracket widened over that side; below it there are then k >= 1
+        # values, so the least of them is the stream's minimum
         if j < 1:
-            b_lo = grid_bin(low_min)
+            e_lo = low_min
         else:
-            b_hi = grid_bin(gmax) + 1
-        below, s1, s2, kept, _, _ = one_pass(bracket(b_lo, b_hi), 0, {})
+            e_hi = math.nextafter(gmax, math.inf)
+        below, s1, s2, kept, _, _ = one_pass(e_lo, e_hi, 0, {})
         j = k - below
     v = float(np.partition(kept, j - 1)[j - 1])
 
-    # re-center the pivoted shortfall sums at v
-    shift = v - (lo + b_lo * h)
+    # re-center the shortfall sums, pivoted at e_lo, at v
+    shift = v - e_lo
     d2 = np.maximum(v - kept, 0.0)
     total_s1 = (s1 + below * shift) + float(d2.sum())
     total_s2 = (s2 + 2.0 * shift * s1 + below * shift * shift) + float((d2 * d2).sum())
@@ -445,11 +410,8 @@ def mc_truth(model: Model, p: float, n_truth: int, seed: int = 1, progress: Prog
 
     mean_pos = total_s1 / n_truth
     var_pos = max(total_s2 / n_truth - mean_pos * mean_pos, 0.0)
-    # every value of v's bin lies inside the bracket, whose edges are bin edges
-    hit = grid_bin(v)
-    in_bin = (kept >= _edge(hit, lo, inv_h)) & (kept < _edge(hit + 1, lo, inv_h))
-    density = int(np.count_nonzero(in_bin)) / (n_truth * h)
-    v_stderr = math.sqrt(p * (1.0 - p) / n_truth) / density
+    # 0 for a pilot with no spread at the quantile
+    v_stderr = math.sqrt(p * (1.0 - p) / n_truth) * m * (f_hi - f_lo) / (ranks[3] - ranks[2])
     c_stderr = math.sqrt(var_pos / n_truth) / p
     return TruthResult(v, c, v_stderr, c_stderr, "mc", n_truth)
 
@@ -587,9 +549,9 @@ def rate_summary(table: ResultTable, metric: str = "q_mse") -> Dict[str, RateFit
     return fits
 
 
-# the truth keys, each read by one truth kind only
-_TRUTH_KEY_KINDS = {"truth_v": "explicit", "truth_c": "explicit", "truth_n": "mc", "truth_seed": "mc"}
-_EXPERIMENT_KEYS = {"p", "samplers", "n_grid", "replications", "master_seed", "truth", *_TRUTH_KEY_KINDS}
+# the truth keys that only truth = mc reads; ``TruthSpec`` checks truth_v and truth_c
+_TRUTH_KEY_KINDS = {"truth_n": "mc", "truth_seed": "mc"}
+_EXPERIMENT_KEYS = {"p", "samplers", "n_grid", "replications", "master_seed", "truth", "truth_v", "truth_c", *_TRUTH_KEY_KINDS}
 
 
 def parse_count(raw: str, name: str) -> int:

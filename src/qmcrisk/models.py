@@ -61,6 +61,17 @@ DEFAULT_SAN_PATHS: Tuple[Tuple[int, ...], ...] = (
 # mean duration 2 on edges 1..8, mean 1 on edges 9..15
 DEFAULT_SAN_RATES: Tuple[float, ...] = (0.5,) * 8 + (1.0,) * 7
 
+def _check_largest_loss(model: Model, key: str) -> None:
+    """ConfigError naming ``key`` unless the model's largest loss is
+    finite.  Losses fall in each coordinate, and rounded log, divide, add
+    and max are monotone, so the largest is the loss at the clamp corner."""
+    u, out = np.full((model.dim, 1), CLAMP_EPSILON), np.empty(1)
+    with np.errstate(over="ignore"):
+        model.tile_losses(u, out, u)
+    if not math.isfinite(out[0]):
+        raise ConfigError(f"{key}: the loss at u = 2^-53, the largest, overflows at these rates")
+
+
 def _evaluate(model: Model, u: np.ndarray) -> np.ndarray:
     """The losses of the rows of u, by ``lowdisc.tiled``, each worker
     copying its slices of u into its own (rows, dim) tile for the kernel;
@@ -121,9 +132,10 @@ class SanModel:
         rates = tuple(float(r) for r in self.rates)
         if len(rates) != EDGE_COUNT:
             raise ConfigError(f"rates: expected {EDGE_COUNT} values, got {len(rates)}")
-        if any(not r > 0.0 for r in rates):
-            raise ConfigError("rates: every edge rate must be positive")
+        if any(not 0.0 < r < math.inf for r in rates):
+            raise ConfigError("rates: every edge rate must be positive and finite")
         object.__setattr__(self, "rates", rates)
+        _check_largest_loss(self, "rates")
 
     @property
     def dim(self) -> int:
@@ -168,9 +180,10 @@ class ExpModel:
 
     def __post_init__(self) -> None:
         rate = float(self.rate)
-        if not rate > 0.0:
-            raise ConfigError(f"lambda: rate must be positive, got {rate}")
+        if not 0.0 < rate < math.inf:
+            raise ConfigError(f"lambda: rate must be positive and finite, got {rate}")
         object.__setattr__(self, "rate", rate)
+        _check_largest_loss(self, "lambda")
 
     @property
     def dim(self) -> int:

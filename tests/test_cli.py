@@ -322,6 +322,26 @@ def test_truth_rejects_counts_past_the_generator_range(capsys, monkeypatch):
         assert code == 1 and "count" in err and out == ""
 
 
+@pytest.mark.parametrize("command", ["truth -n 1e6", "estimate -n 2^8"])
+@pytest.mark.parametrize(
+    "model, key",
+    [
+        ("kind = exp\nlambda = inf\n", "lambda"),
+        ("kind = exp\nlambda = 1e-310\n", "lambda"),
+        ("kind = san-15\nrates = " + "3.7e-307 " * 15 + "\n", "rates"),
+    ],
+    ids=["exp-inf", "exp-overflow", "san-overflow"],
+)
+def test_rates_whose_losses_leave_the_doubles_exit_1_before_any_draw(capsys, tmp_path, no_draws, command, model, key):
+    # lambda = inf used to hang the truth pass; lambda = 1e-310 made truth
+    # exit 2 and estimate fail on a message that named no key
+    cfg = tmp_path / "model.cfg"
+    cfg.write_text(model)
+    code, out, err = _run(capsys, *command.split(), "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {key}: ")
+
+
 # ---------------------------------------------------------------- converge
 
 

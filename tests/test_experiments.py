@@ -123,6 +123,15 @@ def test_truth_spec_validation():
     TruthSpec(kind="explicit", v=1.0, c=0.5)
 
 
+@pytest.mark.parametrize("kind", ["auto", "mc"])
+def test_truth_spec_rejects_values_only_explicit_reads(kind):
+    # with the config's message; auto used to return the closed form and
+    # drop both values
+    for values, key in (({"v": 9.0, "c": 9.0}, "truth_v"), ({"c": 9.0}, "truth_c")):
+        with pytest.raises(ConfigError, match=f"^{key}: only truth = explicit reads it, not truth = {kind}$"):
+            TruthSpec(kind, **values)
+
+
 # ---------------------------------------------------------------- samplers
 
 
@@ -369,20 +378,15 @@ def test_mc_truth_is_exact_on_a_stream_held_in_memory(model, p):
     assert counting.rows == n
 
 
-def _zero_width_bracket_side(model, p: float, n: int, seed: int, v: float) -> str:
-    """Where v, the stream's p-quantile, falls against the one-bin bracket
-    that ``mc_truth`` builds from its pilot when ``_BRACKET_SIGMAS`` is 0:
-    "above", "below" or "inside"."""
+def _zero_width_bracket_side(model, p: float, seed: int, v: float) -> str:
+    """Where v, the stream's p-quantile, falls against the bracket that
+    ``mc_truth`` builds from its pilot when ``_BRACKET_SIGMAS`` is 0, which
+    holds the pilot's k0-th value only: "above", "below" or "inside"."""
     seq = np.random.SeedSequence([seed, experiments._TRUTH_STREAM_TAG])
     pilot = _truth_losses(model, seq, 0, experiments._TRUTH_PILOT)
-    pmin, pmax = float(pilot.min()), float(pilot.max())
-    lo = pmin - 0.05 * (pmax - pmin)
-    hi = pmax + 0.05 * (pmax - pmin)
-    inv_h = experiments._TRUTH_BINS / (hi - lo)
     k0 = order_index(p, pilot.size)
-    bracket = math.floor((np.partition(pilot, k0 - 1)[k0 - 1] - lo) * inv_h)
-    hit = math.floor((v - lo) * inv_h)
-    return "above" if hit > bracket else "below" if hit < bracket else "inside"
+    x = np.partition(pilot, k0 - 1)[k0 - 1]
+    return "above" if v > x else "below" if v < x else "inside"
 
 
 # the smallest seeds >= 0 whose stream's quantile misses the zero-width
@@ -391,10 +395,10 @@ def _zero_width_bracket_side(model, p: float, n: int, seed: int, v: float) -> st
 def test_mc_truth_reruns_when_the_bracket_misses(monkeypatch, seed, side):
     m = ExpModel()
     base = mc_truth(m, 0.1, 10**6, seed=seed)
-    # a zero-width bracket holds only the bin of the pilot's own quantile,
-    # which misses the stream's quantile for this seed on ``side``; the
-    # rerun extends it over that side
-    assert _zero_width_bracket_side(m, 0.1, 10**6, seed, base.v) == side
+    # a zero-width bracket holds only the pilot's own quantile, which
+    # misses the stream's quantile for this seed on ``side``; the rerun
+    # widens it over that side
+    assert _zero_width_bracket_side(m, 0.1, seed, base.v) == side
     monkeypatch.setattr(experiments, "_BRACKET_SIGMAS", 0.0)
     counting = _CountingModel(m)
     rerun = mc_truth(counting, 0.1, 10**6, seed=seed)
@@ -410,20 +414,13 @@ def test_mc_truth_fails_when_bracket_never_fits(monkeypatch):
         mc_truth(ExpModel(), 0.1, 10**6, seed=3)
 
 
-def _grid(pmin: float, pmax: float):
-    """lo, h and inv_h of the truth grid over a pilot range, as ``mc_truth`` builds them."""
-    lo = pmin - 0.05 * (pmax - pmin)
-    hi = pmax + 0.05 * (pmax - pmin)
-    return lo, (hi - lo) / experiments._TRUTH_BINS, experiments._TRUTH_BINS / (hi - lo)
-
-
-def _binned_reduce(x, lo, h, inv_h, b_lo, b_hi):
-    """A tile's reduction as a full-tile array of grid coordinates gives
-    it: the count below bins [b_lo, b_hi), the pivoted sums, the values
-    inside in row order, and the tile's minimum and maximum."""
-    t = (x - lo) * inv_h
-    d = (lo + b_lo * h) - x[t < b_lo]
-    kept = x[(t >= b_lo) & (t < b_hi)]
+def _binned_reduce(x, e_lo, e_hi):
+    """A tile's reduction as full-tile masks, binning each value below,
+    inside or above [e_lo, e_hi), give it: the count below, the sums of
+    ``e_lo - x`` and of its square over those values, the values inside in
+    row order, and the tile's minimum and maximum."""
+    d = e_lo - x[x < e_lo]
+    kept = x[(x >= e_lo) & (x < e_hi)]
     return d.size, float(d.sum()), float((d * d).sum()), kept, float(x.min()), float(x.max())
 
 
@@ -436,37 +433,29 @@ def _ulps_around(x: float, k: int) -> np.ndarray:
     return np.array(below[::-1] + above[1:])
 
 
-# pilot ranges with lo < 0 and with lo > 0 (and one far from 0, where
-# x - lo rounds)
-_GRIDS = [(-1.5, 3.25), (0.3, 14.7), (1000.0 / 3, 1000.0 / 3 + 1e-3)]
-
-
-@pytest.mark.parametrize("pmin, pmax", _GRIDS)
-def test_edge_splits_doubles_as_the_grid_coordinate_does(pmin, pmax):
-    lo, _, inv_h = _grid(pmin, pmax)
-    rng = np.random.default_rng(13)
-    bins = experiments._TRUTH_BINS
-    for b in [-7, -1, 0, 1, 2, bins - 1, bins, bins + 9, *rng.integers(-100, bins + 100, 300)]:
-        e = experiments._edge(int(b), lo, inv_h)
-        x = np.concatenate([_ulps_around(e, 3), rng.uniform(lo - 0.1 * (pmax - pmin), e + (e - lo), 200)])
-        assert np.array_equal(x < e, (x - lo) * inv_h < b)
-        assert (e - lo) * inv_h >= b > (math.nextafter(e, -math.inf) - lo) * inv_h
-
-
-@pytest.mark.parametrize("pmin, pmax", _GRIDS)
+# value ranges below and across 0, above it, and narrow and far from 0
+@pytest.mark.parametrize("pmin, pmax", [(-1.5, 3.25), (0.3, 14.7), (1000.0 / 3, 1000.0 / 3 + 1e-3)])
 def test_reduce_tile_equals_the_binned_reduction_bitwise(pmin, pmax):
-    lo, h, inv_h = _grid(pmin, pmax)
     rng = np.random.default_rng(21)
     span = pmax - pmin
-    for b_lo, b_hi in [(30000, 30400), (0, 1), (-5, 70000), (12345, 12346)]:
-        e_lo, e_hi = experiments._edge(b_lo, lo, inv_h), experiments._edge(b_hi, lo, inv_h)
-        # values on and next to both edges, below lo, above hi, and spread
-        # over the grid, in a shuffled row order
+    mid = pmin + 0.45 * span
+    # brackets [e_lo, e_hi): inside the range, at its bottom holding one
+    # double, in its middle holding one double, past every value on both
+    # sides, and past every value above
+    for e_lo, e_hi in [
+        (mid, pmin + 0.47 * span),
+        (pmin, math.nextafter(pmin, math.inf)),
+        (mid, math.nextafter(mid, math.inf)),
+        (pmin - span, pmax + span),
+        (pmin + 0.2 * span, 1e300),
+    ]:
+        # values on and next to both edges, below and above the range, and
+        # spread over it, in a shuffled row order
         near = np.concatenate([_ulps_around(e_lo, 2), _ulps_around(e_hi, 2)])
         wide = rng.uniform(pmin - 0.2 * span, pmax + 0.2 * span, 8192 - near.size)
         for x in (rng.permutation(np.concatenate([near, wide])), near[:1], near[2:]):
-            want = _binned_reduce(x, lo, h, inv_h, b_lo, b_hi)
-            got = experiments._reduce_tile(x, e_lo, e_hi, lo + b_lo * h)
+            want = _binned_reduce(x, e_lo, e_hi)
+            got = experiments._reduce_tile(x, e_lo, e_hi)
             assert got[0] == want[0]
             assert repr(got[1:3]) == repr(want[1:3])
             assert np.array_equal(got[3].view(np.uint64), want[3].view(np.uint64))
@@ -475,11 +464,45 @@ def test_reduce_tile_equals_the_binned_reduction_bitwise(pmin, pmax):
             assert got[4] == (want[4] if want[0] else math.inf)
             assert got[5] == want[5]
         # a tile with nothing below the bracket
-        x = rng.permutation(np.concatenate([[e_lo], rng.uniform(e_lo, e_hi + span, 999)]))
-        want = _binned_reduce(x, lo, h, inv_h, b_lo, b_hi)
-        got = experiments._reduce_tile(x, e_lo, e_hi, lo + b_lo * h)
+        x = rng.permutation(np.concatenate([[e_lo], rng.uniform(e_lo, e_lo + 2.0 * span, 999)]))
+        want = _binned_reduce(x, e_lo, e_hi)
+        got = experiments._reduce_tile(x, e_lo, e_hi)
         assert got[:3] == want[:3] == (0, 0.0, 0.0) and got[4] == math.inf
         assert np.array_equal(got[3].view(np.uint64), want[3].view(np.uint64)) and got[5] == want[5]
+
+
+class _ConstantModel:
+    """A one-dimensional model whose every loss is one constant."""
+
+    dim = 1
+
+    def __init__(self, loss: float) -> None:
+        self.loss = loss
+
+    def tile_losses(self, u, out, y):
+        out.fill(self.loss)
+
+
+@pytest.mark.parametrize("loss", [0.0, -1e-300, 2.75])
+def test_mc_truth_of_a_constant_loss_is_that_constant(loss):
+    # a pilot with no spread brackets the one value in one pass, and its
+    # density spacing is 0
+    counting = _CountingModel(_ConstantModel(loss))
+    t = mc_truth(counting, 0.1, 10**6, seed=3)
+    assert (t.v, t.c, t.v_stderr, t.c_stderr) == (loss, loss, 0.0, 0.0)
+    assert counting.rows == 10**6
+
+
+@pytest.mark.parametrize("rate", [1.0, 3.0])
+@pytest.mark.parametrize("p", [0.02, 0.1, 0.5, 0.9])
+def test_mc_truth_v_stderr_is_the_closed_form_within_a_tenth(rate, p):
+    # sqrt(p (1 - p) / n) / f(v), f(v) = rate (1 - p) the Exp(rate) density
+    # at its p-quantile; the pilot's gap of 2^11 ranks reads f with a
+    # relative noise of about 1/sqrt(2^11), some 2%
+    want = math.sqrt(p * (1.0 - p) / 10**6) / (rate * (1.0 - p))
+    for seed in range(8):
+        t = mc_truth(ExpModel(rate), p, 10**6, seed=seed)
+        assert t.v_stderr == pytest.approx(want, rel=0.1), seed
 
 
 def test_mc_truth_emits_progress(monkeypatch):

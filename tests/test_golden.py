@@ -95,8 +95,8 @@ def test_converge_csv_golden(capsys, tmp_path):
 @pytest.mark.parametrize(
     "model, digest",
     [
-        ("san-15", "14ad931880e2ad072c6a5a8a3b82fb5649d66027cb64f300a1f94c68950ab5c3"),
-        ("exp", "c4d5c17bde4e4cec96af6c32eb52477e50a754ed321e3529e54bd888ea7d5c28"),
+        ("san-15", "7ce314aa365ddeec91812c4a8387dad5fbfcae81b99fb767f6d75db731c835c2"),
+        ("exp", "76ff1a1b72b5adf3ae27eaa218e3d9acc110fc431fd778992d42ee7de7619581"),
     ],
 )
 def test_truth_stdout_golden(capsys, tmp_path, model, digest):
@@ -175,4 +175,4 @@ def test_mc_truth_bits_golden(monkeypatch):
     for seed in (0, 1):
         t = mc_truth(ExpModel(), 0.1, n, seed=seed)
         digest.update(repr((t.v, t.c, t.v_stderr, t.c_stderr)).encode())
-    assert digest.hexdigest() == "d9618f82613bf1d6e79dc04267f85d2c29a0ad81a029bb6c1ee23e9852cb22b3"
+    assert digest.hexdigest() == "1fdf3acc1a796e43b5c4c1e4a256499523a01aa8e440fc08946ed7f89341bf61"

@@ -55,6 +55,24 @@ def test_exp_model_validation():
         ExpModel(clamp_epsilon=0.0)
 
 
+def test_rates_must_be_finite_and_keep_the_largest_loss_finite():
+    # losses fall in each coordinate, so the largest is at the clamp corner
+    with pytest.raises(ConfigError, match="^lambda: rate must be positive and finite, got inf$"):
+        ExpModel(rate=math.inf)
+    with pytest.raises(ConfigError, match=r"^lambda: the loss at u = 2\^-53, the largest, overflows"):
+        ExpModel(rate=1e-310)
+    with pytest.raises(ConfigError, match="^rates: every edge rate must be positive and finite$"):
+        SanModel(rates=(1.0,) * 14 + (math.inf,))
+    # every edge's duration is finite, a path's sum is not
+    edge = -math.log(CLAMP_EPSILON) / 3.7e-307
+    assert math.isfinite(edge) and not math.isfinite(edge + edge)
+    with pytest.raises(ConfigError, match=r"^rates: the loss at u = 2\^-53, the largest, overflows"):
+        SanModel(rates=(3.7e-307,) * EDGE_COUNT)
+    # a largest loss near the top of the doubles is accepted
+    big = ExpModel(rate=-math.log(CLAMP_EPSILON) / 1e308)
+    assert math.isfinite(big.evaluate(np.zeros((1, 1)))[0])
+
+
 # ---------------------------------------------------------------- evaluation
 
 
