@@ -27,9 +27,9 @@ from .experiments import (
     ExperimentConfig,
     TruthSpec,
     load_experiment,
-    mc_truth,
     parse_count,
     rate_summary,
+    resolve_truth,
     run_convergence,
     sample_losses,
     sample_points,
@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="qmcrisk", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True, metavar="command")
 
-    pp = sub.add_parser("points", help="generate a point batch as CSV", parents=[])
+    pp = sub.add_parser("points", help="generate a point batch as CSV")
     pp.add_argument("-d", "--dim", type=int, required=True, help="dimension of the points")
     pp.add_argument("-n", "--count", type=_parse_count, required=True, help="number of points")
     pp.add_argument("--sampler", default="owen", help=_SAMPLER_HELP)
@@ -113,9 +113,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     tp = sub.add_parser("truth", help="large-sample pseudorandom reference values")
     tp.add_argument("--config", default=None, help="model config file (default: built-in san-15)")
-    tp.add_argument("-n", "--count", type=_parse_count, default=10 ** 8, help="sample size (default 1e8)")
+    tp.add_argument("-n", "--count", type=_parse_count, help="sample size (default 1e8)")
     tp.add_argument("-p", "--level", type=float, default=0.1)
-    tp.add_argument("--seed", type=int, default=1)
+    tp.add_argument("--seed", type=int, help="seed of the stream (default 1)")
     tp.add_argument("--out", default=None)
 
     cp = sub.add_parser("converge", help="replicated convergence study")
@@ -172,13 +172,8 @@ def _cmd_estimate(args: argparse.Namespace) -> int:
 
 def _cmd_truth(args: argparse.Namespace) -> int:
     model = _load_model_arg(args.config)
-    result = mc_truth(
-        model,
-        args.level,
-        args.count,
-        seed=args.seed,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
+    spec = TruthSpec("mc", n=args.count, seed=args.seed)
+    result = resolve_truth(model, args.level, spec, lambda msg: print(msg, file=sys.stderr))
     _emit(
         f"N = {result.n}\np = {args.level:g}\n"
         f"quantile = {result.v:.9g}\nquantile_stderr = {result.v_stderr:.3g}\n"

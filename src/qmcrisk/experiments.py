@@ -78,28 +78,32 @@ ProgressFn = Optional[Callable[[str], None]]
 
 @dataclass(frozen=True)
 class TruthSpec:
-    """Where the reference (v, c) comes from.
+    """Where the reference (v, c) comes from: kind "auto" is the model's
+    closed form, "explicit" the finite v and c, "mc" ``mc_truth`` over n
+    rows (None: 10^8) of the stream keyed by seed (None: 1).  No kind is
+    "explicit" if v or c is given, else "auto".  Only explicit reads v and
+    c (truth_v, truth_c) and only mc n and seed (truth_n, truth_seed); a
+    field set under another kind raises ConfigError."""
 
-    kind "auto" uses the model's closed form, "explicit" takes the given
-    values, "mc" runs a large pseudorandom estimation.
-    """
-
-    kind: str = "auto"
+    kind: Optional[str] = None
     v: Optional[float] = None
     c: Optional[float] = None
-    n: int = 10 ** 8
-    seed: int = 1
+    n: Optional[int] = None
+    seed: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if self.kind is None:
+            object.__setattr__(self, "kind", "auto" if self.v is None and self.c is None else "explicit")
         if self.kind not in ("auto", "explicit", "mc"):
             raise ConfigError(f"truth: unknown kind {self.kind!r} (expected auto, explicit or mc)")
         if self.kind == "explicit" and (self.v is None or self.c is None):
             raise ConfigError("truth: explicit truth needs both truth_v and truth_c")
-        for key, x in (("truth_v", self.v), ("truth_c", self.c)):
-            if x is not None and not (isinstance(x, numbers.Real) and math.isfinite(x)):
+        fields = (("truth_v", self.v, "explicit"), ("truth_c", self.c, "explicit"))
+        for key, x, reader in fields + (("truth_n", self.n, "mc"), ("truth_seed", self.seed, "mc")):
+            if x is not None and reader == "explicit" and not (isinstance(x, numbers.Real) and math.isfinite(x)):
                 raise ConfigError(f"{key}: must be a finite number, got {x!r}")
-            if x is not None and self.kind != "explicit":
-                raise ConfigError(f"{key}: only truth = explicit reads it, not truth = {self.kind}")
+            if x is not None and self.kind != reader:
+                raise ConfigError(f"{key}: only truth = {reader} reads it, not truth = {self.kind}")
 
 
 @dataclass(frozen=True)
@@ -124,12 +128,10 @@ class ExperimentConfig:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "p", check_level(self.p))
-        samplers = tuple(self.samplers)
+        samplers = tuple(map(sampler_name, self.samplers))
         if not samplers:
             raise ConfigError("samplers: need at least one sampler")
         for i, s in enumerate(samplers):
-            if s not in SAMPLER_TABLE:
-                raise _unknown_sampler("samplers", s)
             if s in samplers[:i]:
                 raise ConfigError(f"samplers: duplicate sampler {s!r}")
         object.__setattr__(self, "samplers", samplers)
@@ -184,25 +186,21 @@ def mc_stream_seed(master_seed: int, replication: int) -> np.random.SeedSequence
     return np.random.SeedSequence([master_seed, _MC_STREAM_TAG, replication])
 
 
-def _unknown_sampler(key: str, sampler) -> ConfigError:
-    return ConfigError(f"{key}: unknown sampler {sampler!r} (expected one of: {', '.join(SAMPLERS)})")
-
-
 def sampler_name(token: str, key: str = "samplers") -> str:
-    """The sampler a full or short name refers to, ignoring case;
-    ConfigError headed by ``key`` (the config key or the flag) if none."""
-    name = token.strip().lower()
+    """The full name of the sampler a full or short name refers to, in any
+    case and with any surrounding space; ConfigError headed by ``key`` (the
+    config key, the flag or the parameter) if none."""
+    name = token.strip().lower() if isinstance(token, str) else None
     for full, (short, _) in SAMPLER_TABLE.items():
         if name in (full, short):
             return full
-    raise _unknown_sampler(key, token)
+    raise ConfigError(f"{key}: unknown sampler {token!r} (expected one of: {', '.join(SAMPLERS)})")
 
 
-def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> Tuple[int, int, int, int]:
-    """n, dim, seed and replication as ints; ConfigError for a bad sampler or a bad one of them."""
-    if sampler not in SAMPLER_TABLE:
-        raise _unknown_sampler("sampler", sampler)
-    return check_count(n), check_int(dim, "dim", 1), check_seed(seed), check_seed(replication, "replication")
+def _check_draw(sampler: str, n: int, dim: int, seed: int, replication: int) -> Tuple[str, int, int, int, int]:
+    """The full sampler name, then n, dim, seed and replication as ints; ConfigError for a bad one."""
+    sampler = sampler_name(sampler, "sampler")
+    return sampler, check_count(n), check_int(dim, "dim", 1), check_seed(seed), check_seed(replication, "replication")
 
 
 def _stream(seq: np.random.SeedSequence, dim: int, first: int = 0) -> Callable[[int], Callable]:
@@ -259,7 +257,7 @@ def sample_points(
     sequence, randomized per the sampler name tile by tile.  So for every
     sampler a draw of n points is the first n points of any longer draw.
     """
-    n, dim, seed, replication = _check_draw(sampler, n, dim, seed, replication)
+    sampler, n, dim, seed, replication = _check_draw(sampler, n, dim, seed, replication)
     return tiled(n, dim, _source(sampler, dim, seed, replication, n))
 
 
@@ -273,7 +271,7 @@ def sample_losses(model: Model, sampler: str, n: int, seed: int = 0, replication
     n losses and tile-sized blocks only; like the points, the losses of n
     points are the first n losses of any longer draw.
     """
-    n, dim, seed, replication = _check_draw(sampler, n, model.dim, seed, replication)
+    sampler, n, dim, seed, replication = _check_draw(sampler, n, model.dim, seed, replication)
     return tiled(n, dim, _source(sampler, dim, seed, replication, n), model.tile_losses)
 
 
@@ -282,7 +280,7 @@ def resolve_truth(model: Model, p: float, spec: TruthSpec, progress: ProgressFn 
     if spec.kind == "explicit":
         return TruthResult(float(spec.v), float(spec.c), 0.0, 0.0, "explicit", 0)
     if spec.kind == "mc":
-        return mc_truth(model, p, spec.n, seed=spec.seed, progress=progress)
+        return mc_truth(model, p, 10 ** 8 if spec.n is None else spec.n, 1 if spec.seed is None else spec.seed, progress)
     v = model.true_quantile(p)
     c = model.true_shortfall(p)
     if v is None or c is None:
@@ -549,9 +547,7 @@ def rate_summary(table: ResultTable, metric: str = "q_mse") -> Dict[str, RateFit
     return fits
 
 
-# the truth keys that only truth = mc reads; ``TruthSpec`` checks truth_v and truth_c
-_TRUTH_KEY_KINDS = {"truth_n": "mc", "truth_seed": "mc"}
-_EXPERIMENT_KEYS = {"p", "samplers", "n_grid", "replications", "master_seed", "truth", "truth_v", "truth_c", *_TRUTH_KEY_KINDS}
+_EXPERIMENT_KEYS = {"p", "samplers", "n_grid", "replications", "master_seed", "truth", "truth_v", "truth_c", "truth_n", "truth_seed"}
 
 
 def parse_count(raw: str, name: str) -> int:
@@ -623,16 +619,9 @@ def load_experiment(text: str) -> ExperimentConfig:
             if key in section:
                 truth_kw[field] = parse_key(section, key)
         if "samplers" in section:
-            tokens = section["samplers"].replace(",", " ").split()
-            kwargs["samplers"] = tuple(sampler_name(token) for token in tokens)
+            kwargs["samplers"] = tuple(section["samplers"].replace(",", " ").split())
         if "n_grid" in section:
             kwargs["n_grid"] = _parse_grid_tokens(section["n_grid"])
         if "truth" in section:
             truth_kw["kind"] = section["truth"].strip().lower()
-        elif "v" in truth_kw or "c" in truth_kw:
-            truth_kw["kind"] = "explicit"
-    truth = kwargs["truth"] = TruthSpec(**truth_kw)
-    for key, kind in _TRUTH_KEY_KINDS.items():
-        if parser.has_option("experiment", key) and truth.kind != kind:
-            raise ConfigError(f"{key}: only truth = {kind} reads it, not truth = {truth.kind}")
-    return ExperimentConfig(model=model, **kwargs)
+    return ExperimentConfig(model=model, truth=TruthSpec(**truth_kw), **kwargs)

@@ -25,6 +25,7 @@ the same for any CPU count.
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import threading
@@ -169,11 +170,6 @@ class PointSet:
         if a.ndim == 1:
             a = a.reshape(-1, 1)
         return cls(points=a)
-
-    def as_integers(self) -> np.ndarray:
-        """Coordinates on the 2^52 dyadic grid, as uint64; PrecisionError
-        if any coordinate is not exact with 52 binary digits."""
-        return grid_integers(self.points, np.empty(self.points.shape, dtype=np.uint64), np.empty(self.points.shape))
 
 
 def radical_inverse(i: int, b: int = 2) -> float:
@@ -426,13 +422,11 @@ class NetCheckResult:
 
 
 def _compositions(total: int, parts: int) -> Iterator[tuple[int, ...]]:
-    """All vectors of `parts` nonnegative ints summing to `total`."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+    """All vectors of `parts` nonnegative ints summing to `total`, in
+    lexicographic order: the gaps between parts - 1 bars in total + parts - 1 slots."""
+    slots = total + parts - 1
+    for bars in itertools.combinations(range(slots), parts - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, slots)))
 
 
 def is_net(ps: PointSet, params: NetParams) -> NetCheckResult:

@@ -217,6 +217,24 @@ def test_verify_net_missing_file(capsys, tmp_path):
     assert "--file" in err
 
 
+@pytest.mark.parametrize(
+    "argv, text, prefix",
+    [
+        (("estimate", "-n", "16", "--config"), None, "error: --config: cannot read "),
+        (("verify-net", "-t", "0", "-m", "1", "-d", "2", "--file"), "x,y\n0,0\n0.5,0.5\n", "error: --file: not a numeric CSV: "),
+        (("estimate", "-n", "16", "--config"), "kind = san-15\nrates = 1 2 three\n", "error: rates: expected a list of numbers"),
+    ],
+    ids=["missing-config", "csv-header", "rates-word"],
+)
+def test_unreadable_inputs_exit_1_naming_their_flag_or_key(capsys, tmp_path, argv, text, prefix):
+    path = tmp_path / "input"
+    if text is not None:
+        path.write_text(text)
+    code, out, err = _run(capsys, *argv, str(path))
+    assert code == 1 and out == ""
+    assert err.startswith(prefix)
+
+
 # ---------------------------------------------------------------- estimate
 
 

@@ -132,7 +132,54 @@ def test_truth_spec_rejects_values_only_explicit_reads(kind):
             TruthSpec(kind, **values)
 
 
+@pytest.mark.parametrize(
+    "text, kwargs",
+    [
+        ("truth = auto\ntruth_n = 1e6", dict(kind="auto", n=10**6)),
+        ("truth = explicit\ntruth_v = 2.5\ntruth_c = 2.1\ntruth_seed = 3", dict(kind="explicit", v=2.5, c=2.1, seed=3)),
+        ("truth_v = 2.5\ntruth_c = 2.1", dict(v=2.5, c=2.1)),
+        ("truth = mc\ntruth_n = 2e6\ntruth_seed = 7", dict(kind="mc", n=2 * 10**6, seed=7)),
+        ("truth_v = 2.5", dict(v=2.5)),
+        ("", {}),
+    ],
+    ids=["auto-n", "explicit-seed", "v-c-no-kind", "mc-n-seed", "v-alone", "none"],
+)
+def test_config_and_truth_spec_take_and_reject_the_same_truth(text, kwargs):
+    # the config reader only turns keys into TruthSpec fields, so the text
+    # and the keywords must give the same kind or the same message
+    def outcome(build):
+        try:
+            return build()
+        except ConfigError as exc:
+            return str(exc)
+
+    from_text = outcome(lambda: load_experiment(f"[experiment]\n{text}\n[model]\nkind = exp\n").truth)
+    assert from_text == outcome(lambda: TruthSpec(**kwargs))
+
+
+def test_truth_spec_defaults_are_applied_by_resolve_truth(monkeypatch):
+    assert (TruthSpec().kind, TruthSpec().n, TruthSpec().seed) == ("auto", None, None)
+    calls = []
+    monkeypatch.setattr(experiments, "mc_truth", lambda model, p, n, seed, progress: calls.append((n, seed)))
+    resolve_truth(ExpModel(), 0.1, TruthSpec("mc"))
+    resolve_truth(ExpModel(), 0.1, TruthSpec("mc", n=2 * 10**6, seed=0))
+    assert calls == [(10**8, 1), (2 * 10**6, 0)]
+
+
 # ---------------------------------------------------------------- samplers
+
+
+@pytest.mark.parametrize("full", SAMPLERS)
+def test_every_spelling_of_a_sampler_is_its_full_name(full):
+    # every entry point reads a name through sampler_name and keeps the full name
+    short = experiments.SAMPLER_TABLE[full][0]
+    model = SanModel()
+    points = sample_points(full, 37, 3, seed=4, replication=1).tobytes()
+    losses = sample_losses(model, full, 37, seed=4, replication=1).tobytes()
+    for token in (full, short, full.upper(), short.upper(), f" {full}\t", f"  {short} "):
+        assert sample_points(token, 37, 3, seed=4, replication=1).tobytes() == points
+        assert sample_losses(model, token, 37, seed=4, replication=1).tobytes() == losses
+        assert ExperimentConfig(model=model, samplers=(token,)).samplers == (full,)
 
 
 def test_mc_points_are_reproducible_and_keyed():
@@ -840,7 +887,7 @@ def test_pooled_loss_loop_peak_is_the_losses_plus_each_workers_scratch(monkeypat
 
 @pytest.mark.parametrize(
     "n, sampler, seed",
-    [(0, "rqmc-owen", 0), (16, "sobol", 0), (16, "mc", -1), (16, "rqmc-owen", 2**64)],
+    [(0, "rqmc-owen", 0), (16, "halton", 0), (16, "mc", -1), (16, "rqmc-owen", 2**64)],
     ids=["count", "sampler", "seed-low", "seed-high"],
 )
 def test_sample_losses_rejects_what_sample_points_rejects(n, sampler, seed):

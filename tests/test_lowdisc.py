@@ -105,9 +105,14 @@ def test_point_set_shape_accessors():
     assert ps.dim == 2
 
 
+def _as_integers(ps):
+    """The set's coordinates on the 2^52 dyadic grid, as uint64."""
+    return lowdisc.grid_integers(ps.points, np.empty(ps.points.shape, dtype=np.uint64), np.empty(ps.points.shape))
+
+
 def test_as_integers_round_trip():
     ps = sobol_points(64, 3)
-    ints = ps.as_integers()
+    ints = _as_integers(ps)
     assert ints.dtype == np.uint64
     back = ints * 2.0 ** -DEFAULT_BIT_DEPTH
     assert np.array_equal(back, ps.points)
@@ -116,14 +121,14 @@ def test_as_integers_round_trip():
 def test_as_integers_rejects_non_dyadic():
     ps = PointSet.from_array([1.0 / 3.0])
     with pytest.raises(PrecisionError):
-        ps.as_integers()
+        _as_integers(ps)
 
 
 def test_as_integers_respects_requested_depth():
     # the grid has 2^52 cells: 1/4 is the integer 2^50
     ps = PointSet.from_array([0.0, 0.5, 0.25, 0.75])
     quarter = 1 << (DEFAULT_BIT_DEPTH - 2)
-    assert np.array_equal(ps.as_integers().ravel(), [0, 2 * quarter, quarter, 3 * quarter])
+    assert np.array_equal(_as_integers(ps).ravel(), [0, 2 * quarter, quarter, 3 * quarter])
 
 
 # ---------------------------------------------------------------- generators
@@ -269,6 +274,15 @@ def test_is_net_sobol_d2():
     for m in (4, 10):
         ps = sobol_points(2**m, 2)
         assert is_net(ps, NetParams(t=0, m=m, d=2)).ok
+
+
+def test_compositions_are_every_shape_in_lexicographic_order():
+    # is_net reports the first shape with a bad cell, so the order picks
+    # the witness
+    for total in range(9):
+        for parts in range(1, 6):
+            shapes = [v for v in itertools.product(range(total + 1), repeat=parts) if sum(v) == total]
+            assert list(_compositions(total, parts)) == shapes
 
 
 def test_is_net_validates_shape():

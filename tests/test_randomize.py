@@ -36,6 +36,11 @@ _OWEN_TAG = 0x6F77656E  # "owen"
 _SHIFT_TAG = 0x73666874  # "sfht"
 
 
+def _as_integers(ps):
+    """The set's coordinates on the 2^52 dyadic grid, as uint64."""
+    return lowdisc.grid_integers(ps.points, np.empty(ps.points.shape, dtype=np.uint64), np.empty(ps.points.shape))
+
+
 def _lowbias32(z):
     """lowbias32 of the uint32 words z, out of place."""
     z = z ^ (z >> np.uint32(16))
@@ -74,7 +79,7 @@ def _keyed_flips(x, dim_key, depth):
 def _full_depth_owen(ps, seed):
     """The keyed flips on all 52 digits, per column: the scramble before
     its depth was truncated, whose top 20 digits the scramble must keep."""
-    ints = ps.as_integers()
+    ints = _as_integers(ps)
     out = np.empty_like(ints)
     for j in range(ps.dim):
         out[:, j] = ints[:, j] ^ _keyed_flips(ints[:, j], hash64(seed, _OWEN_TAG, j + 1), _NB)
@@ -85,7 +90,7 @@ def _reference_owen(ps, seed):
     """The scramble per column: keyed flips on digits 1..20 and, on digits
     21..52, the lowbias32 of the 20-digit prefix and the top half of the
     tail key.  The reference the tiled loop must equal bit for bit."""
-    ints = ps.as_integers()
+    ints = _as_integers(ps)
     out = np.empty_like(ints)
     for j in range(ps.dim):
         x = ints[:, j]
@@ -99,14 +104,14 @@ def _reference_owen(ps, seed):
 def _flips(ps, seed):
     """Per-point, per-coordinate flip words of the keyed Owen scramble."""
     out = owen_scramble(ps, seed)
-    return out.as_integers() ^ ps.as_integers()
+    return _as_integers(out) ^ _as_integers(ps)
 
 
 def _reference_shift(ps, seed):
     """The shift as one whole-array XOR of the integers: the reference the
     tiled loop must equal bit for bit."""
     words = [hash64(seed, _SHIFT_TAG, j + 1) & ((1 << _NB) - 1) for j in range(ps.dim)]
-    return ps.as_integers() ^ np.array(words, dtype=np.uint64)[np.newaxis, :]
+    return _as_integers(ps) ^ np.array(words, dtype=np.uint64)[np.newaxis, :]
 
 
 # tile shapes for the tiled loop: ragged last tiles, one-row and one-column
@@ -147,7 +152,7 @@ def test_step_factories_take_integers_only():
     for n in (8.5, "8", None, 0):
         with pytest.raises(ConfigError, match="^count: must lie in 1..2\\^52"):
             randomize.owen_step(2, 1, n)
-    x = sobol_points(8, 2).as_integers().T.copy()
+    x = _as_integers(sobol_points(8, 2)).T.copy()
     for factory in (randomize.owen_step, randomize.shift_step):
         want, got = x.copy(), x.copy()
         factory(2, 1, 8)(want, np.empty_like(x), np.empty_like(x))
@@ -212,8 +217,8 @@ def test_scramble_matches_the_per_column_reference(n, d):
 def test_scramble_keeps_the_top_digits_of_the_full_depth_scramble(n, d):
     ps = sobol_points(n, d)
     for seed in (0, 2**64 - 1):
-        got = owen_scramble(ps, seed).as_integers() >> np.uint64(_NB - _DEPTH)
-        want = PointSet.from_array(_full_depth_owen(ps, seed)).as_integers() >> np.uint64(_NB - _DEPTH)
+        got = _as_integers(owen_scramble(ps, seed)) >> np.uint64(_NB - _DEPTH)
+        want = _as_integers(PointSet.from_array(_full_depth_owen(ps, seed))) >> np.uint64(_NB - _DEPTH)
         assert np.array_equal(got, want), f"seed {seed}"
 
 
@@ -244,11 +249,11 @@ def test_scramble_tail_digits_are_uniform():
     # digits 21..24 of a scrambled 2^12-point batch, per dimension, and of
     # the scrambled origin across 1000 seeds, at criterion 8's level
     crit = float(stats.chi2.isf(0.001, 15))
-    ints = owen_scramble(sobol_points(1 << 12, 2), 0).as_integers()
+    ints = _as_integers(owen_scramble(sobol_points(1 << 12, 2), 0))
     for j in range(2):
         assert _tail_chi2(ints[:, j]) < crit, f"dim {j + 1}"
     origin = PointSet.from_array([[0.0]])
-    words = np.array([owen_scramble(origin, seed).as_integers()[0, 0] for seed in range(1000)])
+    words = np.array([_as_integers(owen_scramble(origin, seed))[0, 0] for seed in range(1000)])
     assert _tail_chi2(words) < crit
 
 
@@ -345,10 +350,10 @@ def test_scramble_marginal_means_are_centered():
 
 def test_shift_of_origin_reveals_the_word():
     origin = PointSet.from_array([[0.0, 0.0]])
-    word = digital_shift(origin, 21).as_integers()[0]
+    word = _as_integers(digital_shift(origin, 21))[0]
     ps = sobol_points(64, 2)
     shifted = digital_shift(ps, 21)
-    assert np.array_equal(shifted.as_integers(), ps.as_integers() ^ word[np.newaxis, :])
+    assert np.array_equal(_as_integers(shifted), _as_integers(ps) ^ word[np.newaxis, :])
 
 
 def test_shift_is_an_involution():
@@ -360,10 +365,10 @@ def test_shift_is_an_involution():
 def test_shifts_compose_by_xor():
     ps = sobol_points(32, 2)
     origin = PointSet.from_array([[0.0, 0.0]])
-    w1 = digital_shift(origin, 1).as_integers()[0]
-    w2 = digital_shift(origin, 2).as_integers()[0]
-    twice = digital_shift(digital_shift(ps, 1), 2).as_integers()
-    assert np.array_equal(twice, ps.as_integers() ^ (w1 ^ w2)[np.newaxis, :])
+    w1 = _as_integers(digital_shift(origin, 1))[0]
+    w2 = _as_integers(digital_shift(origin, 2))[0]
+    twice = _as_integers(digital_shift(digital_shift(ps, 1), 2))
+    assert np.array_equal(twice, _as_integers(ps) ^ (w1 ^ w2)[np.newaxis, :])
 
 
 def test_shift_preserves_grid_gaps():
@@ -388,7 +393,7 @@ def test_shift_is_reproducible_and_seed_sensitive():
 def test_shift_matches_the_whole_array_reference(n, d):
     ps = sobol_points(n, d)
     for seed in (0, 2**64 - 1):
-        got = digital_shift(ps, seed).as_integers()
+        got = _as_integers(digital_shift(ps, seed))
         assert np.array_equal(got, _reference_shift(ps, seed)), f"seed {seed}"
 
 
@@ -526,7 +531,7 @@ _TABLE_DIGITS = {
 def test_owen_factory_sizes_the_table_to_the_draw(monkeypatch):
     built = _count_table_builds(monkeypatch)
     d = 15
-    x = sobol_points(4097, d).as_integers().T
+    x = _as_integers(sobol_points(4097, d)).T
     for n, top in _TABLE_DIGITS.items():
         built.clear()
         step = randomize.owen_step(d, 0, n)
@@ -548,7 +553,7 @@ def test_owen_step_matches_the_keyed_loop_reference_at_every_table_size(n):
     words = rng.integers(0, 1 << _NB, size=(4096, 3), dtype=np.uint64)
     ps = PointSet(np.vstack([sobol_points(4097, 3).points, words * 2.0**-_NB]))
     for seed in (0, 7, 2**64 - 1):
-        x = ps.as_integers().T.copy()
+        x = _as_integers(ps).T.copy()
         randomize.owen_step(ps.dim, seed, n)(x, np.empty_like(x), np.empty_like(x))
         assert np.array_equal(x.T * 2.0**-_NB, _reference_owen(ps, seed)), f"seed {seed}"
 
