@@ -33,7 +33,6 @@ from .models import (
     DEFAULT_SAN_RATES,
     ExpModel,
     SanModel,
-    load_model,
 )
 from .experiments import (
     CSV_HEADER,
@@ -46,7 +45,6 @@ from .experiments import (
     TruthResult,
     TruthSpec,
     fit_rate,
-    load_experiment,
     mc_truth,
     rate_summary,
     resolve_truth,
@@ -54,6 +52,7 @@ from .experiments import (
     sample_losses,
     sample_points,
 )
+from .config import load_experiment, load_model
 
 __version__ = "0.1.0"
 

@@ -28,7 +28,6 @@ import math
 import numbers
 import threading
 from dataclasses import astuple, dataclass
-from functools import partial
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -36,8 +35,8 @@ import numpy as np
 from .bits import check_int, check_seed, child_seed
 from .errors import ConfigError, WorkLimitError
 from .estimators import check_finite, check_level, order_index, risk_estimates
-from .lowdisc import DEFAULT_BIT_DEPTH, check_count, run_tiles, tiled, walk
-from .models import Model, model_from_section, parse_key, parse_sections
+from .lowdisc import check_count, run_tiles, tiled, walk
+from .models import Model
 from .randomize import owen_step, shift_step
 
 # sampler name -> (short name for the CLI and configs, the ``randomize``
@@ -545,83 +544,3 @@ def rate_summary(table: ResultTable, metric: str = "q_mse") -> Dict[str, RateFit
             excluded=tuple(row.n for row in rows[:cut]),
         )
     return fits
-
-
-_EXPERIMENT_KEYS = {"p", "samplers", "n_grid", "replications", "master_seed", "truth", "truth_v", "truth_c", "truth_n", "truth_seed"}
-
-
-def parse_count(raw: str, name: str) -> int:
-    """A sample count: a plain integer, 2^k (k >= 0), or a float literal
-    like 1e8 with an integer value; ``name`` (the flag or key) heads the
-    error.  2^k for k > 63 reads as 2^63, past every range a count may
-    take, so no k-bit integer is ever built."""
-    token = raw.strip()
-    try:
-        if token.startswith("2^"):
-            k = int(token[2:])
-            if k < 0:
-                raise ValueError
-            return 1 << min(k, 63)
-        if any(ch in token for ch in ".eE"):
-            value = float(token)
-            if value != int(value):
-                raise ValueError
-            return int(value)
-        return int(token)
-    except (ValueError, OverflowError):
-        raise ConfigError(f"{name}: expected an integer, 2^k or 1e8-style literal, got {raw!r}") from None
-
-
-def _parse_grid_tokens(raw: str) -> Tuple[int, ...]:
-    grid: List[int] = []
-    for token in raw.replace(",", " ").split():
-        if ".." in token:
-            first, last = token.split("..", 1)
-            a, b = parse_count(first, "n_grid"), parse_count(last, "n_grid")
-            if a < 1 or a & (a - 1) or b & (b - 1) or b < a or b > 1 << DEFAULT_BIT_DEPTH:
-                raise ConfigError(f"n_grid: bad range {token!r}")
-            grid.extend(1 << k for k in range(a.bit_length() - 1, b.bit_length()))
-        else:
-            grid.append(parse_count(token, "n_grid"))
-    return tuple(grid)
-
-
-def load_experiment(text: str) -> ExperimentConfig:
-    """Parse an experiment config: an [experiment] section plus a [model] section.
-
-    A document with only a [model] section runs with the experiment
-    defaults (p=0.1, all samplers, N = 2^8..2^16, R=100).
-    """
-    parser = parse_sections(text)
-    if not parser.has_section("model"):
-        raise ConfigError("model: experiment config needs a [model] section")
-    model = model_from_section(parser["model"])
-
-    kwargs: Dict[str, object] = {}
-    truth_kw: Dict[str, object] = {}
-    if parser.has_section("experiment"):
-        section = parser["experiment"]
-        for key in section:
-            if key not in _EXPERIMENT_KEYS:
-                raise ConfigError(f"{key}: unknown key in [experiment]")
-        seed = partial(int, base=0)  # 0x10 reads as 16
-        if "p" in section:
-            kwargs["p"] = parse_key(section, "p")
-        if "replications" in section:
-            kwargs["replications"] = parse_count(section["replications"], "replications")
-        if "master_seed" in section:
-            kwargs["master_seed"] = parse_key(section, "master_seed", seed, "an integer")
-        if "truth_n" in section:
-            truth_kw["n"] = parse_count(section["truth_n"], "truth_n")
-        if "truth_seed" in section:
-            truth_kw["seed"] = parse_key(section, "truth_seed", seed, "an integer")
-        for key, field in (("truth_v", "v"), ("truth_c", "c")):
-            if key in section:
-                truth_kw[field] = parse_key(section, key)
-        if "samplers" in section:
-            kwargs["samplers"] = tuple(section["samplers"].replace(",", " ").split())
-        if "n_grid" in section:
-            kwargs["n_grid"] = _parse_grid_tokens(section["n_grid"])
-        if "truth" in section:
-            truth_kw["kind"] = section["truth"].strip().lower()
-    return ExperimentConfig(model=model, truth=TruthSpec(**truth_kw), **kwargs)

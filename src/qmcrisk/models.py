@@ -25,9 +25,7 @@ a model, plus the closed forms for ``truth = auto``.
 
 from __future__ import annotations
 
-import configparser
 import math
-import re
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple, Union
 
@@ -214,66 +212,3 @@ class ExpModel:
 
 
 Model = Union[SanModel, ExpModel]
-
-
-_MODEL_KEYS = {
-    "san-15": {"kind", "rates"},
-    "exp": {"kind", "lambda"},
-}
-
-
-def parse_key(section: "configparser.SectionProxy", key: str, parse: Callable = float, expected: str = "a number"):
-    """``parse`` of the key's raw text; ConfigError naming the key if it raises ValueError."""
-    raw = section[key]
-    try:
-        return parse(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: expected {expected}, got {raw!r}") from None
-
-
-def parse_sections(text: str) -> configparser.ConfigParser:
-    """Parse key = value config text; headerless input goes to [model]."""
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#",), comment_prefixes=("#",)
-    )
-    if not re.search(r"^\s*\[", text, flags=re.MULTILINE):
-        text = "[model]\n" + text
-    try:
-        parser.read_string(text)
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from None
-    return parser
-
-
-def model_from_section(section: "configparser.SectionProxy") -> Model:
-    """Build a validated model from one parsed config section."""
-    if "kind" not in section:
-        raise ConfigError("kind: missing required key")
-    kind = section["kind"].strip().lower()
-    if kind not in _MODEL_KEYS:
-        expected = ", ".join(sorted(_MODEL_KEYS))
-        raise ConfigError(f"kind: unknown model kind {kind!r} (expected one of: {expected})")
-    for key in section:
-        if key not in _MODEL_KEYS[kind]:
-            raise ConfigError(f"{key}: unknown key for model kind {kind!r}")
-
-    if kind == "exp":
-        rate = parse_key(section, "lambda") if "lambda" in section else 1.0
-        return ExpModel(rate=rate)
-
-    rates: Tuple[float, ...] = DEFAULT_SAN_RATES
-    if "rates" in section:
-        tokens = [t for t in re.split(r"[,\s]+", section["rates"].strip()) if t]
-        try:
-            rates = tuple(float(t) for t in tokens)
-        except ValueError:
-            raise ConfigError("rates: expected a list of numbers") from None
-    return SanModel(rates=rates)
-
-
-def load_model(text: str) -> Model:
-    """Parse a model config document: flat keys or a [model] section."""
-    parser = parse_sections(text)
-    if not parser.has_section("model"):
-        raise ConfigError("model: config must contain a [model] section")
-    return model_from_section(parser["model"])

@@ -8,10 +8,12 @@ import numpy as np
 import pytest
 
 import qmcrisk.cli as cli
+import qmcrisk.config as config
 import qmcrisk.experiments as experiments
 from qmcrisk.cli import main
+from qmcrisk.errors import ConfigError
 from qmcrisk.estimators import SampleBatch, quantile_estimate, shortfall_estimate
-from qmcrisk.experiments import CSV_HEADER, sample_points
+from qmcrisk.experiments import CSV_HEADER, ResultTable, TruthResult, sample_points
 from qmcrisk.lowdisc import sobol_points
 from qmcrisk.models import SanModel
 
@@ -89,8 +91,8 @@ def test_points_rejects_bad_arguments(capsys):
 
 
 def test_points_holds_one_copy_of_the_points(capsys, tmp_path):
-    # the 2^16 x 15 sample is 7.5 MiB; savetxt writes it out a row at a
-    # time, so the peak is the draw's own: the array and tile-sized blocks
+    # the 2^16 x 15 sample is 7.5 MiB; the CLI writes it out 1024 rows at
+    # a time, so the peak is the draw's own: the array and tile-sized blocks
     n, dim = 1 << 16, 15
     target = str(tmp_path / "pts.csv")
     _run(capsys, "points", "--sampler", "owen", "-d", "15", "-n", "2^4", "--out", target)  # direction numbers
@@ -167,7 +169,7 @@ def test_a_power_count_never_builds_its_integer():
     # 12.5 MB one here, and about 1.25 GB for 2^10000000000
     tracemalloc.start()
     try:
-        count = experiments.parse_count("2^100000000", "--count")
+        count = config.parse_int("2^100000000", "--count")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -410,12 +412,25 @@ def test_converge_out_file_and_seed_override(capsys, tmp_path):
     assert out_a.read_text().startswith(CSV_HEADER)
 
 
-def test_converge_unwritable_output_is_a_runtime_failure(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["converge --config", "estimate -n 2^8 --config"], ids=["converge", "estimate"])
+@pytest.mark.parametrize("out", ["no/dir.csv", "."], ids=["missing-dir", "a-dir"])
+def test_unwritable_output_exits_1_before_any_draw(capsys, tmp_path, no_draws, command, out):
+    # --out used to be opened once the run was done: a whole study ran,
+    # then exited 2 with "runtime error: [Errno 2] ..."
     cfg = tmp_path / "study.cfg"
     cfg.write_text(SMALL_STUDY)
-    code, _, err = _run(capsys, "converge", "--config", str(cfg), "--out", str(tmp_path / "no" / "dir.csv"))
-    assert code == 2
-    assert "runtime error" in err
+    code, stdout, err = _run(capsys, *command.split(), str(cfg), "--out", str(tmp_path / out))
+    assert code == 1 and stdout == ""
+    assert err.startswith(f"error: --out: cannot write {str(tmp_path / out)!r}: ")
+    assert "truth" not in err
+
+
+def test_a_run_that_fails_leaves_its_out_file_empty(capsys, tmp_path):
+    target = tmp_path / "est.txt"
+    target.write_text("old\n")
+    code, stdout, err = _run(capsys, "estimate", "-n", "2^8", "-p", "1.5", "--out", str(target))
+    assert code == 1 and stdout == "" and "risk level" in err
+    assert target.read_text() == ""
 
 
 def test_converge_rejects_bad_thread_counts(capsys, tmp_path):
@@ -470,6 +485,83 @@ def test_converge_rejects_overflowing_truth_n(capsys, tmp_path):
     assert code == 1
     # the key heads the message, as for every [experiment] key
     assert err.startswith("error: truth_n: expected an integer")
+
+
+# ---------------------------------------------------------------- one rule per spelling
+
+# integer spellings, and what each reads as (None: rejected)
+INT_SPELLINGS = {
+    "16": 16,
+    "0x10": 16,
+    "2^4": 16,
+    "1.6e1": 16,
+    " 16 ": 16,
+    "010": 10,
+    "1.5": None,
+    "x": None,
+    "2^-1": None,
+    "1e400": None,
+    "nan": None,
+}
+# (flag's argv up to its value, the config key's line, the field both set,
+# and the spellings with what they read as)
+FLAG_KEY_PAIRS = {
+    "seed-master_seed": (("converge", "--seed"), "master_seed = {}", "master_seed", INT_SPELLINGS),
+    "seed-truth_seed": (("truth", "-n", "1e6", "--seed"), "truth = mc\ntruth_seed = {}", "truth_seed", INT_SPELLINGS),
+    "n-truth_n": (("truth", "-n"), "truth = mc\ntruth_n = {}", "truth_n", INT_SPELLINGS),
+    "p-p": (
+        ("truth", "-n", "1e6", "-p"),
+        "p = {}",
+        "p",
+        {**dict.fromkeys(INT_SPELLINGS), "0.25": 0.25, " 2.5e-1 ": 0.25, "0x1": None},
+    ),
+}
+
+
+@pytest.fixture
+def read_back(monkeypatch):
+    """The fields the truth pass and the study would get, with neither run:
+    ``truth`` fills seed, n and p, ``converge`` every field of its config."""
+    seen = {}
+
+    def truth(model, p, n, seed, progress):
+        seen.update(truth_seed=seed, truth_n=n, p=p)
+        return TruthResult(1.0, 1.0, 0.0, 0.0, "mc", n)
+
+    def study(cfg, threads=None, progress=None):
+        seen.update(master_seed=cfg.master_seed, truth_seed=cfg.truth.seed, truth_n=cfg.truth.n, p=cfg.p)
+        return ResultTable((), None)
+
+    monkeypatch.setattr(experiments, "mc_truth", truth)
+    monkeypatch.setattr(cli, "run_convergence", study)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "pair, raw, want",
+    [(pair, raw, want) for pair, (*_, spellings) in FLAG_KEY_PAIRS.items() for raw, want in spellings.items()],
+)
+def test_a_flag_and_its_config_key_read_each_spelling_alike(capsys, tmp_path, read_back, pair, raw, want):
+    # --seed used to read type=int, while master_seed read int(x, 0): 0x10
+    # was 16 in a config and exited 1 as a flag
+    flag, line, field, _ = FLAG_KEY_PAIRS[pair]
+    cfg = tmp_path / "study.cfg"
+    cfg.write_text(f"[experiment]\n{line.format(raw)}\n[model]\nkind = exp\n")
+    for argv in ([*flag, raw], ["converge", "--config", str(cfg)]):
+        read_back.clear()
+        code, _, err = _run(capsys, *argv)
+        assert (code, read_back.get(field)) == ((1, None) if want is None else (0, want)), (argv, err)
+
+
+def test_points_dim_reads_what_sample_points_takes(capsys):
+    code, out, _ = _run(capsys, "points", "--sampler", "mc", "-d", "2.0", "-n", "4", "--seed", "3")
+    assert code == 0
+    parsed = np.array([[float(v) for v in line.split(",")] for line in out.splitlines()])
+    assert np.array_equal(parsed, sample_points("mc", 4, dim=2.0, seed=3))
+    code, out, err = _run(capsys, "points", "-d", "1.5", "-n", "4")
+    assert code == 1 and out == "" and "--dim" in err
+    with pytest.raises(ConfigError, match="^dim: "):
+        sample_points("mc", 4, dim=1.5)
 
 
 # ---------------------------------------------------------------- dispatch

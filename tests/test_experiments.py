@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qmcrisk.bits import child_seed
+from qmcrisk.config import load_experiment
 from qmcrisk.errors import ConfigError, PrecisionError, WorkLimitError
 from qmcrisk.estimators import SampleBatch, order_index, quantile_estimate, shortfall_estimate
 from qmcrisk.experiments import (
@@ -19,7 +20,6 @@ from qmcrisk.experiments import (
     TruthResult,
     TruthSpec,
     fit_rate,
-    load_experiment,
     mc_stream_seed,
     mc_truth,
     rate_summary,

@@ -5,6 +5,7 @@ import pytest
 from scipy import integrate, optimize
 
 from qmcrisk.cli import main
+from qmcrisk.config import load_model
 from qmcrisk.errors import ConfigError
 from qmcrisk.estimators import SampleBatch, empirical_cdf
 from qmcrisk.lowdisc import sobol_points
@@ -15,7 +16,6 @@ from qmcrisk.models import (
     EDGE_COUNT,
     ExpModel,
     SanModel,
-    load_model,
 )
 from qmcrisk.randomize import owen_scramble
 

@@ -157,3 +157,48 @@ def test_run_tiles_has_two_callers():
     for path in Path(qmcrisk.__file__).parent.glob("*.py"):
         sites += call_sites(path.read_text(), path.stem, "run_tiles")
     assert sorted(sites) == ["experiments.run_convergence", "lowdisc.tiled"]
+
+
+def imported_modules(source: str) -> set:
+    """The top-level names of the modules a module imports by absolute name."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def builtin_types(source: str) -> list:
+    """The builtin ``int`` or ``float`` a module passes as a call's ``type=``, once per call."""
+    return [
+        kw.value.id
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "type" and isinstance(kw.value, ast.Name) and kw.value.id in ("int", "float")
+    ]
+
+
+def test_imported_modules_and_builtin_types_find_what_they_should():
+    source = (
+        "import re\n"
+        "import os.path as osp\n"
+        "from configparser import ConfigParser\n"
+        "from .config import parse_int\n"
+        "p.add_argument('-d', type=int)\n"
+        "p.add_argument('-p', type=float, default=0.1)\n"
+        "p.add_argument('-n', type=parse_int)\n"
+        "f(type=str)\n"
+    )
+    assert imported_modules(source) == {"re", "os", "configparser"}
+    assert builtin_types(source) == ["int", "float"]
+
+
+def test_one_text_layer():
+    # every text-to-value rule lives in config.py, and the CLI's flags read
+    # their values through it, never through argparse's int or float
+    readers = {path.stem for path in MODULES if imported_modules(path.read_text()) & {"configparser", "re"}}
+    assert readers == {"config"}
+    assert builtin_types((Path(qmcrisk.__file__).parent / "cli.py").read_text()) == []
